@@ -15,6 +15,7 @@ from .machine import (
     NAIVE_FACTOR,
     TELEPORT_CYCLES,
     epoch_cycles,
+    loc_label,
     split_epoch,
     split_machine,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "epoch_cycles",
     "epoch_teleport_loads",
     "epr_demand_timeline",
+    "loc_label",
     "numa_runtime",
     "plan_epr_distribution",
     "serialize_rounds",

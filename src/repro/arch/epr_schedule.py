@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..sched.types import Schedule
-from .machine import GATE_CYCLES, epoch_cycles, split_epoch
+from .machine import GATE_CYCLES, epoch_cycles, loc_label, split_epoch
 
 __all__ = ["EPRDemand", "EPRPlan", "epr_demand_timeline", "plan_epr_distribution"]
 
@@ -84,10 +84,6 @@ class EPRPlan:
         return self.base_runtime + self.stall_cycles
 
 
-def _loc_label(loc: tuple) -> str:
-    return "global" if loc[0] == "global" else f"{loc[0]}{loc[1]}"
-
-
 def epr_demand_timeline(sched: Schedule) -> Tuple[List[EPRDemand], int]:
     """Walk a movement-annotated schedule and return (demands,
     base_runtime), where each demand is pinned to the cycle its epoch
@@ -99,7 +95,7 @@ def epr_demand_timeline(sched: Schedule) -> Tuple[List[EPRDemand], int]:
         if teleports:
             channels: Dict[Tuple[str, str], int] = {}
             for m in teleports:
-                key = (_loc_label(m.src), _loc_label(m.dst))
+                key = (loc_label(m.src), loc_label(m.dst))
                 channels[key] = channels.get(key, 0) + 1
             demands.append(
                 EPRDemand(cycle=cycle, pairs=len(teleports),

@@ -32,6 +32,7 @@ __all__ = [
     "parse_capacity",
     "capacity_label",
     "split_epoch",
+    "loc_label",
     "epoch_cycles",
     "split_machine",
 ]
@@ -115,6 +116,13 @@ def split_epoch(moves):
     teleports = [m for m in moves if m.kind == "teleport"]
     locals_ = [m for m in moves if m.kind == "local"]
     return teleports, locals_
+
+
+def loc_label(loc: tuple) -> str:
+    """EPR channel label of a location: ``"global"``, ``"region{r}"``
+    or ``"local{r}"`` — the ``pair_counts`` keys every EPR ledger
+    (movement derivation, EPR planning, the engine) shares."""
+    return "global" if loc[0] == "global" else f"{loc[0]}{loc[1]}"
 
 
 def epoch_cycles(

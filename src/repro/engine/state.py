@@ -25,15 +25,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..arch.machine import MultiSIMD
+from ..arch.machine import MultiSIMD, loc_label
 from ..core.qubits import Qubit
 from ..sched.types import Move
 
 __all__ = ["EPRPool", "InterconnectState", "MachineState"]
-
-
-def _loc_label(loc: tuple) -> str:
-    return "global" if loc[0] == "global" else f"{loc[0]}{loc[1]}"
 
 
 @dataclass
@@ -87,7 +83,7 @@ class EPRPool:
     ) -> None:
         """Account one epoch's teleports (plus failed attempts)."""
         for m in moves:
-            key = (_loc_label(m.src), _loc_label(m.dst))
+            key = (loc_label(m.src), loc_label(m.dst))
             self.channel_pairs[key] = self.channel_pairs.get(key, 0) + 1
             self.consumed += 1
         self.wasted += wasted_attempts

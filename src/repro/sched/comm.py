@@ -19,28 +19,37 @@ model:
 The *naive movement model* — the baseline of Figures 7 and 8 — instead
 charges a teleport epoch around every sequential gate: runtime = 5x the
 gate count.
+
+One kernel, :func:`movement_epochs`, implements the model over interned
+qubit ids and CSR operands; :func:`derive_movement` (materialized
+schedules) and :func:`repro.sched.stream.iter_schedule_epochs`
+(columnar schedules) are its two adapters.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Sequence, Tuple
 
 from ..arch.machine import (
     GATE_CYCLES,
     MultiSIMD,
     NAIVE_FACTOR,
     epoch_cycles,
-    split_epoch,
+    loc_label,
 )
-from ..arch.memory import MemoryMap
 from ..arch.teleport import EPRAccounting
 from ..core.qubits import Qubit
 from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Move, Schedule
 
-__all__ = ["CommStats", "derive_movement", "naive_runtime"]
+__all__ = ["CommStats", "derive_movement", "movement_epochs", "naive_runtime"]
+
+#: One timestep's ``(region, nodes)`` pairs, region-ascending (regions
+#: with no nodes may be listed or omitted).
+Regions = Sequence[Tuple[int, Sequence[int]]]
 
 
 @dataclass
@@ -56,12 +65,12 @@ class CommStats:
         epr: per-channel EPR-pair consumption.
     """
 
-    gate_cycles: int
-    comm_cycles: int
-    teleports: int
-    local_moves: int
-    teleport_epochs: int
-    local_epochs: int
+    gate_cycles: int = 0
+    comm_cycles: int = 0
+    teleports: int = 0
+    local_moves: int = 0
+    teleport_epochs: int = 0
+    local_epochs: int = 0
     epr: EPRAccounting = field(default_factory=EPRAccounting)
 
     @property
@@ -75,10 +84,193 @@ def naive_runtime(op_count: int) -> int:
     return NAIVE_FACTOR * op_count
 
 
-def _loc_label(loc: tuple) -> str:
-    if loc[0] == "global":
-        return "global"
-    return f"{loc[0]}{loc[1]}"
+def movement_epochs(
+    qubits: Sequence[Qubit],
+    op_q: Sequence[int],
+    op_off: Sequence[int],
+    n_ts: int,
+    regions_at: Callable[[int], Regions],
+    k: int,
+    machine: MultiSIMD,
+    stats: CommStats,
+) -> Iterator[Tuple[int, List[Move], Regions]]:
+    """Derive movement epoch-at-a-time: the one implementation of the
+    paper's movement model.
+
+    Node ``n``'s operands are ``qubits[op_q[i]]`` for ``i`` in
+    ``op_off[n]:op_off[n + 1]``; ``regions_at(t)`` lists timestep
+    ``t``'s ``(region, nodes)`` pairs. Yields ``(t, moves, regions)``
+    per timestep, where ``moves`` is the epoch preceding ``t``; once
+    exhausted, it has billed every epoch into ``stats`` by
+    :func:`~repro.arch.machine.epoch_cycles`.
+
+    Each qubit's location is an int code: ``r`` for region ``r``,
+    ``k + r`` for region ``r``'s scratchpad, ``-1`` for global memory.
+    Residency is tracked per region, so each eviction scan visits only
+    the regions active at ``t``, and dead qubits (use list exhausted)
+    are dropped from it. Eviction candidates are visited in first-move
+    order — the memory map's insertion order, which the reference scan
+    iterates — so scratchpad fills, the ``Move`` sequence and the EPR
+    channel order are bit-identical to
+    :func:`repro.sched._reference.derive_movement_reference`. ``Move``
+    objects are frozen and interned per ``(qubit, src, dst)``.
+    """
+    n_q = len(qubits)
+    # Per-qubit ordered use list: the region of each use.
+    uses = [array("H") for _ in range(n_q)]
+    for t in range(n_ts):
+        for r, nodes in regions_at(t):
+            for node in nodes:
+                for qid in op_q[op_off[node] : op_off[node + 1]]:
+                    uses[qid].append(r)
+    n_uses = [len(u) for u in uses]
+    cursor = [0] * n_q  # uses consumed so far
+
+    # Location code -> location tuple; code -1 (global) indexes the
+    # last entry, so ``code % width`` is a dense index.
+    codes = [("region", r) for r in range(k)]
+    codes += [("local", r) for r in range(k)]
+    codes.append(("global",))
+    width = len(codes)
+    loc = [-1] * n_q
+    resident: List[Dict[int, int]] = [{} for _ in range(k)]
+    serial = [-1] * n_q  # first-move order
+    by_serial: List[int] = []
+    pad = [0] * k
+    capacity = machine.local_memory
+    has_local = machine.has_local_memory
+    stamp = [-1] * n_q  # last timestep whose ops name the qubit
+    # (qid, src, dst) -> (Move, EPR channel id or -1 for a local move).
+    interned: Dict[int, Tuple[Move, int]] = {}
+    # Per-channel teleport counts, and channels in first-use order (the
+    # EPR ledger's insertion order).
+    channel_pairs = [0] * (width * width)
+    channels: List[int] = []
+
+    def intern(key: int, qid: int, src: int, dst: int) -> Tuple[Move, int]:
+        # Local iff between region r and its own scratchpad.
+        local = src >= 0 and dst >= 0 and abs(src - dst) == k
+        m = Move(
+            qubits[qid], codes[src], codes[dst],
+            "local" if local else "teleport",
+        )
+        channel = -1 if local else (src % width) * width + dst % width
+        if channel >= 0 and channel not in channels:
+            channels.append(channel)
+        entry = interned[key] = (m, channel)
+        return entry
+
+    teleport_cost = epoch_cycles(1, 0)
+    local_cost = epoch_cycles(0, 1)
+    teleports = local_moves = comm_cycles = 0
+    teleport_epochs = local_epochs = peak = 0
+    for t in range(n_ts):
+        regions = regions_at(t)
+        # Stamp ``t``'s operands first: they are fetched (or stay), so
+        # the eviction scan before the fetches must skip them.
+        for _, nodes in regions:
+            for node in nodes:
+                for qid in op_q[op_off[node] : op_off[node + 1]]:
+                    stamp[qid] = t
+        # --- evictions: qubits left in a region active at ``t`` ---------
+        candidates: List[int] = []
+        for r, nodes in regions:
+            if not nodes:
+                continue  # idle regions store qubits passively
+            res_r = resident[r]
+            dead: List[int] = []
+            for qid, s in res_r.items():
+                if stamp[qid] == t:
+                    continue  # stays for, or is fetched for, its op
+                if cursor[qid] >= n_uses[qid]:
+                    # Dead qubit: left behind and reabsorbed as ancilla
+                    # or EPR feedstock (Section 4.4) — no move billed,
+                    # and never reconsidered.
+                    dead.append(qid)
+                    continue
+                candidates.append(s)
+            for qid in dead:
+                del res_r[qid]
+        # Scratchpad space is claimed in visit order, so the visit order
+        # must match the reference scan's (first-move order).
+        candidates.sort()
+        epoch: List[Move] = []
+        n_tele = 0
+        for s in candidates:
+            qid = by_serial[s]
+            r = loc[qid]
+            if (
+                has_local
+                and uses[qid][cursor[qid]] == r
+                and capacity - pad[r] >= 1
+            ):
+                dst = k + r
+                pad[r] += 1
+            else:
+                dst = -1
+            key = (qid * width + r) * width + dst
+            m, channel = interned.get(key) or intern(key, qid, r, dst)
+            epoch.append(m)
+            if channel >= 0:
+                channel_pairs[channel] += 1
+                n_tele += 1
+            loc[qid] = dst
+            del resident[r][qid]
+        # --- fetch operands into their regions -------------------------
+        for r, nodes in regions:
+            res_r = resident[r]
+            for node in nodes:
+                for qid in op_q[op_off[node] : op_off[node + 1]]:
+                    cursor[qid] += 1
+                    src = loc[qid]
+                    if src == r:
+                        continue
+                    key = (qid * width + src) * width + r
+                    m, channel = interned.get(key) or intern(key, qid, src, r)
+                    epoch.append(m)
+                    if channel >= 0:
+                        channel_pairs[channel] += 1
+                        n_tele += 1
+                    if src >= k:
+                        pad[src - k] -= 1
+                    elif src >= 0:
+                        del resident[src][qid]
+                    loc[qid] = r
+                    s = serial[qid]
+                    if s < 0:
+                        s = serial[qid] = len(by_serial)
+                        by_serial.append(qid)
+                    res_r[qid] = s
+        # --- bill the epoch ----------------------------------------------
+        if n_tele:
+            teleports += n_tele
+            local_moves += len(epoch) - n_tele
+            comm_cycles += teleport_cost
+            teleport_epochs += 1
+            if n_tele > peak:
+                peak = n_tele
+        elif epoch:
+            local_moves += len(epoch)
+            comm_cycles += local_cost
+            local_epochs += 1
+        yield t, epoch, regions
+
+    stats.gate_cycles += n_ts * GATE_CYCLES
+    stats.comm_cycles += comm_cycles
+    stats.teleports += teleports
+    stats.local_moves += local_moves
+    stats.teleport_epochs += teleport_epochs
+    stats.local_epochs += local_epochs
+    epr = stats.epr
+    epr.total_pairs += teleports
+    epr.peak_epoch_demand = max(epr.peak_epoch_demand, peak)
+    pair_counts = epr.pair_counts
+    for channel in channels:
+        label = (
+            loc_label(codes[channel // width]),
+            loc_label(codes[channel % width]),
+        )
+        pair_counts[label] = pair_counts.get(label, 0) + channel_pairs[channel]
 
 
 @spanned("comm:derive_movement")
@@ -88,152 +280,38 @@ def derive_movement(
     """Derive the movement epochs for ``sched`` on ``machine``.
 
     Populates each timestep's ``moves`` list in place (idempotent: any
-    existing moves are cleared) and returns the communication profile.
-
-    The fast path tracks the set of region-resident qubits incrementally
-    instead of rescanning the whole memory map every timestep (the
-    pre-optimization scan made movement derivation O(qubits x
-    timesteps)); dead qubits are retired from the tracked set once their
-    use list is exhausted. Eviction candidates are visited in each
-    qubit's first-move order — the memory map's insertion order, which
-    is what the reference scan iterates — so the scratchpad fill
-    decisions and the emitted ``Move`` sequence are bit-identical to
-    :func:`repro.sched._reference.derive_movement_reference`.
+    existing moves are replaced) and returns the communication profile.
+    The statements' qubits are interned into CSR operands and
+    :func:`movement_epochs` does the work.
     """
     if not fast_path_enabled():
         from ._reference import derive_movement_reference
 
         return derive_movement_reference(sched, machine)
 
-    for ts in sched.timesteps:
-        ts.moves = []
-
-    statements = sched.dag.statements
+    ids: Dict[Qubit, int] = {}
+    qubits: List[Qubit] = []
+    op_q: List[int] = []
+    op_off = [0]
+    for stmt in sched.dag.statements:
+        for q in stmt.qubits:
+            qid = ids.get(q)
+            if qid is None:
+                qid = ids[q] = len(qubits)
+                qubits.append(q)
+            op_q.append(qid)
+        op_off.append(len(op_q))
     timesteps = sched.timesteps
-    # Per-qubit ordered use list: (timestep, region).
-    uses: Dict[Qubit, List[Tuple[int, int]]] = {}
-    for t, ts in enumerate(timesteps):
-        for r, nodes in enumerate(ts.regions):
-            for n in nodes:
-                for q in statements[n].qubits:
-                    ulist = uses.get(q)
-                    if ulist is None:
-                        ulist = uses[q] = []
-                    ulist.append((t, r))
-    next_use_idx: Dict[Qubit, int] = {q: 0 for q in uses}
-
-    mm = MemoryMap(k=sched.k, local_capacity=machine.local_memory)
-    stats = CommStats(
-        gate_cycles=sched.length * GATE_CYCLES,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
-    pending_evictions: List[Move] = []
-    # Qubits currently sitting in a SIMD region, plus each qubit's
-    # first-move serial (== its position in mm.locations' insertion
-    # order, which the reference eviction scan iterates).
-    resident: Dict[Qubit, int] = {}
-    serial: Dict[Qubit, int] = {}
-    n_ts = len(timesteps)
-
-    for t, ts in enumerate(timesteps):
-        epoch: List[Move] = pending_evictions
-        pending_evictions = []
-        # --- fetch operands into their regions -------------------------
-        for r, nodes in enumerate(ts.regions):
-            target = ("region", r)
-            for n in nodes:
-                for q in statements[n].qubits:
-                    src = mm.location(q)
-                    if src == target:
-                        continue
-                    kind = (
-                        "local"
-                        if src == ("local", r)
-                        else "teleport"
-                    )
-                    epoch.append(Move(q, src, target, kind))
-                    mm.move(q, target)
-                    resident[q] = r
-                    if q not in serial:
-                        serial[q] = len(serial)
-                # Advance the qubit-use cursors past this timestep.
-            for n in nodes:
-                for q in statements[n].qubits:
-                    ulist = uses[q]
-                    i = next_use_idx[q]
-                    while i < len(ulist) and ulist[i][0] <= t:
-                        i += 1
-                    next_use_idx[q] = i
-        ts.moves = epoch
-        _bill_epoch(epoch, stats)
-        # --- eviction decisions for the next epoch ----------------------
-        if t + 1 < n_ts:
-            next_ts = timesteps[t + 1]
-            active_next = {
-                r for r, nodes in enumerate(next_ts.regions) if nodes
-            }
-            used_next: Dict[Qubit, int] = {}
-            for r, nodes in enumerate(next_ts.regions):
-                for n in nodes:
-                    for q in statements[n].qubits:
-                        used_next[q] = r
-            candidates: List[Tuple[int, Qubit]] = []
-            dead: List[Qubit] = []
-            for q, r in resident.items():
-                if q in used_next:
-                    # Either stays for its next op or is fetched by the
-                    # next timestep's operand pass.
-                    continue
-                if r not in active_next:
-                    continue  # idle regions store qubits passively
-                if next_use_idx[q] >= len(uses[q]):
-                    # Dead qubit: left behind and reabsorbed as ancilla
-                    # or EPR feedstock (Section 4.4) — no move billed,
-                    # and no reason to ever reconsider it.
-                    dead.append(q)
-                    continue
-                candidates.append((serial[q], q))
-            for q in dead:
-                del resident[q]
-            # Scratchpad space is claimed in visit order, so the visit
-            # order must match the reference scan's (first-move order).
-            candidates.sort()
-            for _, q in candidates:
-                r = resident[q]
-                next_region = uses[q][next_use_idx[q]][1]
-                if (
-                    next_region == r
-                    and machine.has_local_memory
-                    and mm.local_has_space(r)
-                ):
-                    dest = ("local", r)
-                    kind = "local"
-                else:
-                    dest = ("global",)
-                    kind = "teleport"
-                pending_evictions.append(Move(q, ("region", r), dest, kind))
-                mm.move(q, dest)
-                del resident[q]
+    stats = CommStats()
+    for t, epoch, _ in movement_epochs(
+        qubits,
+        op_q,
+        op_off,
+        len(timesteps),
+        lambda t: list(enumerate(timesteps[t].regions)),
+        sched.k,
+        machine,
+        stats,
+    ):
+        timesteps[t].moves = epoch
     return stats
-
-
-def _bill_epoch(epoch: List[Move], stats: CommStats) -> None:
-    """Charge one movement epoch per the paper's cost rule
-    (:func:`~repro.arch.machine.epoch_cycles` — the one canonical
-    implementation, shared with EPR planning, NUMA re-billing, replay
-    and the execution engine)."""
-    teleports, locals_ = split_epoch(epoch)
-    stats.teleports += len(teleports)
-    stats.local_moves += len(locals_)
-    stats.comm_cycles += epoch_cycles(len(teleports), len(locals_))
-    if teleports:
-        stats.teleport_epochs += 1
-        stats.epr.record_epoch(
-            [(_loc_label(m.src), _loc_label(m.dst)) for m in teleports]
-        )
-    elif locals_:
-        stats.local_epochs += 1

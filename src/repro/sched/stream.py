@@ -24,12 +24,15 @@ every window produces identical columns, and the schedulers run on the
 columns alone. That is the streaming pipeline's window-invariance
 guarantee, and it is exactly why the streamed schedules are bit-for-bit
 the schedules of the materialized fast path — the scheduler mirrors
-below replay :mod:`repro.sched.rcp`, :mod:`repro.sched.lpfs`,
-:mod:`repro.sched.sequential` and :func:`repro.sched.comm.
-derive_movement` decision-for-decision (same priority arithmetic, same
-tie-breaks, same iteration orders), with node/gate/qubit ids in place
-of boxed objects. ``tests/test_stream_sched.py`` and the differential
-battery check the equivalence end to end.
+below replay :mod:`repro.sched.rcp`, :mod:`repro.sched.lpfs` and
+:mod:`repro.sched.sequential` decision-for-decision (same priority
+arithmetic, same tie-breaks, same iteration orders), with node/gate/
+qubit ids in place of boxed objects. Movement derivation is one
+kernel, two adapters: :func:`iter_schedule_epochs` runs
+:func:`repro.sched.comm.movement_epochs` — the kernel
+:func:`repro.sched.comm.derive_movement` also drains — over the
+columns. ``tests/test_stream_sched.py`` and the differential battery
+check the equivalence end to end.
 """
 
 from __future__ import annotations
@@ -38,14 +41,13 @@ from array import array
 from collections import deque
 from typing import Callable, Dict, Deque, Iterator, List, Optional, Set, Tuple
 
-from ..arch.machine import GATE_CYCLES, MultiSIMD
-from ..arch.memory import MemoryMap
+from ..arch.machine import MultiSIMD
 from ..core.dag import DependenceDAG
 from ..core.operation import Operation
 from ..core.opstream import OpStream, iter_chunks
 from ..core.qubits import Qubit
 from ..instrument import spanned
-from .comm import CommStats, _bill_epoch
+from .comm import CommStats, movement_epochs
 from .rcp import RCPWeights
 from .types import Move, Schedule
 
@@ -752,7 +754,7 @@ def schedule_columns(
 
 
 # ---------------------------------------------------------------------------
-# Movement derivation (mirror of sched.comm.derive_movement)
+# Movement derivation (adapter over sched.comm.movement_epochs)
 # ---------------------------------------------------------------------------
 
 
@@ -764,109 +766,22 @@ def iter_schedule_epochs(
 ) -> Iterator[Tuple[int, List[Move], List[Tuple[int, List[int]]]]]:
     """Derive movement epoch-at-a-time, yielding
     ``(t, moves, regions)`` per timestep and accumulating into
-    ``stats`` (bill one epoch per yield, exactly as
-    :func:`~repro.sched.comm.derive_movement` bills ``ts.moves``).
-
-    The mirrored state is identical — per-qubit use cursors (packed
-    ``(t << 16) | r`` in ``array('q')``), incremental resident set,
-    first-move serials for eviction order — so the emitted ``Move``
-    sequence per epoch is bit-identical to the materialized fast path.
-    Peak memory is the use lists (one packed int per operand slot),
+    ``stats``: :func:`~repro.sched.comm.movement_epochs` — the kernel
+    :func:`~repro.sched.comm.derive_movement` also drains — run over
+    the columns' CSR operands and ``ssched.regions_at``. Peak memory is
+    the kernel's per-qubit use lists (one region id per operand slot),
     never the epochs themselves.
     """
-    op_q, op_off = cols.op_q, cols.op_off
-    qubit_objs = cols.qubits
-    n_ts = ssched.length
-    stats.gate_cycles += n_ts * GATE_CYCLES
-    # Per-qubit ordered use list: packed (timestep << 16) | region.
-    uses: List[array] = [array("q") for _ in range(len(qubit_objs))]
-    for t in range(n_ts):
-        for j in range(ssched.ts_off[t], ssched.ts_off[t + 1]):
-            r = ssched.flat_regions[j]
-            node = ssched.flat_nodes[j]
-            packed = (t << 16) | r
-            for i in range(op_off[node], op_off[node + 1]):
-                uses[op_q[i]].append(packed)
-    next_use_idx = array("i", bytes(4 * len(qubit_objs)))
-
-    mm = MemoryMap(k=ssched.k, local_capacity=machine.local_memory)
-    pending_evictions: List[Move] = []
-    resident: Dict[int, int] = {}
-    serial: Dict[int, int] = {}
-
-    next_regions = ssched.regions_at(0) if n_ts else []
-    for t in range(n_ts):
-        cur_regions = next_regions
-        epoch: List[Move] = pending_evictions
-        pending_evictions = []
-        for r, nodes in cur_regions:
-            target = ("region", r)
-            for node in nodes:
-                for i in range(op_off[node], op_off[node + 1]):
-                    qid = op_q[i]
-                    q = qubit_objs[qid]
-                    src = mm.location(q)
-                    if src == target:
-                        continue
-                    kind = (
-                        "local" if src == ("local", r) else "teleport"
-                    )
-                    epoch.append(Move(q, src, target, kind))
-                    mm.move(q, target)
-                    resident[qid] = r
-                    if qid not in serial:
-                        serial[qid] = len(serial)
-            for node in nodes:
-                for i in range(op_off[node], op_off[node + 1]):
-                    qid = op_q[i]
-                    ulist = uses[qid]
-                    u = next_use_idx[qid]
-                    end = len(ulist)
-                    while u < end and (ulist[u] >> 16) <= t:
-                        u += 1
-                    next_use_idx[qid] = u
-        _bill_epoch(epoch, stats)
-        if t + 1 < n_ts:
-            next_regions = ssched.regions_at(t + 1)
-            active_next = {r for r, _ in next_regions}
-            used_next: Dict[int, int] = {}
-            for r, nodes in next_regions:
-                for node in nodes:
-                    for i in range(op_off[node], op_off[node + 1]):
-                        used_next[op_q[i]] = r
-            candidates: List[Tuple[int, int]] = []
-            dead: List[int] = []
-            for qid, r in resident.items():
-                if qid in used_next:
-                    continue
-                if r not in active_next:
-                    continue
-                if next_use_idx[qid] >= len(uses[qid]):
-                    dead.append(qid)
-                    continue
-                candidates.append((serial[qid], qid))
-            for qid in dead:
-                del resident[qid]
-            candidates.sort()
-            for _, qid in candidates:
-                r = resident[qid]
-                next_region = uses[qid][next_use_idx[qid]] & 0xFFFF
-                if (
-                    next_region == r
-                    and machine.has_local_memory
-                    and mm.local_has_space(r)
-                ):
-                    dest = ("local", r)
-                    kind = "local"
-                else:
-                    dest = ("global",)
-                    kind = "teleport"
-                pending_evictions.append(
-                    Move(qubit_objs[qid], ("region", r), dest, kind)
-                )
-                mm.move(qubit_objs[qid], dest)
-                del resident[qid]
-        yield t, epoch, cur_regions
+    return movement_epochs(
+        cols.qubits,
+        cols.op_q,
+        cols.op_off,
+        ssched.length,
+        ssched.regions_at,
+        ssched.k,
+        machine,
+        stats,
+    )
 
 
 @spanned("stream:derive_movement")
@@ -881,14 +796,7 @@ def derive_movement_stream(
     """Drain :func:`iter_schedule_epochs` and return the communication
     profile; ``sink`` (if given) observes each epoch as it retires —
     the out-of-core export hook."""
-    stats = CommStats(
-        gate_cycles=0,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
+    stats = CommStats()
     for t, epoch, regions in iter_schedule_epochs(
         cols, ssched, machine, stats
     ):
@@ -907,14 +815,7 @@ def engine_epochs(
     timestep, ready for
     :func:`repro.engine.executor.run_schedule_stream`. The movement is
     derived on the fly; nothing is inflated."""
-    stats = CommStats(
-        gate_cycles=0,
-        comm_cycles=0,
-        teleports=0,
-        local_moves=0,
-        teleport_epochs=0,
-        local_epochs=0,
-    )
+    stats = CommStats()
     gate_names = cols.gate_names
     gate_ids = cols.gate_ids
     for _, epoch, regions in iter_schedule_epochs(

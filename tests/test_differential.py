@@ -172,11 +172,13 @@ def test_lpfs_differential(ops, k, d, l_frac, simd, refill):
     k=st.integers(min_value=1, max_value=4),
     d=ds,
     algorithm=st.sampled_from(["rcp", "lpfs"]),
-    local=st.sampled_from([None, 2.0, math.inf]),
+    local=st.sampled_from([None, 0, 1, 2.0, math.inf]),
 )
 def test_movement_differential(ops, k, d, algorithm, local):
-    """Movement epochs and the communication profile are identical —
-    including the order of eviction ``Move`` records within an epoch."""
+    """Movement epochs, the communication profile and the EPR ledger
+    are identical — including the order of eviction ``Move`` records
+    within an epoch and of ``pair_counts`` channels — down to full
+    (capacity 0/1) scratchpads."""
     machine = MultiSIMD(k=k, d=d, local_memory=local)
 
     def run() -> str:
@@ -193,6 +195,9 @@ def test_movement_differential(ops, k, d, algorithm, local):
                 "local_epochs": stats.local_epochs,
                 "gate_cycles": stats.gate_cycles,
                 "comm_cycles": stats.comm_cycles,
+                "pair_counts": list(stats.epr.pair_counts.items()),
+                "total_pairs": stats.epr.total_pairs,
+                "peak_epoch_demand": stats.epr.peak_epoch_demand,
             },
             sort_keys=True,
         )

@@ -17,6 +17,7 @@ This file checks that two ways:
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import pytest
@@ -37,6 +38,7 @@ from repro.sched.stream import (
     build_columns,
     derive_movement_stream,
     engine_epochs,
+    iter_schedule_epochs,
     schedule_columns,
     to_schedule,
 )
@@ -214,24 +216,36 @@ def test_window_never_changes_schedule_or_comm(
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=leaf_bodies(), k=ks, d=ds, algorithm=algorithms)
-def test_streamed_matches_materialized_random(ops, k, d, algorithm):
+@given(
+    ops=leaf_bodies(),
+    k=ks,
+    d=ds,
+    algorithm=algorithms,
+    local=st.sampled_from([None, 1, 4, math.inf]),
+)
+def test_streamed_matches_materialized_random(ops, k, d, algorithm, local):
     """Columns + streamed scheduler emit the DAG pipeline's schedule
-    and movement bit-for-bit."""
-    machine = MultiSIMD(k=k, d=d)
+    and movement bit-for-bit, epoch by epoch, with and without
+    scratchpads."""
+    machine = MultiSIMD(k=k, d=d, local_memory=local)
     dag = DependenceDAG(list(ops))
     mat_sched = SchedulerConfig(algorithm).schedule(dag, k, d)
     mat_comm = derive_movement(mat_sched, machine)
 
     cols = build_columns(ListStream(ops), window=7)
     ssched = schedule_columns(cols, algorithm, k, d)
-    stats = derive_movement_stream(cols, ssched, machine)
+    stats = CommStats()
+    epochs = [
+        (t, list(moves))
+        for t, moves, _ in iter_schedule_epochs(cols, ssched, machine, stats)
+    ]
 
     assert ssched.length == len(mat_sched.timesteps)
     for t, ts in enumerate(mat_sched.timesteps):
         streamed = dict(ssched.regions_at(t))
         for r, nodes in enumerate(ts.regions):
             assert streamed.get(r, []) == list(nodes)
+    assert epochs == [(t, ts.moves) for t, ts in enumerate(mat_sched.timesteps)]
     assert _comm_to_dict(stats) == _comm_to_dict(mat_comm)
 
 
