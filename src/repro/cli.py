@@ -213,6 +213,20 @@ def _parse_capacity(text: Optional[str]) -> Optional[float]:
         raise CLIError(str(exc)) from None
 
 
+def _machine(args: argparse.Namespace) -> MultiSIMD:
+    """The verb's Multi-SIMD machine from ``-k``/``-d`` (and
+    ``--local-mem`` where the verb has it); a bad value is a usage
+    error, raised before the verb does any work."""
+    try:
+        return MultiSIMD(
+            k=args.k,
+            d=args.d,
+            local_memory=_parse_capacity(getattr(args, "local_mem", None)),
+        )
+    except ValueError as exc:
+        raise CLIError(str(exc)) from None
+
+
 def _cmd_list(_args: argparse.Namespace) -> int:
     print(f"{'key':<8} {'paper instance':<22} description")
     print("-" * 72)
@@ -242,15 +256,11 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    machine = _machine(args)
     prog = _load_program(args.source)
     fth = args.fth
     if fth is None:
         fth = _default_fth(args.source)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
     if args.stream or args.window is not None or args.export_stream:
         return _compile_streamed(args, prog, machine, fth)
     result = compile_and_schedule(
@@ -574,6 +584,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .sim.specs import SpecError, bind_spec
     from .toolflow import DEFAULT_WINDOW, compile_and_schedule_streamed
 
+    machine = _machine(args)
+    if args.window is not None and args.window < 0:
+        raise CLIError(f"--window must be >= 0, got {args.window}")
     prog = _load_program(args.source)
     if args.exhaustive and args.samples is not None:
         raise CLIError("--exhaustive and --samples are mutually exclusive")
@@ -667,7 +680,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     return EXIT_SCHEDULE
 
         fth = args.fth if args.fth is not None else _default_fth(args.source)
-        machine = MultiSIMD(k=args.k, d=args.d)
         result = compile_and_schedule_streamed(
             prog,
             machine,
@@ -819,7 +831,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         from .analysis import SummaryCache
         from .service import CompileService, default_cache_dir
 
-        machine = MultiSIMD(k=args.k, d=args.d)
+        machine = _machine(args)
         if args.topology is not None:
             graph = _multicore_graph(args)
         cache_dir = (
@@ -1214,12 +1226,8 @@ def _execute_stream(args: argparse.Namespace) -> int:
         raise CLIError(
             f"--sample-every must be >= 1, got {args.sample_every}"
         )
+    machine = _machine(args)
     config = _engine_config(args)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
     try:
         header, result, comm = execute_schedule_stream(
             args.stream,
@@ -1339,16 +1347,12 @@ def _cmd_execute(args: argparse.Namespace) -> int:
             "execute needs a source (benchmark key / file) or "
             "--stream FILE"
         )
+    machine = _machine(args)
     config = _engine_config(args)
     prog = _load_program(args.source)
     fth = args.fth
     if fth is None:
         fth = _default_fth(args.source)
-    machine = MultiSIMD(
-        k=args.k,
-        d=args.d,
-        local_memory=_parse_capacity(args.local_mem),
-    )
     if args.topology is not None:
         return _execute_multicore(args, config, prog, machine, fth)
     result = compile_and_schedule(
@@ -1566,6 +1570,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
         compile_and_schedule_multicore,
     )
 
+    machine = _machine(args)
     prog = _load_program(args.source)
     fth = args.fth
     if fth is None:
@@ -1575,7 +1580,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
             else 4096
         )
     graph = _multicore_graph(args)
-    machine = MultiSIMD(k=args.k, d=args.d)
     config = MulticoreConfig(
         graph, seed=args.seed, refine=not args.no_refine
     )

@@ -21,17 +21,23 @@ schedulers consult slack per ready-set decision). The pre-optimization
 construction is kept in :mod:`repro.sched._reference` and produces
 identical ``preds``/``succs`` arrays — ``tests/test_differential.py``
 checks that on generated programs.
+
+:meth:`DependenceDAG.columns` is the int-coded view the scheduler and
+movement kernels read: interned gate names and qubits plus CSR operand
+and successor tables, in the layout of
+:class:`repro.sched.stream.StreamColumns` but backed by plain lists.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..fastpath import fast_path_enabled
 from .operation import Operation, Statement
 from .qubits import Qubit
 
-__all__ = ["DependenceDAG"]
+__all__ = ["DependenceDAG", "DAGColumns"]
 
 
 def _operands(stmt: Statement) -> Tuple[Qubit, ...]:
@@ -67,6 +73,49 @@ def _build_edges_fast(
         for p in plist:
             succs[p].append(i)
     return preds, succs
+
+
+class DAGColumns:
+    """Int-coded view of a gate-only DAG, in
+    :class:`~repro.sched.stream.StreamColumns`' layout.
+
+    Gate names and qubits are interned in first-use order (program
+    order, operand order); node ``i``'s operands are
+    ``op_q[op_off[i]:op_off[i + 1]]`` and its successors
+    ``succ_flat[succ_off[i]:succ_off[i + 1]]``. Lists, not ``array``s:
+    a list read returns a stored int, an array read boxes a new one.
+    """
+
+    __slots__ = (
+        "n",
+        "gate_names",
+        "gate_ids",
+        "qubits",
+        "op_q",
+        "op_off",
+        "succ_flat",
+        "succ_off",
+    )
+
+    def __init__(
+        self, statements: Sequence[Statement], succs: List[List[int]]
+    ):
+        self.n = len(statements)
+        gate_table: Dict[str, int] = {}
+        qubit_table: Dict[Qubit, int] = {}
+        self.gate_ids: List[int] = []
+        self.op_q: List[int] = []
+        self.op_off = [0]
+        gate_ids, op_q, op_off = self.gate_ids, self.op_q, self.op_off
+        for stmt in statements:
+            gate_ids.append(gate_table.setdefault(stmt.gate, len(gate_table)))
+            for q in stmt.qubits:
+                op_q.append(qubit_table.setdefault(q, len(qubit_table)))
+            op_off.append(len(op_q))
+        self.gate_names: List[str] = list(gate_table)
+        self.qubits: List[Qubit] = list(qubit_table)
+        self.succ_flat = list(chain.from_iterable(succs))
+        self.succ_off = [0, *accumulate(map(len, succs))]
 
 
 class DependenceDAG:
@@ -109,6 +158,7 @@ class DependenceDAG:
         self._heights: Optional[List[int]] = None
         self._depths: Optional[List[int]] = None
         self._slack: Optional[List[int]] = None
+        self._columns: Optional[DAGColumns] = None
 
     # -- basic shape ------------------------------------------------------
 
@@ -130,6 +180,18 @@ class DependenceDAG:
     def sinks(self) -> List[int]:
         """Nodes with no successors."""
         return [i for i, s in enumerate(self.succs) if not s]
+
+    def columns(self) -> DAGColumns:
+        """The int-coded view the scheduler and movement kernels read
+        (gate statements only). Memoized until
+        :meth:`release_columns`."""
+        if self._columns is None:
+            self._columns = DAGColumns(self.statements, self.succs)
+        return self._columns
+
+    def release_columns(self) -> None:
+        """Drop the memoized :meth:`columns` view (rebuilt on demand)."""
+        self._columns = None
 
     # -- longest-path analyses ------------------------------------------
 

@@ -30,8 +30,8 @@ module's coarse length becomes the program's realized runtime.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..arch.machine import (
@@ -43,6 +43,7 @@ from ..arch.machine import (
 )
 from ..arch.numa import assign_banks, epoch_teleport_loads, serialize_rounds
 from ..core.operation import Operation
+from ..core.qubits import Qubit
 from ..instrument import span
 from ..sched.coarse import CoarseResult, schedule_coarse
 from ..sched.replay import replay_schedule
@@ -239,202 +240,29 @@ def run_schedule(
     violations: Optional[int] = None
     if preflight:
         violations = _preflight(sched, machine, scope)
-
-    fault_config = config.faults or FaultConfig()
-    injector = FaultInjector(fault_config, seed=config.seed, scope=scope)
-    log = FaultLog(seed=config.seed, scope=scope)
-    prestage = sum(
-        1 for m in sched.timesteps[0].moves if m.kind == "teleport"
-    ) if sched.timesteps else 0
-    state = MachineState(
-        sched.k, machine, epr_rate=config.epr_rate, prestage=prestage
-    )
-    trace = EventTrace(scope) if config.collect_trace else None
     bank_of = (
         assign_banks(sched, config.numa)
         if config.numa is not None
         else None
     )
-
-    stalls = StallBreakdown()
-    gate_cycles = 0
-    comm_cycles = 0
-    teleport_epochs = 0
-    local_epochs = 0
-    teleport_rounds = 0
-
-    with span("engine:execute"):
-        for t, ts in enumerate(sched.timesteps):
-            # --- movement epoch preceding the timestep ------------------
-            teleports, locals_ = split_epoch(ts.moves)
-            nt, nl = len(teleports), len(locals_)
-            base_cost = epoch_cycles(nt, nl)
-            comm_cycles += base_cost
-            if nt:
-                teleport_epochs += 1
-                # Fault injection: failed generation attempts are
-                # regenerated; they waste generator throughput.
-                attempts = injector.epr_generation_attempts(nt)
-                extra = attempts - nt
-                if extra:
-                    log.record(
-                        FaultEvent(
-                            "epr_regen",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=extra,
-                            detail=f"{extra} failed generation "
-                            f"attempt(s) for {nt} pair(s)",
-                        )
-                    )
-                    if trace is not None:
-                        trace.emit(
-                            "epr-regen", "fault", state.clock, 0,
-                            "memory", attempts=extra,
-                        )
-                # Stall until production covers demand; the part due to
-                # regenerated attempts is attributed to faults.
-                demand_wait = state.epr.stall_for(nt, state.clock)
-                total_wait = state.epr.stall_for(attempts, state.clock)
-                fault_wait = total_wait - demand_wait
-                if demand_wait and trace is not None:
-                    trace.emit(
-                        "epr-stall", "stall", state.clock,
-                        demand_wait, "memory", pairs=nt,
-                    )
-                if fault_wait and trace is not None:
-                    trace.emit(
-                        "fault-stall", "stall",
-                        state.clock + demand_wait, fault_wait,
-                        "memory", regenerations=extra,
-                    )
-                stalls.epr += demand_wait
-                stalls.fault += fault_wait
-                state.advance(total_wait)
-                # NUMA serialization: oversubscribed channels / bank
-                # egress split the epoch into extra teleport rounds.
-                rounds = 1
-                if config.numa is not None:
-                    channel_load, bank_load = epoch_teleport_loads(
-                        teleports, bank_of, config.numa, sched.k
-                    )
-                    rounds = serialize_rounds(
-                        channel_load, bank_load, config.numa
-                    )
-                teleport_rounds += rounds
-                epoch_cost = epoch_cycles(nt, nl, rounds)
-                bandwidth_wait = epoch_cost - base_cost
-                if trace is not None:
-                    trace.emit(
-                        "teleport-epoch", "move", state.clock,
-                        base_cost, "memory",
-                        pairs=nt, local_moves=nl, rounds=rounds,
-                    )
-                    if bandwidth_wait:
-                        trace.emit(
-                            "bandwidth-stall", "stall",
-                            state.clock + base_cost, bandwidth_wait,
-                            "memory", rounds=rounds,
-                        )
-                stalls.bandwidth += bandwidth_wait
-                state.epr.consume(teleports, wasted_attempts=extra)
-                state.apply_epoch(ts.moves)
-                state.advance(epoch_cost)
-            elif nl:
-                local_epochs += 1
-                if trace is not None:
-                    trace.emit(
-                        "local-epoch", "move", state.clock,
-                        base_cost, "memory", local_moves=nl,
-                    )
-                state.apply_epoch(ts.moves)
-                state.advance(base_cost)
-            # --- transient region downtime ------------------------------
-            active = [
-                (r, nodes)
+    statements = sched.dag.statements
+    epochs = (
+        (
+            ts.moves,
+            [
+                (r, statements[nodes[0]].gate, len(nodes))
                 for r, nodes in enumerate(ts.regions)
                 if nodes
-            ]
-            if fault_config.region_failure_prob > 0:
-                for r, _ in active:
-                    if injector.region_goes_down(r):
-                        down = fault_config.region_downtime
-                        log.record(
-                            FaultEvent(
-                                "region_down",
-                                cycle=state.clock,
-                                timestep=t,
-                                region=r,
-                                detail=f"region {r} down for "
-                                f"{down} cycles",
-                            )
-                        )
-                        log.region_downtime_cycles += down
-                        if trace is not None:
-                            trace.emit(
-                                "region-down", "fault", state.clock,
-                                0, f"region{r}",
-                            )
-                            trace.emit(
-                                "fault-stall", "stall", state.clock,
-                                down, f"region{r}",
-                            )
-                        # Lock-step SIMD: a down region stalls the
-                        # whole machine, not just its own lane.
-                        stalls.fault += down
-                        state.advance(down)
-            # --- execute the timestep -----------------------------------
-            for r, nodes in active:
-                ops = len(nodes)
-                gate = sched.operation(nodes[0]).gate
-                errors = injector.sample_gate_errors(ops)
-                log.expected_gate_errors += (
-                    fault_config.gate_error_rate * ops
-                )
-                if errors:
-                    log.record(
-                        FaultEvent(
-                            "gate_error",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=errors,
-                            region=r,
-                            detail=f"{errors}/{ops} {gate} gate(s) "
-                            "errored (corrected)",
-                        )
-                    )
-                state.execute_region(r, ops, GATE_CYCLES)
-                if trace is not None:
-                    args: Dict[str, Any] = {"ops": ops}
-                    if errors:
-                        args["errors"] = errors
-                    trace.emit(
-                        gate, "gate", state.clock, GATE_CYCLES,
-                        f"region{r}", **args,
-                    )
-            gate_cycles += GATE_CYCLES
-            state.advance(GATE_CYCLES)
-
-    realized = state.clock
-    return EngineResult(
-        module=scope,
-        k=sched.k,
-        realized_runtime=realized,
-        analytic_runtime=gate_cycles + comm_cycles,
-        gate_cycles=gate_cycles,
-        comm_cycles=comm_cycles,
-        stalls=stalls,
-        teleport_epochs=teleport_epochs,
-        local_epochs=local_epochs,
-        teleport_rounds=teleport_rounds,
-        epr_pairs=state.epr.total_pairs,
-        channel_pairs=state.channel_pairs_labels(),
-        utilization=state.utilization(realized),
-        ops_executed=sum(state.ops_executed),
-        trace=trace,
-        fault_log=log,
-        preflight_violations=violations,
+            ],
+        )
+        for ts in sched.timesteps
     )
+    with span("engine:execute"):
+        result = _execute_epochs(
+            epochs, sched.k, machine, config, scope, bank_of=bank_of
+        )
+    result.preflight_violations = violations
+    return result
 
 
 def run_schedule_stream(
@@ -447,15 +275,16 @@ def run_schedule_stream(
 ) -> EngineResult:
     """Execute a schedule delivered epoch-at-a-time.
 
-    The streamed counterpart of :func:`run_schedule` for paper-scale
-    schedules that never exist as one :class:`Schedule` object:
-    ``epochs`` is an iterable of ``(moves, active)`` pairs — one per
-    timestep, movement epoch first — where ``active`` lists
-    ``(region, gate_name, op_count)`` per busy region. Both
-    :func:`repro.service.stream_io.read_schedule_stream` epochs and
-    :func:`repro.sched.stream.iter_schedule_epochs` output adapt to
-    this shape in a line each; memory stays one epoch regardless of
-    schedule length.
+    The streamed entry point for paper-scale schedules that never exist
+    as one :class:`Schedule` object: ``epochs`` is an iterable of
+    ``(moves, active)`` pairs — one per timestep, movement epoch first
+    — where ``active`` lists ``(region, gate_name, op_count)`` per busy
+    region. Both :func:`repro.service.stream_io.read_schedule_stream`
+    epochs and :func:`repro.sched.stream.iter_schedule_epochs` output
+    adapt to this shape in a line each; memory stays one epoch
+    regardless of schedule length. It runs the one epoch loop
+    :func:`run_schedule` runs, so the two agree cycle for cycle, event
+    for event, on the same schedule and config.
 
     Differences from :func:`run_schedule`, both inherent to not
     holding the full schedule:
@@ -486,15 +315,30 @@ def run_schedule_stream(
         )
     if sample_every < 1:
         raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    with span("engine:execute-stream"):
+        return _execute_epochs(
+            epochs, k, machine, config, scope, sample_every=sample_every
+        )
 
+
+def _execute_epochs(
+    epochs,
+    k: int,
+    machine: MultiSIMD,
+    config: EngineConfig,
+    scope: str,
+    bank_of: Optional[Dict[Qubit, int]] = None,
+    sample_every: int = 1,
+) -> EngineResult:
+    """The epoch loop both entry points run: per timestep, bill the
+    movement epoch (EPR stalls and regenerations, NUMA rounds when
+    ``bank_of`` is given), apply region downtime, then execute every
+    busy region for one gate cycle."""
     fault_config = config.faults or FaultConfig()
     injector = FaultInjector(fault_config, seed=config.seed, scope=scope)
     log = FaultLog(seed=config.seed, scope=scope)
     it = iter(epochs)
-    try:
-        first = next(it)
-    except StopIteration:
-        first = None
+    first = next(it, None)
     prestage = (
         sum(1 for m in first[0] if m.kind == "teleport") if first else 0
     )
@@ -510,128 +354,150 @@ def run_schedule_stream(
     local_epochs = 0
     teleport_rounds = 0
 
-    def replay():
-        if first is not None:
-            yield first
-        yield from it
-
-    with span("engine:execute-stream"):
-        for t, (moves, active) in enumerate(replay()):
-            sampled = trace is not None and t % sample_every == 0
-            teleports, locals_ = split_epoch(moves)
-            nt, nl = len(teleports), len(locals_)
-            base_cost = epoch_cycles(nt, nl)
-            comm_cycles += base_cost
-            if nt:
-                teleport_epochs += 1
-                teleport_rounds += 1
-                attempts = injector.epr_generation_attempts(nt)
-                extra = attempts - nt
-                if extra:
+    for t, (moves, active) in enumerate(
+        chain((first,), it) if first is not None else ()
+    ):
+        sampled = trace is not None and t % sample_every == 0
+        # --- movement epoch preceding the timestep ----------------------
+        teleports, locals_ = split_epoch(moves)
+        nt, nl = len(teleports), len(locals_)
+        base_cost = epoch_cycles(nt, nl)
+        comm_cycles += base_cost
+        if nt:
+            teleport_epochs += 1
+            # Fault injection: failed generation attempts are
+            # regenerated; they waste generator throughput.
+            attempts = injector.epr_generation_attempts(nt)
+            extra = attempts - nt
+            if extra:
+                log.record(
+                    FaultEvent(
+                        "epr_regen",
+                        cycle=state.clock,
+                        timestep=t,
+                        count=extra,
+                        detail=f"{extra} failed generation "
+                        f"attempt(s) for {nt} pair(s)",
+                    )
+                )
+                if trace is not None:
+                    trace.emit(
+                        "epr-regen", "fault", state.clock, 0,
+                        "memory", attempts=extra,
+                    )
+            # Stall until production covers demand; the part due to
+            # regenerated attempts is attributed to faults.
+            demand_wait = state.epr.stall_for(nt, state.clock)
+            total_wait = state.epr.stall_for(attempts, state.clock)
+            fault_wait = total_wait - demand_wait
+            if demand_wait and trace is not None:
+                trace.emit(
+                    "epr-stall", "stall", state.clock,
+                    demand_wait, "memory", pairs=nt,
+                )
+            if fault_wait and trace is not None:
+                trace.emit(
+                    "fault-stall", "stall",
+                    state.clock + demand_wait, fault_wait,
+                    "memory", regenerations=extra,
+                )
+            stalls.epr += demand_wait
+            stalls.fault += fault_wait
+            state.advance(total_wait)
+            # NUMA serialization: oversubscribed channels / bank
+            # egress split the epoch into extra teleport rounds.
+            rounds = 1
+            if bank_of is not None:
+                channel_load, bank_load = epoch_teleport_loads(
+                    teleports, bank_of, config.numa, k
+                )
+                rounds = serialize_rounds(
+                    channel_load, bank_load, config.numa
+                )
+            teleport_rounds += rounds
+            epoch_cost = epoch_cycles(nt, nl, rounds)
+            bandwidth_wait = epoch_cost - base_cost
+            if sampled:
+                trace.emit(
+                    "teleport-epoch", "move", state.clock,
+                    base_cost, "memory",
+                    pairs=nt, local_moves=nl, rounds=rounds,
+                )
+            if bandwidth_wait and trace is not None:
+                trace.emit(
+                    "bandwidth-stall", "stall",
+                    state.clock + base_cost, bandwidth_wait,
+                    "memory", rounds=rounds,
+                )
+            stalls.bandwidth += bandwidth_wait
+            state.epr.consume(teleports, wasted_attempts=extra)
+            state.apply_epoch(moves)
+            state.advance(epoch_cost)
+        elif nl:
+            local_epochs += 1
+            if sampled:
+                trace.emit(
+                    "local-epoch", "move", state.clock,
+                    base_cost, "memory", local_moves=nl,
+                )
+            state.apply_epoch(moves)
+            state.advance(base_cost)
+        # --- transient region downtime ----------------------------------
+        if fault_config.region_failure_prob > 0:
+            for r, _, _ in active:
+                if injector.region_goes_down(r):
+                    down = fault_config.region_downtime
                     log.record(
                         FaultEvent(
-                            "epr_regen",
+                            "region_down",
                             cycle=state.clock,
                             timestep=t,
-                            count=extra,
-                            detail=f"{extra} failed generation "
-                            f"attempt(s) for {nt} pair(s)",
+                            region=r,
+                            detail=f"region {r} down for "
+                            f"{down} cycles",
                         )
                     )
+                    log.region_downtime_cycles += down
                     if trace is not None:
                         trace.emit(
-                            "epr-regen", "fault", state.clock, 0,
-                            "memory", attempts=extra,
+                            "region-down", "fault", state.clock,
+                            0, f"region{r}",
                         )
-                demand_wait = state.epr.stall_for(nt, state.clock)
-                total_wait = state.epr.stall_for(attempts, state.clock)
-                fault_wait = total_wait - demand_wait
-                if demand_wait and trace is not None:
-                    trace.emit(
-                        "epr-stall", "stall", state.clock,
-                        demand_wait, "memory", pairs=nt,
-                    )
-                if fault_wait and trace is not None:
-                    trace.emit(
-                        "fault-stall", "stall",
-                        state.clock + demand_wait, fault_wait,
-                        "memory", regenerations=extra,
-                    )
-                stalls.epr += demand_wait
-                stalls.fault += fault_wait
-                state.advance(total_wait)
-                if sampled:
-                    trace.emit(
-                        "teleport-epoch", "move", state.clock,
-                        base_cost, "memory",
-                        pairs=nt, local_moves=nl, rounds=1,
-                    )
-                state.epr.consume(teleports, wasted_attempts=extra)
-                state.apply_epoch(moves)
-                state.advance(base_cost)
-            elif nl:
-                local_epochs += 1
-                if sampled:
-                    trace.emit(
-                        "local-epoch", "move", state.clock,
-                        base_cost, "memory", local_moves=nl,
-                    )
-                state.apply_epoch(moves)
-                state.advance(base_cost)
-            if fault_config.region_failure_prob > 0:
-                for r, _, _ in active:
-                    if injector.region_goes_down(r):
-                        down = fault_config.region_downtime
-                        log.record(
-                            FaultEvent(
-                                "region_down",
-                                cycle=state.clock,
-                                timestep=t,
-                                region=r,
-                                detail=f"region {r} down for "
-                                f"{down} cycles",
-                            )
+                        trace.emit(
+                            "fault-stall", "stall", state.clock,
+                            down, f"region{r}",
                         )
-                        log.region_downtime_cycles += down
-                        if trace is not None:
-                            trace.emit(
-                                "region-down", "fault", state.clock,
-                                0, f"region{r}",
-                            )
-                            trace.emit(
-                                "fault-stall", "stall", state.clock,
-                                down, f"region{r}",
-                            )
-                        stalls.fault += down
-                        state.advance(down)
-            for r, gate, ops in active:
-                errors = injector.sample_gate_errors(ops)
-                log.expected_gate_errors += (
-                    fault_config.gate_error_rate * ops
+                    # Lock-step SIMD: a down region stalls the whole
+                    # machine, not just its own lane.
+                    stalls.fault += down
+                    state.advance(down)
+        # --- execute the timestep ---------------------------------------
+        for r, gate, ops in active:
+            errors = injector.sample_gate_errors(ops)
+            log.expected_gate_errors += fault_config.gate_error_rate * ops
+            if errors:
+                log.record(
+                    FaultEvent(
+                        "gate_error",
+                        cycle=state.clock,
+                        timestep=t,
+                        count=errors,
+                        region=r,
+                        detail=f"{errors}/{ops} {gate} gate(s) "
+                        "errored (corrected)",
+                    )
                 )
+            state.execute_region(r, ops, GATE_CYCLES)
+            if sampled:
+                args: Dict[str, Any] = {"ops": ops}
                 if errors:
-                    log.record(
-                        FaultEvent(
-                            "gate_error",
-                            cycle=state.clock,
-                            timestep=t,
-                            count=errors,
-                            region=r,
-                            detail=f"{errors}/{ops} {gate} gate(s) "
-                            "errored (corrected)",
-                        )
-                    )
-                state.execute_region(r, ops, GATE_CYCLES)
-                if sampled:
-                    args: Dict[str, Any] = {"ops": ops}
-                    if errors:
-                        args["errors"] = errors
-                    trace.emit(
-                        gate, "gate", state.clock, GATE_CYCLES,
-                        f"region{r}", **args,
-                    )
-            gate_cycles += GATE_CYCLES
-            state.advance(GATE_CYCLES)
+                    args["errors"] = errors
+                trace.emit(
+                    gate, "gate", state.clock, GATE_CYCLES,
+                    f"region{r}", **args,
+                )
+        gate_cycles += GATE_CYCLES
+        state.advance(GATE_CYCLES)
 
     realized = state.clock
     return EngineResult(
@@ -651,7 +517,6 @@ def run_schedule_stream(
         ops_executed=sum(state.ops_executed),
         trace=trace,
         fault_log=log,
-        preflight_violations=None,
     )
 
 

@@ -346,6 +346,7 @@ def schedule_multicore(
             )
             core_schedules[core] = sched
             core_comm[core] = derive_movement(sched, core_machine)
+            dag.release_columns()
 
         epochs = _intercore_epochs(
             statements, homes, partition.assignment, graph

@@ -281,32 +281,21 @@ def derive_movement(
 
     Populates each timestep's ``moves`` list in place (idempotent: any
     existing moves are replaced) and returns the communication profile.
-    The statements' qubits are interned into CSR operands and
-    :func:`movement_epochs` does the work.
+    :func:`movement_epochs` does the work over the DAG's int-coded
+    :meth:`~repro.core.dag.DependenceDAG.columns` view.
     """
     if not fast_path_enabled():
         from ._reference import derive_movement_reference
 
         return derive_movement_reference(sched, machine)
 
-    ids: Dict[Qubit, int] = {}
-    qubits: List[Qubit] = []
-    op_q: List[int] = []
-    op_off = [0]
-    for stmt in sched.dag.statements:
-        for q in stmt.qubits:
-            qid = ids.get(q)
-            if qid is None:
-                qid = ids[q] = len(qubits)
-                qubits.append(q)
-            op_q.append(qid)
-        op_off.append(len(op_q))
+    cols = sched.dag.columns()
     timesteps = sched.timesteps
     stats = CommStats()
     for t, epoch, _ in movement_epochs(
-        qubits,
-        op_q,
-        op_off,
+        cols.qubits,
+        cols.op_q,
+        cols.op_off,
         len(timesteps),
         lambda t: list(enumerate(timesteps[t].regions)),
         sched.k,

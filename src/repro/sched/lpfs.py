@@ -21,13 +21,18 @@ Paths are chains (each node a DAG successor of the previous), so only a
 path's *head* can ever be ready; heads stall until their off-path
 dependencies resolve.
 
-The fast path replaces the single ready deque (rescanned per free-list
-query) with :class:`_FreeList`: per-gate-type buckets plus an arrival
-FIFO, with lazy deletion and incremental per-gate counts, so
+One kernel per algorithm: :func:`lpfs_timesteps` is the only fast-path
+LPFS, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
+or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_lpfs` and
+:func:`repro.sched.stream.schedule_columns` are its two adapters. The
+kernel replaces the single ready deque (rescanned per free-list query)
+with :class:`_FreeList`: per-gate-type buckets plus an arrival FIFO,
+with lazy deletion and incremental per-gate counts, so
 most-common-gate is a counter read, oldest-gate amortizes to O(1), and
-extraction touches only the requested bucket. Nodes become ready exactly
-once, so lazily dropped stale entries never resurface. The
-pre-optimization implementation is
+extraction touches only the requested bucket. Nodes become ready
+exactly once, so lazily dropped stale entries never resurface. Path
+membership and completion are byte flags, so the kernel holds no
+per-node boxed objects. The pre-optimization implementation is
 :func:`repro.sched._reference.schedule_lpfs_reference`; both produce
 bit-identical schedules.
 """
@@ -35,29 +40,31 @@ bit-identical schedules.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..core.dag import DependenceDAG
 from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
-__all__ = ["schedule_lpfs"]
+__all__ = ["lpfs_timesteps", "schedule_lpfs"]
 
 
 class _FreeList:
-    """Bucketed lazy-deletion ready set for LPFS.
+    """Bucketed lazy-deletion ready set for LPFS, keyed by gate id.
 
     ``in_ready`` is the authoritative membership; ``buckets`` (per gate
     type, arrival order) and ``fifo`` (global arrival order) may hold
     stale entries, dropped when encountered. ``counts[g]`` is the live
     in-ready count per gate; ``path_counts[g]`` the live in-ready count
     claimed by a pinned path — the difference is the free-list size per
-    gate, which answers ``most_common`` without a rescan.
+    gate, which answers ``most_common`` without a rescan. Name-ordered
+    tie-breaks resolve through the intern table.
     """
 
     __slots__ = (
-        "gates",
+        "gate_ids",
+        "gate_names",
         "on_path",
         "in_ready",
         "buckets",
@@ -66,49 +73,50 @@ class _FreeList:
         "path_counts",
     )
 
-    def __init__(self, dag: DependenceDAG, on_path: Set[int]):
-        self.gates = [stmt.gate for stmt in dag.statements]
+    def __init__(self, cols, on_path: bytearray):
+        self.gate_ids = cols.gate_ids
+        self.gate_names = cols.gate_names
         self.on_path = on_path
         self.in_ready: Set[int] = set()
-        self.buckets: Dict[str, Deque[int]] = {}
+        self.buckets: Dict[int, Deque[int]] = {}
         self.fifo: Deque[int] = deque()
-        self.counts: Dict[str, int] = {}
-        self.path_counts: Dict[str, int] = {}
+        self.counts: Dict[int, int] = {}
+        self.path_counts: Dict[int, int] = {}
 
     def add(self, node: int) -> None:
         """A node's last dependency completed: it is now ready."""
-        gate = self.gates[node]
-        bucket = self.buckets.get(gate)
+        gid = self.gate_ids[node]
+        bucket = self.buckets.get(gid)
         if bucket is None:
-            bucket = self.buckets[gate] = deque()
+            bucket = self.buckets[gid] = deque()
         bucket.append(node)
         self.fifo.append(node)
         self.in_ready.add(node)
-        self.counts[gate] = self.counts.get(gate, 0) + 1
-        if node in self.on_path:
+        self.counts[gid] = self.counts.get(gid, 0) + 1
+        if self.on_path[node]:
             # A claimed path head just became ready.
-            self.path_counts[gate] = self.path_counts.get(gate, 0) + 1
+            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
 
     def claim_mark(self, node: int) -> None:
-        """A path claim just put ``node`` in ``on_path``."""
+        """A path claim just set ``on_path[node]``."""
         if node in self.in_ready:
-            gate = self.gates[node]
-            self.path_counts[gate] = self.path_counts.get(gate, 0) + 1
+            gid = self.gate_ids[node]
+            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
 
     def remove_scheduled(self, node: int) -> None:
         """``node`` was scheduled outside extraction (path head or
         progress-guard fallback); its bucket/FIFO entries go stale."""
         if node in self.in_ready:
             self.in_ready.discard(node)
-            gate = self.gates[node]
-            self.counts[gate] -= 1
-            if node in self.on_path:
-                self.path_counts[gate] -= 1
+            gid = self.gate_ids[node]
+            self.counts[gid] -= 1
+            if self.on_path[node]:
+                self.path_counts[gid] -= 1
 
-    def extract(self, gate: str, cap: Optional[int]) -> List[int]:
-        """Pull up to ``cap`` live, non-path ops of type ``gate`` in
+    def extract(self, gid: int, cap: Optional[int]) -> List[int]:
+        """Pull up to ``cap`` live, non-path ops of gate ``gid`` in
         arrival order (all of them when ``cap`` is None)."""
-        bucket = self.buckets.get(gate)
+        bucket = self.buckets.get(gid)
         if not bucket:
             return []
         limit = len(bucket) if cap is None else cap
@@ -122,7 +130,7 @@ class _FreeList:
             node = bucket.popleft()
             if node not in in_ready:
                 continue  # stale entry: dropped for good
-            if node in on_path:
+            if on_path[node]:
                 stash.append(node)  # path-claimed: keep, in order
                 continue
             batch.append(node)
@@ -130,28 +138,32 @@ class _FreeList:
         if stash:
             bucket.extendleft(reversed(stash))
         if not bucket:
-            del self.buckets[gate]
+            del self.buckets[gid]
         if batch:
-            self.counts[gate] -= len(batch)
+            self.counts[gid] -= len(batch)
         return batch
 
-    def most_common(self) -> Optional[str]:
-        """Gate type with the most free (live, non-path) ready ops;
-        ties go to the lexicographically largest name."""
+    def most_common(self) -> Optional[int]:
+        """Gate id with the most free (live, non-path) ready ops; ties
+        go to the lexicographically largest name."""
         path_counts = self.path_counts
-        best_gate: Optional[str] = None
+        gate_names = self.gate_names
+        best_gid: Optional[int] = None
+        best_name: Optional[str] = None
         best_free = 0
-        for gate, count in self.counts.items():
-            free = count - path_counts.get(gate, 0)
+        for gid, count in self.counts.items():
+            free = count - path_counts.get(gid, 0)
             if free <= 0:
                 continue
-            if free > best_free or (free == best_free and gate > best_gate):
+            name = gate_names[gid]
+            if free > best_free or (free == best_free and name > best_name):
                 best_free = free
-                best_gate = gate
-        return best_gate
+                best_gid = gid
+                best_name = name
+        return best_gid
 
-    def oldest(self) -> Optional[str]:
-        """Gate type of the oldest free ready op (FIFO order)."""
+    def oldest(self) -> Optional[int]:
+        """Gate id of the oldest free ready op (FIFO order)."""
         fifo = self.fifo
         in_ready = self.in_ready
         on_path = self.on_path
@@ -162,25 +174,25 @@ class _FreeList:
             if node not in in_ready:
                 fifo.popleft()
                 continue  # stale entry: dropped for good
-            if node not in on_path:
-                return self.gates[node]
+            if not on_path[node]:
+                return self.gate_ids[node]
             break
         else:
             return None
         # A live path head blocks the front: scan past it with a stash.
         stash: List[int] = []
-        gate: Optional[str] = None
+        gid: Optional[int] = None
         while fifo:
             node = fifo.popleft()
             if node not in in_ready:
                 continue
             stash.append(node)
-            if node not in on_path:
-                gate = self.gates[node]
+            if not on_path[node]:
+                gid = self.gate_ids[node]
                 break
         if stash:
             fifo.extendleft(reversed(stash))
-        return gate
+        return gid
 
     def fallback_pop(self) -> Optional[int]:
         """Pop the oldest live ready op (path-claimed or not) for the
@@ -220,58 +232,84 @@ def schedule_lpfs(
         return schedule_lpfs_reference(dag, k, d, l, simd, refill)
 
     sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
-    statements = dag.statements
-    succs_all = dag.succs
-    indeg = dag.indegrees()
-    heights = dag.heights()
-    on_path: Set[int] = set()
-    done: Set[int] = set()
-    free_list = _FreeList(dag, on_path)
-    for node in dag.sources():
+    for regions in lpfs_timesteps(
+        dag.columns(), dag.indegrees(), dag.heights(), k, d, l, simd,
+        refill,
+    ):
+        sched.append_timestep(regions)
+    return sched
+
+
+def lpfs_timesteps(
+    cols,
+    indeg: List[int],
+    heights: Sequence[int],
+    k: int,
+    d: Optional[int] = None,
+    l: int = 1,
+    simd: bool = True,
+    refill: bool = True,
+) -> Iterator[Dict[int, List[int]]]:
+    """Algorithm 2 over int-coded columns, one timestep at a time.
+
+    ``cols`` is a DAG's :meth:`~repro.core.dag.DependenceDAG.columns`
+    view or a :class:`~repro.sched.stream.StreamColumns`; ``indeg`` is
+    a fresh in-degree array (consumed) and ``heights`` the per-node
+    heights. Yields each timestep's ``{region: nodes}`` map; every node
+    list is non-empty. ``1 <= l <= k`` is the caller's to check.
+    """
+    n = cols.n
+    gate_ids = cols.gate_ids
+    succ_flat, succ_off = cols.succ_flat, cols.succ_off
+    on_path = bytearray(n)
+    done = bytearray(n)
+    free_list = _FreeList(cols, on_path)
+    for node in [i for i in range(n) if not indeg[i]]:
         free_list.add(node)
     paths: List[Deque[int]] = [
-        _claim_longest_path(dag, heights, free_list, done)
+        _claim_longest_path(cols, heights, free_list, done)
         for _ in range(l)
     ]
 
     scheduled = 0
-    while scheduled < dag.n:
-        ts = sched.append_timestep()
+    while scheduled < n:
+        regions: Dict[int, List[int]] = {}
         placed: List[int] = []
         # --- allocated (path-pinned) regions -----------------------------
         for i in range(l):
             if refill and not paths[i]:
                 paths[i] = _claim_longest_path(
-                    dag, heights, free_list, done
+                    cols, heights, free_list, done
                 )
             path = paths[i]
             if path and path[0] in free_list.in_ready:
                 head = path.popleft()
                 free_list.remove_scheduled(head)
-                on_path.discard(head)
-                ts.regions[i].append(head)
+                on_path[head] = 0
+                group = regions[i] = [head]
                 placed.append(head)
                 if simd:
-                    gate = statements[head].gate
                     cap = None if d is None else d - 1
-                    batch = free_list.extract(gate, cap)
-                    ts.regions[i].extend(batch)
+                    batch = free_list.extract(gate_ids[head], cap)
+                    group.extend(batch)
                     placed.extend(batch)
             elif simd:
                 # Path empty or stalled: execute free-list ops instead.
-                gate = free_list.most_common()
-                if gate is not None:
-                    batch = free_list.extract(gate, d)
-                    ts.regions[i].extend(batch)
-                    placed.extend(batch)
+                gid = free_list.most_common()
+                if gid is not None:
+                    batch = free_list.extract(gid, d)
+                    if batch:
+                        regions[i] = batch
+                        placed.extend(batch)
         # --- unallocated regions: drain the free list --------------------
         for i in range(l, k):
-            gate = free_list.oldest()
-            if gate is None:
+            gid = free_list.oldest()
+            if gid is None:
                 break
-            batch = free_list.extract(gate, d)
-            ts.regions[i].extend(batch)
-            placed.extend(batch)
+            batch = free_list.extract(gid, d)
+            if batch:
+                regions[i] = batch
+                placed.extend(batch)
         # --- progress guard ----------------------------------------------
         # With k == l and SIMD off, free-list ops have no region to run
         # in; fall back to executing the oldest ready op in region 0 so
@@ -280,46 +318,51 @@ def schedule_lpfs(
             node = free_list.fallback_pop()
             if node is None:  # pragma: no cover - defensive
                 raise RuntimeError("LPFS deadlock (scheduler bug)")
-            on_path.discard(node)
+            on_path[node] = 0
             for i in range(l):
                 if paths[i] and paths[i][0] == node:
                     paths[i].popleft()
-            ts.regions[0].append(node)
+            regions[0] = [node]
             placed.append(node)
         # --- ready-list update -------------------------------------------
-        done.update(placed)
         for node in placed:
-            for child in succs_all[node]:
+            done[node] = 1
+            for j in range(succ_off[node], succ_off[node + 1]):
+                child = succ_flat[j]
                 indeg[child] -= 1
                 if indeg[child] == 0 and child not in free_list.in_ready:
                     free_list.add(child)
         scheduled += len(placed)
-    return sched
+        yield regions
 
 
 def _claim_longest_path(
-    dag: DependenceDAG,
-    heights: List[int],
+    cols,
+    heights: Sequence[int],
     free_list: _FreeList,
-    done: Set[int],
+    done: bytearray,
 ) -> Deque[int]:
     """``getNextLongestPath``: the longest chain rooted in the current
     ready list, truncated if it runs into a node already claimed by
     another path or already scheduled. Claims its nodes in
-    ``on_path``."""
+    ``on_path``. The strict-max key ``(height, -node)`` makes the
+    claim independent of the ready set's iteration order."""
     on_path = free_list.on_path
-    candidates = [n for n in free_list.in_ready if n not in on_path]
+    candidates = [n for n in free_list.in_ready if not on_path[n]]
     if not candidates:
         return deque()
     start = max(candidates, key=lambda n: (heights[n], -n))
     path: Deque[int] = deque()
+    succ_flat, succ_off = cols.succ_flat, cols.succ_off
     node: Optional[int] = start
-    while node is not None and node not in on_path and node not in done:
+    while node is not None and not on_path[node] and not done[node]:
         path.append(node)
-        on_path.add(node)
+        on_path[node] = 1
         free_list.claim_mark(node)
-        succs = dag.succs[node]
+        lo, hi = succ_off[node], succ_off[node + 1]
         node = (
-            max(succs, key=lambda s: (heights[s], -s)) if succs else None
+            max(succ_flat[lo:hi], key=lambda s: (heights[s], -s))
+            if lo < hi
+            else None
         )
     return path

@@ -21,11 +21,15 @@ broken deterministically: smallest gate name first, then smallest
 region index (historically the tie went to whichever pair the scan
 encountered first, which depended on ready-list arrival order).
 
-The fast path keeps the ready set *bucketed by gate type* (arrival
-order preserved within each bucket), so type prevalence is an O(1)
-counter read and batch extraction pops one bucket instead of rescanning
-the whole ready deque; the (region, gate) selection enumerates each
-ready op's resident regions (at most its operand count) plus one
+One kernel per algorithm: :func:`rcp_timesteps` is the only fast-path
+RCP, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
+or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_rcp` and
+:func:`repro.sched.stream.schedule_columns` are its two adapters. The
+kernel keeps the ready set *bucketed by gate type* (arrival order
+preserved within each bucket), so type prevalence is an O(1) counter
+read and batch extraction pops one bucket instead of rescanning the
+whole ready deque; the (region, gate) selection enumerates each ready
+op's resident regions (at most its operand count) plus one
 zero-residency representative instead of every available region. The
 pre-optimization implementation is
 :func:`repro.sched._reference.schedule_rcp_reference`; both produce
@@ -35,15 +39,14 @@ bit-identical schedules.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dag import DependenceDAG
-from ..core.qubits import Qubit
 from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
-__all__ = ["RCPWeights", "schedule_rcp"]
+__all__ = ["RCPWeights", "rcp_timesteps", "schedule_rcp"]
 
 
 class RCPWeights:
@@ -70,80 +73,107 @@ def schedule_rcp(
 
         return schedule_rcp_reference(dag, k, d, weights)
 
-    w = weights or RCPWeights()
     sched = Schedule(dag, k=k, d=d, algorithm="rcp")
-    statements = dag.statements
-    succs = dag.succs
-    indeg = dag.indegrees()
-    slack = dag.slack()
-    # Ready set, bucketed by gate type. Within a bucket nodes keep
-    # arrival order, which is all batch extraction needs; the bucket
-    # length doubles as the type-prevalence count.
-    buckets: Dict[str, Deque[int]] = {}
+    for regions in rcp_timesteps(
+        dag.columns(), dag.indegrees(), dag.slack(), k, d, weights
+    ):
+        sched.append_timestep(regions)
+    return sched
+
+
+def rcp_timesteps(
+    cols,
+    indeg: List[int],
+    slack: Sequence[int],
+    k: int,
+    d: Optional[int] = None,
+    weights: Optional[RCPWeights] = None,
+) -> Iterator[Dict[int, List[int]]]:
+    """Algorithm 1 over int-coded columns, one timestep at a time.
+
+    ``cols`` is a DAG's :meth:`~repro.core.dag.DependenceDAG.columns`
+    view or a :class:`~repro.sched.stream.StreamColumns`; ``indeg`` is
+    a fresh in-degree array (consumed) and ``slack`` the per-node
+    slack. Yields each timestep's ``{region: nodes}`` map; every node
+    list is non-empty.
+    """
+    w = weights or RCPWeights()
+    gate_ids = cols.gate_ids
+    op_q, op_off = cols.op_q, cols.op_off
+    succ_flat, succ_off = cols.succ_flat, cols.succ_off
+    # Ready set, bucketed by gate id. Within a bucket nodes keep arrival
+    # order, which is all batch extraction needs; the bucket length
+    # doubles as the type-prevalence count. Each entry carries the
+    # node's operand qubit ids, sliced once on arrival rather than on
+    # every priority scan.
+    buckets: Dict[int, Deque[Tuple[int, Sequence[int]]]] = {}
     n_ready = 0
-    for node in dag.sources():
-        gate = statements[node].gate
-        bucket = buckets.get(gate)
+    for node in [i for i in range(cols.n) if not indeg[i]]:
+        gid = gate_ids[node]
+        bucket = buckets.get(gid)
         if bucket is None:
-            bucket = buckets[gate] = deque()
-        bucket.append(node)
+            bucket = buckets[gid] = deque()
+        bucket.append((node, op_q[op_off[node] : op_off[node + 1]]))
         n_ready += 1
-    # Region of last activity per qubit; None = memory (Section 3.2: all
-    # qubits start in global memory).
-    location: Dict[Qubit, Optional[int]] = {}
+    # Region of last activity per qubit id; absent = memory (Section
+    # 3.2: all qubits start in global memory).
+    location: Dict[int, int] = {}
     scheduled = 0
 
-    while scheduled < dag.n:
-        ts = sched.append_timestep()
+    while scheduled < cols.n:
+        regions: Dict[int, List[int]] = {}
         available = list(range(k))
         placed_this_ts: List[int] = []
         while available and n_ready:
-            region, gate = _pick_max_weight(
-                statements, buckets, available, location, slack, w
+            region, gid = _pick_max_weight(
+                cols.gate_names, buckets, available, location, slack, w
             )
-            bucket = buckets[gate]
+            bucket = buckets[gid]
             cap = len(bucket) if d is None else d
             batch: List[int] = []
             while bucket and len(batch) < cap:
-                batch.append(bucket.popleft())
-            if not bucket:
-                del buckets[gate]
-            n_ready -= len(batch)
-            ts.regions[region].extend(batch)
-            placed_this_ts.extend(batch)
-            for node in batch:
-                for q in statements[node].qubits:
+                node, qids = bucket.popleft()
+                batch.append(node)
+                for q in qids:
                     location[q] = region
+            if not bucket:
+                del buckets[gid]
+            n_ready -= len(batch)
+            regions[region] = batch
+            placed_this_ts.extend(batch)
             available.remove(region)
         # Ready-list update: children whose last dependency completed
         # this timestep become ready for the *next* timestep.
         for node in placed_this_ts:
-            for child in succs[node]:
+            for j in range(succ_off[node], succ_off[node + 1]):
+                child = succ_flat[j]
                 indeg[child] -= 1
                 if indeg[child] == 0:
-                    gate = statements[child].gate
-                    bucket = buckets.get(gate)
+                    gid = gate_ids[child]
+                    bucket = buckets.get(gid)
                     if bucket is None:
-                        bucket = buckets[gate] = deque()
-                    bucket.append(child)
+                        bucket = buckets[gid] = deque()
+                    bucket.append(
+                        (child, op_q[op_off[child] : op_off[child + 1]])
+                    )
                     n_ready += 1
         scheduled += len(placed_this_ts)
         if not placed_this_ts:  # pragma: no cover - defensive
             raise RuntimeError("RCP made no progress (scheduler bug)")
-    return sched
+        yield regions
 
 
 def _pick_max_weight(
-    statements,
-    buckets: Dict[str, Deque[int]],
+    gate_names: Sequence[str],
+    buckets: Dict[int, Deque[Tuple[int, Sequence[int]]]],
     available: List[int],
-    location: Dict[Qubit, Optional[int]],
-    slack: List[int],
+    location: Dict[int, int],
+    slack: Sequence[int],
     w: RCPWeights,
-) -> Tuple[int, str]:
+) -> Tuple[int, int]:
     """The paper's ``getMaxWeightSimdOpType`` over the bucketed ready
-    set: the (region, gate-type) pair maximising the scheduling
-    priority, ties broken by (gate name, region index).
+    set: the (region, gate id) pair maximising the scheduling priority,
+    ties broken by (gate name, region index).
 
     For each ready op the candidate regions are the op's resident
     regions (at most its operand count) plus the lowest-index available
@@ -156,13 +186,15 @@ def _pick_max_weight(
     avail_set = set(available)
     best_weight = float("-inf")
     best_gate: Optional[str] = None
+    best_gid = -1
     best_region = -1
-    for gate, bucket in buckets.items():
+    for gid, bucket in buckets.items():
+        gate = gate_names[gid]
         type_term = w_op * len(bucket)
-        for node in bucket:
+        for node, qids in bucket:
             base = type_term - w_slack * slack[node]
             resident: Dict[int, int] = {}
-            for q in statements[node].qubits:
+            for q in qids:
                 r = loc_get(q)
                 if r is not None:
                     resident[r] = resident.get(r, 0) + 1
@@ -176,6 +208,7 @@ def _pick_max_weight(
                 ):
                     best_weight = weight
                     best_gate = gate
+                    best_gid = gid
                     best_region = r
             for r in available:
                 if r not in resident:
@@ -187,7 +220,8 @@ def _pick_max_weight(
                     ):
                         best_weight = base
                         best_gate = gate
+                        best_gid = gid
                         best_region = r
                     break
     assert best_gate is not None
-    return best_region, best_gate
+    return best_region, best_gid

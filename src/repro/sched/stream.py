@@ -23,12 +23,14 @@ pipeline's ingest profile). It cannot affect the emitted schedule:
 every window produces identical columns, and the schedulers run on the
 columns alone. That is the streaming pipeline's window-invariance
 guarantee, and it is exactly why the streamed schedules are bit-for-bit
-the schedules of the materialized fast path — the scheduler mirrors
-below replay :mod:`repro.sched.rcp`, :mod:`repro.sched.lpfs` and
-:mod:`repro.sched.sequential` decision-for-decision (same priority
-arithmetic, same tie-breaks, same iteration orders), with node/gate/
-qubit ids in place of boxed objects. Movement derivation is one
-kernel, two adapters: :func:`iter_schedule_epochs` runs
+the schedules of the materialized fast path: there is one kernel per
+algorithm. :func:`schedule_columns` runs
+:func:`repro.sched.rcp.rcp_timesteps`,
+:func:`repro.sched.lpfs.lpfs_timesteps` and
+:func:`repro.sched.sequential.sequential_timesteps` over the columns —
+the same kernels :func:`~repro.sched.rcp.schedule_rcp` and friends run
+over a DAG's int-coded view. Movement derivation is one kernel, two
+adapters too: :func:`iter_schedule_epochs` runs
 :func:`repro.sched.comm.movement_epochs` — the kernel
 :func:`repro.sched.comm.derive_movement` also drains — over the
 columns. ``tests/test_stream_sched.py`` and the differential battery
@@ -38,8 +40,7 @@ check the equivalence end to end.
 from __future__ import annotations
 
 from array import array
-from collections import deque
-from typing import Callable, Dict, Deque, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD
 from ..core.dag import DependenceDAG
@@ -48,7 +49,9 @@ from ..core.opstream import OpStream, iter_chunks
 from ..core.qubits import Qubit
 from ..instrument import spanned
 from .comm import CommStats, movement_epochs
-from .rcp import RCPWeights
+from .lpfs import lpfs_timesteps
+from .rcp import RCPWeights, rcp_timesteps
+from .sequential import sequential_timesteps
 from .types import Move, Schedule
 
 __all__ = [
@@ -121,7 +124,7 @@ class StreamColumns:
         """Fresh in-degree array (consumed by the list schedulers)."""
         return array("i", self.indeg_base)
 
-    # -- longest-path analyses (mirrors of DependenceDAG) -----------------
+    # -- longest-path analyses (DependenceDAG's, over CSR) ---------------
 
     def heights(self) -> array:
         if self._heights is None:
@@ -291,8 +294,9 @@ class StreamedSchedule:
     def length(self) -> int:
         return len(self.ts_off) - 1
 
-    def _append_timestep(self, regions: Dict[int, List[int]]) -> None:
-        """Flush one timestep's region->nodes map (all lists non-empty)."""
+    def append_timestep(self, regions: Dict[int, List[int]]) -> None:
+        """Append one timestep's ``{region: nodes}`` map, as the
+        scheduler kernels yield it (all lists non-empty)."""
         flat_r, flat_n = self.flat_regions, self.flat_nodes
         for r in sorted(regions):
             nodes = regions[r]
@@ -321,413 +325,6 @@ class StreamedSchedule:
         return out
 
 
-# ---------------------------------------------------------------------------
-# Scheduler mirrors
-# ---------------------------------------------------------------------------
-
-
-def _rcp_stream(
-    cols: StreamColumns,
-    k: int,
-    d: Optional[int],
-    weights: Optional[RCPWeights],
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.rcp.schedule_rcp` over columns."""
-    w = weights or RCPWeights()
-    out = StreamedSchedule(k, d, "rcp")
-    n = cols.n
-    gate_ids = cols.gate_ids
-    op_q, op_off = cols.op_q, cols.op_off
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    indeg = cols.indegrees()
-    slack = cols.slack()
-    buckets: Dict[int, Deque[int]] = {}
-    n_ready = 0
-    for node in cols.sources():
-        gid = gate_ids[node]
-        bucket = buckets.get(gid)
-        if bucket is None:
-            bucket = buckets[gid] = deque()
-        bucket.append(node)
-        n_ready += 1
-    location: Dict[int, int] = {}  # qubit id -> region; absent = memory
-    scheduled = 0
-
-    while scheduled < n:
-        regions: Dict[int, List[int]] = {}
-        available = list(range(k))
-        placed_this_ts: List[int] = []
-        while available and n_ready:
-            region, gid = _pick_max_weight_stream(
-                cols, buckets, available, location, slack, w
-            )
-            bucket = buckets[gid]
-            cap = len(bucket) if d is None else d
-            batch: List[int] = []
-            while bucket and len(batch) < cap:
-                batch.append(bucket.popleft())
-            if not bucket:
-                del buckets[gid]
-            n_ready -= len(batch)
-            dst = regions.get(region)
-            if dst is None:
-                dst = regions[region] = []
-            dst.extend(batch)
-            placed_this_ts.extend(batch)
-            for node in batch:
-                for j in range(op_off[node], op_off[node + 1]):
-                    location[op_q[j]] = region
-            available.remove(region)
-        for node in placed_this_ts:
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    gid = gate_ids[child]
-                    bucket = buckets.get(gid)
-                    if bucket is None:
-                        bucket = buckets[gid] = deque()
-                    bucket.append(child)
-                    n_ready += 1
-        scheduled += len(placed_this_ts)
-        if not placed_this_ts:  # pragma: no cover - defensive
-            raise RuntimeError("RCP made no progress (scheduler bug)")
-        out._append_timestep(regions)
-    return out
-
-
-def _pick_max_weight_stream(
-    cols: StreamColumns,
-    buckets: Dict[int, Deque[int]],
-    available: List[int],
-    location: Dict[int, int],
-    slack: array,
-    w: RCPWeights,
-) -> Tuple[int, int]:
-    """Mirror of :func:`repro.sched.rcp._pick_max_weight`: identical
-    float expressions and the same (gate name, region) tie-break, with
-    gate/qubit ids in place of boxed objects."""
-    w_op, w_dist, w_slack = w.w_op, w.w_dist, w.w_slack
-    gate_names = cols.gate_names
-    op_q, op_off = cols.op_q, cols.op_off
-    loc_get = location.get
-    avail_set = set(available)
-    best_weight = float("-inf")
-    best_gate: Optional[str] = None
-    best_gid = -1
-    best_region = -1
-    for gid, bucket in buckets.items():
-        gate = gate_names[gid]
-        type_term = w_op * len(bucket)
-        for node in bucket:
-            base = type_term - w_slack * slack[node]
-            resident: Dict[int, int] = {}
-            for j in range(op_off[node], op_off[node + 1]):
-                r = loc_get(op_q[j])
-                if r is not None:
-                    resident[r] = resident.get(r, 0) + 1
-            for r, count in resident.items():
-                if r not in avail_set:
-                    continue
-                weight = base + w_dist * count
-                if weight > best_weight or (
-                    weight == best_weight
-                    and (gate, r) < (best_gate, best_region)
-                ):
-                    best_weight = weight
-                    best_gate = gate
-                    best_gid = gid
-                    best_region = r
-            for r in available:
-                if r not in resident:
-                    if base > best_weight or (
-                        base == best_weight
-                        and (gate, r) < (best_gate, best_region)
-                    ):
-                        best_weight = base
-                        best_gate = gate
-                        best_gid = gid
-                        best_region = r
-                    break
-    assert best_gate is not None
-    return best_region, best_gid
-
-
-class _StreamFreeList:
-    """Mirror of :class:`repro.sched.lpfs._FreeList` with gate ids,
-    byte-flag path membership and the same lazy-deletion semantics.
-    Name-ordered tie-breaks resolve through the intern table."""
-
-    __slots__ = (
-        "gate_ids",
-        "gate_names",
-        "on_path",
-        "in_ready",
-        "buckets",
-        "fifo",
-        "counts",
-        "path_counts",
-    )
-
-    def __init__(self, cols: StreamColumns, on_path: bytearray):
-        self.gate_ids = cols.gate_ids
-        self.gate_names = cols.gate_names
-        self.on_path = on_path
-        self.in_ready: Set[int] = set()
-        self.buckets: Dict[int, Deque[int]] = {}
-        self.fifo: Deque[int] = deque()
-        self.counts: Dict[int, int] = {}
-        self.path_counts: Dict[int, int] = {}
-
-    def add(self, node: int) -> None:
-        gid = self.gate_ids[node]
-        bucket = self.buckets.get(gid)
-        if bucket is None:
-            bucket = self.buckets[gid] = deque()
-        bucket.append(node)
-        self.fifo.append(node)
-        self.in_ready.add(node)
-        self.counts[gid] = self.counts.get(gid, 0) + 1
-        if self.on_path[node]:
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def claim_mark(self, node: int) -> None:
-        if node in self.in_ready:
-            gid = self.gate_ids[node]
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def remove_scheduled(self, node: int) -> None:
-        if node in self.in_ready:
-            self.in_ready.discard(node)
-            gid = self.gate_ids[node]
-            self.counts[gid] -= 1
-            if self.on_path[node]:
-                self.path_counts[gid] -= 1
-
-    def extract(self, gid: int, cap: Optional[int]) -> List[int]:
-        bucket = self.buckets.get(gid)
-        if not bucket:
-            return []
-        limit = len(bucket) if cap is None else cap
-        if limit <= 0:
-            return []
-        in_ready = self.in_ready
-        on_path = self.on_path
-        batch: List[int] = []
-        stash: List[int] = []
-        while bucket and len(batch) < limit:
-            node = bucket.popleft()
-            if node not in in_ready:
-                continue
-            if on_path[node]:
-                stash.append(node)
-                continue
-            batch.append(node)
-            in_ready.discard(node)
-        if stash:
-            bucket.extendleft(reversed(stash))
-        if not bucket:
-            del self.buckets[gid]
-        if batch:
-            self.counts[gid] -= len(batch)
-        return batch
-
-    def most_common(self) -> Optional[int]:
-        path_counts = self.path_counts
-        gate_names = self.gate_names
-        best_gid: Optional[int] = None
-        best_name: Optional[str] = None
-        best_free = 0
-        for gid, count in self.counts.items():
-            free = count - path_counts.get(gid, 0)
-            if free <= 0:
-                continue
-            name = gate_names[gid]
-            if free > best_free or (
-                free == best_free and name > best_name
-            ):
-                best_free = free
-                best_gid = gid
-                best_name = name
-        return best_gid
-
-    def oldest(self) -> Optional[int]:
-        fifo = self.fifo
-        in_ready = self.in_ready
-        on_path = self.on_path
-        while fifo:
-            node = fifo[0]
-            if node not in in_ready:
-                fifo.popleft()
-                continue
-            if not on_path[node]:
-                return self.gate_ids[node]
-            break
-        else:
-            return None
-        stash: List[int] = []
-        gid: Optional[int] = None
-        while fifo:
-            node = fifo.popleft()
-            if node not in in_ready:
-                continue
-            stash.append(node)
-            if not on_path[node]:
-                gid = self.gate_ids[node]
-                break
-        if stash:
-            fifo.extendleft(reversed(stash))
-        return gid
-
-    def fallback_pop(self) -> Optional[int]:
-        fifo = self.fifo
-        while fifo:
-            node = fifo.popleft()
-            if node in self.in_ready:
-                self.remove_scheduled(node)
-                return node
-        return None
-
-
-def _lpfs_stream(
-    cols: StreamColumns,
-    k: int,
-    d: Optional[int],
-    l: int,
-    simd: bool,
-    refill: bool,
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.lpfs.schedule_lpfs` over columns.
-    ``done``/``on_path`` are byte flags (sets of int would reintroduce
-    O(gates) boxed memory)."""
-    if not 1 <= l <= k:
-        raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    out = StreamedSchedule(k, d, "lpfs")
-    n = cols.n
-    gate_ids = cols.gate_ids
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    indeg = cols.indegrees()
-    heights = cols.heights()
-    on_path = bytearray(n)
-    done = bytearray(n)
-    free_list = _StreamFreeList(cols, on_path)
-    for node in cols.sources():
-        free_list.add(node)
-    paths: List[Deque[int]] = [
-        _claim_longest_path_stream(cols, heights, free_list, done)
-        for _ in range(l)
-    ]
-
-    scheduled = 0
-    while scheduled < n:
-        regions: Dict[int, List[int]] = {}
-        placed: List[int] = []
-        for i in range(l):
-            if refill and not paths[i]:
-                paths[i] = _claim_longest_path_stream(
-                    cols, heights, free_list, done
-                )
-            path = paths[i]
-            if path and path[0] in free_list.in_ready:
-                head = path.popleft()
-                free_list.remove_scheduled(head)
-                on_path[head] = 0
-                dst = regions.get(i)
-                if dst is None:
-                    dst = regions[i] = []
-                dst.append(head)
-                placed.append(head)
-                if simd:
-                    gid = gate_ids[head]
-                    cap = None if d is None else d - 1
-                    batch = free_list.extract(gid, cap)
-                    dst.extend(batch)
-                    placed.extend(batch)
-            elif simd:
-                gid = free_list.most_common()
-                if gid is not None:
-                    batch = free_list.extract(gid, d)
-                    if batch:
-                        dst = regions.get(i)
-                        if dst is None:
-                            dst = regions[i] = []
-                        dst.extend(batch)
-                    placed.extend(batch)
-        for i in range(l, k):
-            gid = free_list.oldest()
-            if gid is None:
-                break
-            batch = free_list.extract(gid, d)
-            if batch:
-                dst = regions.get(i)
-                if dst is None:
-                    dst = regions[i] = []
-                dst.extend(batch)
-            placed.extend(batch)
-        if not placed:
-            node = free_list.fallback_pop()
-            if node is None:  # pragma: no cover - defensive
-                raise RuntimeError("LPFS deadlock (scheduler bug)")
-            on_path[node] = 0
-            for i in range(l):
-                if paths[i] and paths[i][0] == node:
-                    paths[i].popleft()
-            regions[0] = [node]
-            placed.append(node)
-        for node in placed:
-            done[node] = 1
-        for node in placed:
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
-                indeg[child] -= 1
-                if indeg[child] == 0 and child not in free_list.in_ready:
-                    free_list.add(child)
-        scheduled += len(placed)
-        out._append_timestep(regions)
-    return out
-
-
-def _claim_longest_path_stream(
-    cols: StreamColumns,
-    heights: array,
-    free_list: _StreamFreeList,
-    done: bytearray,
-) -> Deque[int]:
-    """Mirror of :func:`repro.sched.lpfs._claim_longest_path` — the
-    strict-max key ``(height, -node)`` makes the claim independent of
-    the ready set's iteration order."""
-    on_path = free_list.on_path
-    candidates = [n for n in free_list.in_ready if not on_path[n]]
-    if not candidates:
-        return deque()
-    start = max(candidates, key=lambda n: (heights[n], -n))
-    path: Deque[int] = deque()
-    succ_flat, succ_off = cols.succ_flat, cols.succ_off
-    node: Optional[int] = start
-    while node is not None and not on_path[node] and not done[node]:
-        path.append(node)
-        on_path[node] = 1
-        free_list.claim_mark(node)
-        lo, hi = succ_off[node], succ_off[node + 1]
-        if lo == hi:
-            node = None
-        else:
-            node = max(
-                succ_flat[lo:hi], key=lambda s: (heights[s], -s)
-            )
-    return path
-
-
-def _sequential_stream(
-    cols: StreamColumns, k: int, d: Optional[int]
-) -> StreamedSchedule:
-    """Mirror of :func:`repro.sched.sequential.schedule_sequential`."""
-    out = StreamedSchedule(k, d, "sequential")
-    for node in range(cols.n):
-        out._append_timestep({0: [node]})
-    return out
-
-
 @spanned("stream:schedule")
 def schedule_columns(
     cols: StreamColumns,
@@ -739,18 +336,31 @@ def schedule_columns(
     lpfs_refill: bool = True,
     rcp_weights: Optional[RCPWeights] = None,
 ) -> StreamedSchedule:
-    """Schedule columns with the named algorithm (same option surface
-    as :class:`repro.toolflow.SchedulerConfig`, including the l <= k
-    clamp)."""
+    """Schedule columns with the named algorithm's kernel (same option
+    surface as :class:`repro.toolflow.SchedulerConfig`, including the
+    l <= k clamp)."""
     if algorithm == "sequential":
-        return _sequential_stream(cols, k, d)
-    if algorithm == "rcp":
-        return _rcp_stream(cols, k, d, rcp_weights)
-    if algorithm == "lpfs":
-        return _lpfs_stream(
-            cols, k, d, min(lpfs_l, k), lpfs_simd, lpfs_refill
+        timesteps = sequential_timesteps(cols.n)
+    elif algorithm == "rcp":
+        timesteps = rcp_timesteps(
+            cols, cols.indegrees(), cols.slack(), k, d, rcp_weights
         )
-    raise ValueError(f"unknown scheduling algorithm: {algorithm!r}")
+    elif algorithm == "lpfs":
+        n_paths = min(lpfs_l, k)
+        if n_paths < 1:
+            raise ValueError(
+                f"need 1 <= l <= k, got l={n_paths}, k={k}"
+            )
+        timesteps = lpfs_timesteps(
+            cols, cols.indegrees(), cols.heights(), k, d, n_paths,
+            lpfs_simd, lpfs_refill,
+        )
+    else:
+        raise ValueError(f"unknown scheduling algorithm: {algorithm!r}")
+    out = StreamedSchedule(k, d, algorithm)
+    for regions in timesteps:
+        out.append_timestep(regions)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +451,5 @@ def to_schedule(cols: StreamColumns, ssched: StreamedSchedule) -> Schedule:
     dag = DependenceDAG(statements)
     sched = Schedule(dag, k=ssched.k, d=ssched.d, algorithm=ssched.algorithm)
     for t in range(ssched.length):
-        ts = sched.append_timestep()
-        for r, nodes in ssched.regions_at(t):
-            ts.regions[r].extend(nodes)
+        sched.append_timestep(dict(ssched.regions_at(t)))
     return sched

@@ -132,8 +132,15 @@ class Schedule:
 
     # -- construction -----------------------------------------------------
 
-    def append_timestep(self) -> Timestep:
+    def append_timestep(
+        self, regions: Optional[Dict[int, List[int]]] = None
+    ) -> Timestep:
+        """Append a timestep, empty or holding ``regions``
+        (``{region: nodes}``, as the scheduler kernels yield it)."""
         ts = Timestep(regions=[[] for _ in range(self.k)])
+        if regions:
+            for r, nodes in regions.items():
+                ts.regions[r] = nodes
         self.timesteps.append(ts)
         return ts
 

@@ -349,6 +349,9 @@ def compile_and_schedule(
                                 mod.qubits(),
                             )
                         verified_names.append(name)
+                # Every width is done with the int-coded view; retained
+                # schedules keep the DAG, not the view.
+                dag.release_columns()
             else:
                 # Sorted for cross-process determinism: callees() is a
                 # set, and set iteration order varies with the hash
@@ -469,8 +472,8 @@ def compile_and_schedule_streamed(
     leaf body: flattening *decisions* come from hierarchical gate
     counts (:func:`~repro.passes.stream.plan_flatten`), leaf bodies are
     lazily expanded (:func:`~repro.passes.stream.leaf_stream`) and
-    ingested into columns ``window`` ops at a time, and the columnar
-    scheduler mirrors emit bit-identical schedules to the fast path.
+    ingested into columns ``window`` ops at a time, and the fast path's
+    own scheduler kernels run over the columns.
     Peak memory is O(gates * ~50 bytes) for the columns instead of
     O(gates * ~1 KiB) for boxed ops — and independent of ``window``,
     which only bounds the boxed-op transient during ingestion.

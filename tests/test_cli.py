@@ -288,3 +288,33 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "compile_and_schedule", boom)
         assert main(["compile", "GSE", "-k", "2"]) == 4
         assert "unrealisable" in capsys.readouterr().err
+
+
+class TestBadMachineArgs:
+    """Bad ``-k``/``-d``/``--window`` values are usage errors (exit 2),
+    checked before the verb does any work."""
+
+    VERBS = (
+        ["compile", "BF"],
+        ["execute", "BF"],
+        ["execute", "--stream", "missing.jsonl"],
+        ["partition", "BF"],
+        ["lint", "BF", "--deep", "--no-cache"],
+        ["verify", "scale:adder:2000", "--spec", "adder"],
+    )
+
+    @pytest.mark.parametrize("flag", ["-k", "-d"])
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_zero_width_exits_two(self, verb, flag, capsys):
+        assert main(verb + [flag, "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert f"{flag[1]} must be >= 1" in captured.err
+
+    def test_verify_negative_window_exits_two(self, capsys):
+        argv = ["verify", "scale:adder:2000", "--spec", "adder"]
+        assert main(argv + ["--window", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --window must be >= 0, got -5\n"

@@ -17,8 +17,10 @@ with hypothesis and runs every scheduler through both pipelines
   modules.
 
 The per-test ``max_examples`` settings sum to 255 generated programs
-per run, all seeded by hypothesis's deterministic derandomization in
-CI.
+per run (RCP schedules each under three weight settings), all seeded
+by hypothesis's deterministic derandomization in CI. Generated bodies stay small (at
+most 24 ops over 8 qubits), so :func:`test_registry_matches_reference`
+also compiles every registry program on both pipelines.
 """
 
 from __future__ import annotations
@@ -27,9 +29,11 @@ import json
 import math
 from typing import Callable, List, Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.machine import MultiSIMD
+from repro.benchmarks import BENCHMARKS, benchmark_names
 from repro.core import ProgramBuilder
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
@@ -46,6 +50,9 @@ from repro.sched import (
     schedule_sequential,
     schedule_to_dict,
 )
+from repro.sched.rcp import RCPWeights
+from repro.sched.report import _comm_to_dict
+from repro.toolflow import SchedulerConfig, compile_and_schedule
 
 N_QUBITS = 8
 QUBITS = [Qubit("q", i) for i in range(N_QUBITS)]
@@ -132,15 +139,23 @@ def test_sequential_differential(ops):
     assert fast == ref
 
 
+#: The default weights plus two others: RCP's priority is float
+#: arithmetic, so its tie-breaks must agree beyond w = 1/1/1 too.
+RCP_WEIGHTS = (None, RCPWeights(0, 10, 0), RCPWeights(2, 0.5, 1))
+
+
 @settings(max_examples=60, deadline=None)
 @given(ops=leaf_bodies(), k=ks, d=ds)
 def test_rcp_differential(ops, k, d):
-    fast, ref = both_pipelines(
-        lambda: schedule_bytes(ops, lambda dag: schedule_rcp(dag, k, d))
-    )
-    assert fast == ref
-    dag = DependenceDAG(list(ops))
-    check_invariants(schedule_rcp(dag, k, d), dag, k, d)
+    for weights in RCP_WEIGHTS:
+        fast, ref = both_pipelines(
+            lambda: schedule_bytes(
+                ops, lambda dag: schedule_rcp(dag, k, d, weights)
+            )
+        )
+        assert fast == ref, weights and vars(weights)
+        dag = DependenceDAG(list(ops))
+        check_invariants(schedule_rcp(dag, k, d, weights), dag, k, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -293,3 +308,41 @@ def test_coarse_differential(case):
     assert fast_prof == ref_prof
     # The profile at k agrees with the full placement at k.
     assert fast_prof[k] == fast_res.total_length
+
+
+@pytest.mark.parametrize("key", benchmark_names())
+def test_registry_matches_reference(key):
+    """Every registry program, both fine schedulers, at
+    Multi-SIMD(4,4, local 4): per-width profiles, communication stats
+    and retained schedules agree between the pipelines."""
+    spec = BENCHMARKS[key]
+    program = spec.build()
+    machine = MultiSIMD(4, 4, local_memory=4)
+
+    def run(algorithm: str) -> str:
+        result = compile_and_schedule(
+            program, machine, SchedulerConfig(algorithm), fth=spec.fth
+        )
+        return json.dumps(
+            {
+                "profiles": {
+                    name: {
+                        "length": p.length,
+                        "runtime": p.runtime,
+                        "comm": {
+                            w: _comm_to_dict(c) for w, c in p.comm.items()
+                        },
+                    }
+                    for name, p in result.profiles.items()
+                },
+                "schedules": {
+                    name: schedule_to_dict(sched)
+                    for name, sched in result.schedules.items()
+                },
+            },
+            sort_keys=True,
+        )
+
+    for algorithm in ("rcp", "lpfs"):
+        fast, ref = both_pipelines(lambda: run(algorithm))
+        assert fast == ref, (key, algorithm)

@@ -18,7 +18,7 @@ This file checks that two ways:
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +29,7 @@ from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
-from repro.engine import run_schedule
+from repro.engine import EngineConfig, FaultConfig, run_schedule
 from repro.engine.executor import run_schedule_stream
 from repro.sched import derive_movement
 from repro.sched.comm import CommStats
@@ -249,32 +249,57 @@ def test_streamed_matches_materialized_random(ops, k, d, algorithm, local):
     assert _comm_to_dict(stats) == _comm_to_dict(mat_comm)
 
 
+def _faulty_config(seed: int) -> EngineConfig:
+    return EngineConfig(
+        epr_rate=0.5,
+        faults=FaultConfig(
+            epr_failure_prob=0.1,
+            region_failure_prob=0.05,
+            gate_error_rate=0.01,
+        ),
+        seed=seed,
+        collect_trace=True,
+    )
+
+
 @settings(max_examples=25, deadline=None)
-@given(ops=leaf_bodies(), k=ks, algorithm=algorithms)
-def test_engine_epochs_realize_identically(ops, k, algorithm):
+@given(
+    ops=leaf_bodies(),
+    k=ks,
+    algorithm=algorithms,
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_engine_epochs_realize_identically(ops, k, algorithm, seed):
     """The engine over streamed epoch tuples matches the engine over
-    the materialized schedule under the ideal config."""
+    the materialized schedule — clock, stalls, fault log and trace —
+    under the ideal config and under finite EPR rate with faults."""
     machine = MultiSIMD(k=k, d=None)
     dag = DependenceDAG(list(ops))
     mat_sched = SchedulerConfig(algorithm).schedule(dag, k, None)
     derive_movement(mat_sched, machine)
-    mat = run_schedule(mat_sched, machine, scope="leaf")
-
     cols = build_columns(ListStream(ops), window=3)
     ssched = schedule_columns(cols, algorithm, k, None)
-    res = run_schedule_stream(
-        engine_epochs(cols, ssched, machine), k, machine, scope="leaf"
-    )
-    assert res.realized_runtime == mat.realized_runtime
-    assert res.analytic_runtime == mat.analytic_runtime
-    assert res.gate_cycles == mat.gate_cycles
-    assert res.comm_cycles == mat.comm_cycles
-    assert res.stalls.to_dict() == mat.stalls.to_dict()
-    assert res.teleport_epochs == mat.teleport_epochs
-    assert res.local_epochs == mat.local_epochs
-    assert res.epr_pairs == mat.epr_pairs
-    assert res.channel_pairs == mat.channel_pairs
-    assert res.ops_executed == mat.ops_executed
+
+    for config in (None, _faulty_config(seed)):
+        mat = run_schedule(mat_sched, machine, config, scope="leaf")
+        res = run_schedule_stream(
+            engine_epochs(cols, ssched, machine), k, machine, config,
+            scope="leaf",
+        )
+        assert res.realized_runtime == mat.realized_runtime
+        assert res.analytic_runtime == mat.analytic_runtime
+        assert res.gate_cycles == mat.gate_cycles
+        assert res.comm_cycles == mat.comm_cycles
+        assert res.stalls.to_dict() == mat.stalls.to_dict()
+        assert res.teleport_epochs == mat.teleport_epochs
+        assert res.local_epochs == mat.local_epochs
+        assert res.epr_pairs == mat.epr_pairs
+        assert res.channel_pairs == mat.channel_pairs
+        assert res.ops_executed == mat.ops_executed
+        assert res.fault_log.to_dict() == mat.fault_log.to_dict()
+        assert [e.to_dict() for e in res.trace.events] == [
+            e.to_dict() for e in mat.trace.events
+        ]
 
 
 def test_critical_path_and_release_graph():
