@@ -46,10 +46,8 @@ from .arch import (
     plan_epr_distribution,
     GATE_CYCLES,
     LOCAL_MOVE_CYCLES,
-    MemoryMap,
     MultiSIMD,
     NAIVE_FACTOR,
-    Scratchpad,
     TELEPORT_CYCLES,
     teleportation_ops,
 )
@@ -96,7 +94,6 @@ from .sched import (
     schedule_rcp,
     schedule_sequential,
 )
-from .fastpath import fast_path_enabled, reference_pipeline, set_fast_path
 from .instrument import SpanRecorder, record_spans, span
 from .service import (
     CompileService,
@@ -131,7 +128,6 @@ __all__ = [
     "GATE_CYCLES",
     "JobSpec",
     "LOCAL_MOVE_CYCLES",
-    "MemoryMap",
     "Module",
     "ModuleBuilder",
     "ModuleProfile",
@@ -149,7 +145,6 @@ __all__ = [
     "RotationSynthesizer",
     "Schedule",
     "SchedulerConfig",
-    "Scratchpad",
     "Severity",
     "SpanRecorder",
     "SweepGrid",
@@ -180,10 +175,7 @@ __all__ = [
     "registered_rules",
     "naive_runtime",
     "parallel_speedup",
-    "fast_path_enabled",
     "record_spans",
-    "reference_pipeline",
-    "set_fast_path",
     "run_sweep",
     "coarse_length_profile",
     "schedule_coarse",

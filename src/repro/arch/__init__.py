@@ -19,7 +19,6 @@ from .machine import (
     split_epoch,
     split_machine,
 )
-from .memory import MemoryMap, Scratchpad
 from .numa import (
     NUMAConfig,
     NUMAStats,
@@ -43,7 +42,6 @@ __all__ = [
     "EPRPlan",
     "GATE_CYCLES",
     "LOCAL_MOVE_CYCLES",
-    "MemoryMap",
     "MultiSIMD",
     "NAIVE_FACTOR",
     "NUMAConfig",
@@ -51,7 +49,6 @@ __all__ = [
     "ConcatenatedCode",
     "LeverageReport",
     "QECCRequirement",
-    "Scratchpad",
     "TELEPORT_CYCLES",
     "assign_banks",
     "epoch_cycles",

@@ -69,7 +69,7 @@ class MultiSIMD:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.d is not None and self.d < 1:
             raise ValueError(f"d must be >= 1 or None, got {self.d}")
-        if self.local_memory is not None and self.local_memory < 0:
+        if self.local_memory is not None and not self.local_memory >= 0:
             raise ValueError(
                 f"local memory capacity must be >= 0, got "
                 f"{self.local_memory}"
@@ -181,10 +181,10 @@ def parse_capacity(text: Optional[str]) -> Optional[float]:
     The one canonical encoding used by the CLI, the sweep grid, and the
     figure benches: ``None``/``"none"`` disables local memories,
     ``"inf"`` models unbounded ones, any other spelling must parse as a
-    non-negative number.
+    non-negative number (NaN is not one).
 
     Raises:
-        ValueError: on a non-numeric or negative spelling.
+        ValueError: on a non-numeric, NaN or negative spelling.
     """
     if text is None or text == "none":
         return None
@@ -197,8 +197,10 @@ def parse_capacity(text: Optional[str]) -> Optional[float]:
             f"bad local-memory capacity {text!r} "
             "(expected 'none', 'inf', or a number)"
         ) from None
-    if value < 0:
-        raise ValueError("local-memory capacity must be >= 0")
+    if not value >= 0:
+        raise ValueError(
+            f"local-memory capacity must be >= 0, got {text!r}"
+        )
     return value
 
 

@@ -18,7 +18,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro bench BF,CN --topology none,line,mesh --cores 2,4
     python -m repro perf --repeats 2 -o BENCH_perf.json
     python -m repro perf --baseline BENCH_perf.json -o ''
-    python -m repro perf --scale-gates 1000000 --no-reference
+    python -m repro perf --scale-gates 1000000 --repeats 1
     python -m repro compile BF --stream --window 1024
     python -m repro compile scale:adder:1e7 --stream --entry-width-only
     python -m repro compile BF --stream --export-stream bf.jsonl.gz
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import replace
@@ -910,6 +911,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         validate_sweep_payload,
     )
 
+    if args.timeout is not None and not (
+        math.isfinite(args.timeout) and args.timeout > 0
+    ):
+        raise CLIError(
+            f"--timeout must be a finite number > 0, got {args.timeout}"
+        )
     try:
         grid = SweepGrid.parse(
             benchmarks=args.source,
@@ -1002,6 +1009,14 @@ def _cmd_perf(args: argparse.Namespace) -> int:
 
     if args.repeats < 1:
         raise CLIError(f"--repeats must be >= 1, got {args.repeats}")
+    for flag, value in (
+        ("--tolerance", args.tolerance),
+        ("--memory-tolerance", args.memory_tolerance),
+    ):
+        if not (math.isfinite(value) and value >= 0):
+            raise CLIError(
+                f"{flag} must be a finite number >= 0, got {value}"
+            )
     baseline = None
     if args.baseline:
         try:
@@ -1032,7 +1047,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         scale_jobs = scale_perf_jobs(target_gates=args.scale_gates)
     payload = run_perf(
         repeats=args.repeats,
-        include_reference=not args.no_reference,
         include_scale=not args.no_scale,
         scale_jobs=scale_jobs,
         scale_fresh_process=not args.scale_in_process,
@@ -1045,7 +1059,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2)
     fast = payload["fast"]
-    reference = payload["reference"]
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
@@ -1053,31 +1066,23 @@ def _cmd_perf(args: argparse.Namespace) -> int:
             f"pinned grid: {len(fast['per_job'])} jobs x "
             f"{payload['repeats']} repeat(s), serial, uncached"
         )
-        print(f"{'stage':<28} {'calls':>7} {'fast':>9} {'reference':>10}")
-        print("-" * 57)
-        ref_stages = (reference or {}).get("stages", {})
+        print(f"{'stage':<28} {'calls':>7} {'seconds':>9}")
+        print("-" * 46)
         for name, stat in sorted(
             fast["stages"].items(), key=lambda kv: -kv[1]["seconds"]
         ):
-            ref = ref_stages.get(name)
-            ref_s = f"{ref['seconds']:>9.3f}s" if ref else "         -"
             print(
                 f"{name:<28} {stat['calls']:>7} "
-                f"{stat['seconds']:>8.3f}s {ref_s}"
+                f"{stat['seconds']:>8.3f}s"
             )
-        print("-" * 57)
-        ref_total = (
-            f"{reference['total_compute_s']:>9.3f}s" if reference
-            else "         -"
-        )
+        print("-" * 46)
         print(
             f"{'total compute':<28} {'':>7} "
-            f"{fast['total_compute_s']:>8.3f}s {ref_total}"
+            f"{fast['total_compute_s']:>8.3f}s"
         )
+        print(f"machine probe: {payload['probe_s'] * 1e3:.3f} ms")
         if fast["peak_rss_kb"] is not None:
             print(f"peak RSS: {fast['peak_rss_kb'] / 1024:.0f} MiB")
-        if payload["speedup"] is not None:
-            print(f"fast-path speedup: {payload['speedup']:.2f}x")
         scale = payload.get("scale")
         if scale and scale.get("jobs"):
             iso = (
@@ -1104,8 +1109,6 @@ def _cmd_perf(args: argparse.Namespace) -> int:
         if args.output:
             print(f"wrote {args.output}")
     failed = set(fast["failed_jobs"])
-    if reference:
-        failed |= set(reference["failed_jobs"])
     for row in (payload.get("scale") or {}).get("jobs", []):
         if row.get("status") != "ok":
             failed.add(row.get("label", "scale:?"))
@@ -1140,15 +1143,13 @@ def _parse_rate(text: str) -> float:
         raise CLIError(
             f"invalid rate {text!r} (expected a number or 'inf')"
         ) from None
-    if rate <= 0:
+    if not rate > 0:
         raise CLIError(f"rate must be positive, got {text!r}")
     return rate
 
 
 def _engine_config(args: argparse.Namespace):
     """Build an :class:`~repro.engine.EngineConfig` from CLI flags."""
-    import math
-
     from .arch.numa import NUMAConfig
     from .engine import EngineConfig, FaultConfig
 
@@ -2209,19 +2210,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_p = sub.add_parser(
         "perf",
-        help=(
-            "benchmark the pipeline on the pinned grid "
-            "(fast path vs reference)"
-        ),
+        help="benchmark the pipeline on the pinned grid",
     )
     p_p.add_argument(
         "--repeats", type=int, default=2, metavar="N",
         help="measurement repeats; minimums are kept (default 2)",
-    )
-    p_p.add_argument(
-        "--no-reference", action="store_true",
-        help="skip the reference-pipeline measurement (faster; "
-             "disables speedup and machine-scaled baseline compare)",
     )
     p_p.add_argument(
         "--baseline", default=None, metavar="FILE",

@@ -18,9 +18,9 @@ Construction is a single O(V+E) pass over the statement list with a
 per-qubit last-writer map; the heights/depths/slack analyses are
 computed once and memoized (they are static for a given DAG, and the
 schedulers consult slack per ready-set decision). The pre-optimization
-construction is kept in :mod:`repro.sched._reference` and produces
-identical ``preds``/``succs`` arrays — ``tests/test_differential.py``
-checks that on generated programs.
+construction is kept in ``tests/oracle/`` and produces identical
+``preds``/``succs`` arrays — ``tests/test_differential.py`` checks that
+on generated programs.
 
 :meth:`DependenceDAG.columns` is the int-coded view the scheduler and
 movement kernels read: interned gate names and qubits plus CSR operand
@@ -33,7 +33,6 @@ from __future__ import annotations
 from itertools import accumulate, chain
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..fastpath import fast_path_enabled
 from .operation import Operation, Statement
 from .qubits import Qubit
 
@@ -149,12 +148,7 @@ class DependenceDAG:
                     f"{len(weights)} weights for {n} statements"
                 )
             self.weights = list(weights)
-        if fast_path_enabled():
-            self.preds, self.succs = _build_edges_fast(self.statements)
-        else:
-            from ..sched._reference import dag_edges_reference
-
-            self.preds, self.succs = dag_edges_reference(self.statements)
+        self.preds, self.succs = _build_edges_fast(self.statements)
         self._heights: Optional[List[int]] = None
         self._depths: Optional[List[int]] = None
         self._slack: Optional[List[int]] = None

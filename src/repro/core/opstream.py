@@ -10,7 +10,7 @@ more than once — once per candidate width, plus movement derivation).
 
 Replayability is the load-bearing contract: the windowed scheduler
 (:mod:`repro.sched.stream`) promises bit-identical schedules to the
-materialized fast path, which it can only do if every pass over the
+materialized pipeline, which it can only do if every pass over the
 stream observes the same ops in the same order. Streams are therefore
 built from pure *factories* (zero-argument callables returning a fresh
 iterator), never from half-consumed generators.

@@ -3,7 +3,8 @@
 Tracks, while a schedule executes:
 
 * **qubit residency** — global memory, SIMD regions, scratchpad slots
-  (the same location encoding as :class:`repro.arch.memory.MemoryMap`);
+  (the ``("global",)``, ``("region", r)`` and ``("local", r)``
+  location tuples :func:`repro.sched.comm.derive_movement` emits);
 * **per-channel EPR pair pools** — pairs are generated at the global
   memory at a steady rate and consumed one per teleport
   (:class:`EPRPool` reproduces the eager-generation accounting of

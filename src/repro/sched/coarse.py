@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.dag import DependenceDAG
 from ..core.module import Module
 from ..core.operation import Operation
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 
 __all__ = [
@@ -303,12 +302,6 @@ def schedule_coarse(
         call_overhead: cycles added around each call (the active-qubit
             flush; 4 for communication-aware accounting, 0 otherwise).
     """
-    if not fast_path_enabled():
-        from ._reference import schedule_coarse_reference
-
-        return schedule_coarse_reference(
-            module, callee_dims, k, gate_cost, call_overhead
-        )
     if not module.body:
         return CoarseResult(module.name, k, 0, 0, [])
     prep = _Prepared(module, callee_dims, gate_cost, call_overhead)
@@ -326,19 +319,10 @@ def coarse_length_profile(
     """Total coarse-schedule length at each region budget in ``widths``.
 
     Equivalent to ``{w: schedule_coarse(...).total_length for w in
-    widths}`` but on the fast path the k-independent preparation
-    (dimension tables, weighted DAG, criticality order) is shared across
-    all widths and placement lists are skipped.
+    widths}``, but the k-independent preparation (dimension tables,
+    weighted DAG, criticality order) is shared across all widths and
+    placement lists are skipped.
     """
-    if not fast_path_enabled():
-        from ._reference import schedule_coarse_reference
-
-        return {
-            w: schedule_coarse_reference(
-                module, callee_dims, w, gate_cost, call_overhead
-            ).total_length
-            for w in widths
-        }
     if not module.body:
         return {w: 0 for w in widths}
     prep = _Prepared(module, callee_dims, gate_cost, call_overhead)

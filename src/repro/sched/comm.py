@@ -41,7 +41,6 @@ from ..arch.machine import (
 )
 from ..arch.teleport import EPRAccounting
 from ..core.qubits import Qubit
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Move, Schedule
 
@@ -110,10 +109,10 @@ def movement_epochs(
     the regions active at ``t``, and dead qubits (use list exhausted)
     are dropped from it. Eviction candidates are visited in first-move
     order — the memory map's insertion order, which the reference scan
-    iterates — so scratchpad fills, the ``Move`` sequence and the EPR
-    channel order are bit-identical to
-    :func:`repro.sched._reference.derive_movement_reference`. ``Move``
-    objects are frozen and interned per ``(qubit, src, dst)``.
+    in ``tests/oracle/`` iterates — so scratchpad fills, the ``Move``
+    sequence and the EPR channel order are bit-identical to the
+    reference's. ``Move`` objects are frozen and interned per
+    ``(qubit, src, dst)``.
     """
     n_q = len(qubits)
     # Per-qubit ordered use list: the region of each use.
@@ -284,11 +283,6 @@ def derive_movement(
     :func:`movement_epochs` does the work over the DAG's int-coded
     :meth:`~repro.core.dag.DependenceDAG.columns` view.
     """
-    if not fast_path_enabled():
-        from ._reference import derive_movement_reference
-
-        return derive_movement_reference(sched, machine)
-
     cols = sched.dag.columns()
     timesteps = sched.timesteps
     stats = CommStats()

@@ -21,7 +21,7 @@ Paths are chains (each node a DAG successor of the previous), so only a
 path's *head* can ever be ready; heads stall until their off-path
 dependencies resolve.
 
-One kernel per algorithm: :func:`lpfs_timesteps` is the only fast-path
+One kernel per algorithm: :func:`lpfs_timesteps` is the package's only
 LPFS, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
 or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_lpfs` and
 :func:`repro.sched.stream.schedule_columns` are its two adapters. The
@@ -32,9 +32,8 @@ most-common-gate is a counter read, oldest-gate amortizes to O(1), and
 extraction touches only the requested bucket. Nodes become ready
 exactly once, so lazily dropped stale entries never resurface. Path
 membership and completion are byte flags, so the kernel holds no
-per-node boxed objects. The pre-optimization implementation is
-:func:`repro.sched._reference.schedule_lpfs_reference`; both produce
-bit-identical schedules.
+per-node boxed objects. The pre-optimization implementation is kept
+in ``tests/oracle/``; both produce bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set
 
 from ..core.dag import DependenceDAG
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
@@ -226,11 +224,6 @@ def schedule_lpfs(
     """
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
-    if not fast_path_enabled():
-        from ._reference import schedule_lpfs_reference
-
-        return schedule_lpfs_reference(dag, k, d, l, simd, refill)
-
     sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
     for regions in lpfs_timesteps(
         dag.columns(), dag.indegrees(), dag.heights(), k, d, l, simd,

@@ -21,7 +21,7 @@ broken deterministically: smallest gate name first, then smallest
 region index (historically the tie went to whichever pair the scan
 encountered first, which depended on ready-list arrival order).
 
-One kernel per algorithm: :func:`rcp_timesteps` is the only fast-path
+One kernel per algorithm: :func:`rcp_timesteps` is the package's only
 RCP, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
 or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_rcp` and
 :func:`repro.sched.stream.schedule_columns` are its two adapters. The
@@ -31,9 +31,8 @@ read and batch extraction pops one bucket instead of rescanning the
 whole ready deque; the (region, gate) selection enumerates each ready
 op's resident regions (at most its operand count) plus one
 zero-residency representative instead of every available region. The
-pre-optimization implementation is
-:func:`repro.sched._reference.schedule_rcp_reference`; both produce
-bit-identical schedules.
+pre-optimization implementation is kept in ``tests/oracle/``; both
+produce bit-identical schedules.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dag import DependenceDAG
-from ..fastpath import fast_path_enabled
 from ..instrument import spanned
 from .types import Schedule
 
@@ -68,11 +66,6 @@ def schedule_rcp(
     weights: Optional[RCPWeights] = None,
 ) -> Schedule:
     """Schedule ``dag`` on a Multi-SIMD(k,d) machine with RCP."""
-    if not fast_path_enabled():
-        from ._reference import schedule_rcp_reference
-
-        return schedule_rcp_reference(dag, k, d, weights)
-
     sched = Schedule(dag, k=k, d=d, algorithm="rcp")
     for regions in rcp_timesteps(
         dag.columns(), dag.indegrees(), dag.slack(), k, d, weights

@@ -23,7 +23,7 @@ pipeline's ingest profile). It cannot affect the emitted schedule:
 every window produces identical columns, and the schedulers run on the
 columns alone. That is the streaming pipeline's window-invariance
 guarantee, and it is exactly why the streamed schedules are bit-for-bit
-the schedules of the materialized fast path: there is one kernel per
+the schedules of the materialized pipeline: there is one kernel per
 algorithm. :func:`schedule_columns` runs
 :func:`repro.sched.rcp.rcp_timesteps`,
 :func:`repro.sched.lpfs.lpfs_timesteps` and
@@ -190,7 +190,7 @@ def build_columns(
     The per-qubit last-writer map, inline <=3-element dedup and sort
     mirror :func:`repro.core.dag._build_edges_fast` exactly; successor
     lists come out in ascending node order (counting sort over the
-    predecessor table), matching the fast path's append order.
+    predecessor table), matching the DAG's append order.
     """
     cols = StreamColumns()
     gate_table: Dict[str, int] = {}

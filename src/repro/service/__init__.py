@@ -20,7 +20,6 @@ Exposed on the CLI as ``python -m repro bench``.
 from ..instrument import SpanRecorder, record_spans, span
 from .core import CompileService, ServiceEntry
 from .perf import (
-    ACCEPTED_PERF_SCHEMAS,
     PERF_SCHEMA,
     build_perf_payload,
     compare_perf_payloads,
@@ -86,7 +85,6 @@ __all__ = [
     "SpanRecorder",
     "SweepGrid",
     "SweepRun",
-    "ACCEPTED_PERF_SCHEMAS",
     "build_perf_payload",
     "build_sweep_payload",
     "canonical_program",

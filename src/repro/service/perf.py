@@ -1,8 +1,7 @@
 """The ``perf`` harness: pinned-grid pipeline benchmarking.
 
-The scheduler fast path (:mod:`repro.fastpath`) promises wall-clock
-improvements with bit-identical output. This module makes that claim
-*measurable and regression-guarded*:
+This module makes the pipeline's wall time *measurable and
+regression-guarded*:
 
 * a **pinned grid** — every benchmark x {rcp, lpfs} at one fixed
   Multi-SIMD(4,4) configuration — run serially, uncached, through the
@@ -10,13 +9,12 @@ improvements with bit-identical output. This module makes that claim
 * per-stage **wall time** aggregated from the pipeline's
   :mod:`~repro.instrument` spans, and process **peak RSS** sampled per
   job via ``resource.getrusage`` (no third-party profiler);
-* the same grid measured on the **reference pipeline**
-  (:func:`repro.fastpath.reference_pipeline`), yielding an honest
-  fast-vs-reference speedup from one run on one machine;
-* a schema-versioned report (``repro.bench-perf/2`` —
+* a **machine-speed probe** — about 1 ms of fixed interpreter work,
+  timed before every job — summarized as ``probe_s``;
+* a schema-versioned report (``repro.bench-perf/3`` —
   ``BENCH_perf.json``) with a hand-rolled validator, mirroring the
   sweep report's conventions;
-* **scale jobs** (schema ``/2``): the synthetic paper-scale generators
+* **scale jobs**: the synthetic paper-scale generators
   (:mod:`repro.benchmarks.scale`) pushed through the streamed *and*
   materialized leaf pipelines in fresh subprocesses, so each job's
   ``ru_maxrss`` is its own high-water mark — yielding
@@ -25,14 +23,13 @@ improvements with bit-identical output. This module makes that claim
   ratio;
 * a **baseline comparison** for CI: because the committed baseline was
   measured on different hardware, stage times are first rescaled by the
-  ratio of the two *reference-pipeline* totals (the reference acts as a
-  built-in machine-speed probe), then any stage slower than the scaled
-  baseline by more than ``tolerance`` is flagged. Scale-job memory is
-  gated the same way, rescaled by the ratio of the two documents'
-  fresh-interpreter RSS (the memory analogue of the speed probe) and
-  keyed by the full job label — which embeds the pipeline mode, so a
-  streamed measurement is never compared against a materialized
-  baseline or vice versa.
+  ratio of the two documents' ``probe_s``, then any stage slower than
+  the scaled baseline by more than ``tolerance`` is flagged. Scale-job
+  memory is gated the same way, rescaled by the ratio of the two
+  documents' fresh-interpreter RSS (the memory analogue of the speed
+  probe) and keyed by the full job label — which embeds the pipeline
+  mode, so a streamed measurement is never compared against a
+  materialized baseline or vice versa.
 
 Timings take the **minimum across repeats** (the minimum is the
 standard low-noise estimator for benchmark wall times); peak RSS takes
@@ -41,16 +38,17 @@ the maximum.
 
 from __future__ import annotations
 
+import gc
+import math
 import time
+from statistics import fmean
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..fastpath import fast_path_enabled, reference_pipeline
 from .fingerprint import PIPELINE_VERSION
 from .sweep import JobSpec, SweepGrid, SweepRun, execute_job, run_sweep
 
 __all__ = [
     "PERF_SCHEMA",
-    "ACCEPTED_PERF_SCHEMAS",
     "STAGE_FLOOR_S",
     "perf_grid",
     "perf_worker",
@@ -62,13 +60,10 @@ __all__ = [
     "compare_perf_payloads",
 ]
 
-#: Version tag of the ``BENCH_perf.json`` document layout.
-PERF_SCHEMA = "repro.bench-perf/2"
-
-#: Schemas :func:`validate_perf_payload` accepts. ``/1`` documents
-#: (no scale section, no pipeline labels) remain valid baselines; the
-#: scale memory gate simply has nothing to compare against them.
-ACCEPTED_PERF_SCHEMAS = (PERF_SCHEMA, "repro.bench-perf/1")
+#: Version tag of the ``BENCH_perf.json`` document layout. Older
+#: documents carry no ``probe_s``, so they cannot be rescaled to this
+#: machine and are not valid baselines.
+PERF_SCHEMA = "repro.bench-perf/3"
 
 #: Baseline stages faster than this (after machine rescaling) are too
 #: noisy to gate on and are skipped by :func:`compare_perf_payloads`.
@@ -89,6 +84,10 @@ DEFAULT_SCALE_GATES = 200_000
 #: Default ingestion window for streamed scale jobs.
 DEFAULT_SCALE_WINDOW = 65536
 
+#: Probes timed before each measured job; the job's sample is their
+#: minimum, which drops a probe that an interrupt landed in.
+_PROBES_PER_JOB = 3
+
 
 def perf_grid() -> SweepGrid:
     """The pinned measurement grid.
@@ -108,6 +107,40 @@ def perf_grid() -> SweepGrid:
         ds=(4,),
         local_memories=(4.0,),
     )
+
+
+class _Cell:
+    __slots__ = ("key", "value")
+
+    def __init__(self, key: int, value: int):
+        self.key = key
+        self.value = value
+
+
+def _probe() -> float:
+    """Seconds for a fixed mix of interpreter work (about 1 ms): dict
+    updates, small objects, a keyed sort, integer arithmetic. The
+    collector is off while it runs, so the heap size cannot slow it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        table: Dict[int, int] = {}
+        cells = []
+        for i in range(600):
+            key = (i * 7919) % 409
+            table[key] = table.get(key, 0) + i
+            cells.append(_Cell(key, i))
+        cells.sort(key=lambda c: (c.key, c.value))
+        acc = 0
+        for c in cells:
+            acc ^= c.key + c.value
+        for i in range(10_000):
+            acc += i * i
+        return time.perf_counter() - start
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -148,13 +181,17 @@ def perf_worker(
     cache_dir: Optional[str] = None,
     use_cache: bool = True,
 ) -> Dict[str, Any]:
-    """:func:`~repro.service.sweep.execute_job` plus a peak-RSS sample.
+    """:func:`~repro.service.sweep.execute_job` plus a machine-speed
+    probe sample (``probe_s``) taken just before the job and a peak-RSS
+    sample after it.
 
     ``ru_maxrss`` is a process-lifetime high-water mark, so the sample
     is monotone across a serial run; the report keeps the maximum,
     which is exactly that watermark.
     """
+    probe_s = min(_probe() for _ in range(_PROBES_PER_JOB))
     outcome = execute_job(job, cache_dir, use_cache)
+    outcome["probe_s"] = probe_s
     outcome["peak_rss_kb"] = _peak_rss_kb()
     return outcome
 
@@ -435,7 +472,6 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
 
 def run_perf(
     repeats: int = 2,
-    include_reference: bool = True,
     jobs: Optional[Sequence[JobSpec]] = None,
     include_scale: bool = True,
     scale_jobs: Optional[Sequence[Dict[str, Any]]] = None,
@@ -444,54 +480,48 @@ def run_perf(
     """Measure the pinned grid and return the ``BENCH_perf`` payload.
 
     The grid runs serially and uncached (the point is to measure
-    compute, not the artifact store), ``repeats`` times on the fast
-    path and — unless ``include_reference`` is false — ``repeats``
-    times on the reference pipeline in the same process. Unless
+    compute, not the artifact store), ``repeats`` times. The machine
+    probe is timed before every job (:func:`perf_worker`); a repeat's
+    mean probe is the machine's speed during that repeat, and the
+    document's ``probe_s`` is the minimum of those means — the
+    minimum-across-repeats rule the stage times follow. Unless
     ``include_scale`` is false, the scale jobs then run once each in
-    fresh subprocesses (:func:`run_scale_perf`) for the per-gate memory
-    columns.
+    fresh subprocesses (:func:`run_scale_perf`) for the per-gate
+    memory columns.
 
     Raises:
-        ValueError: when ``repeats < 1``.
+        ValueError: when ``repeats < 1`` or the job list is empty.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     grid = perf_grid() if jobs is None else None
     job_list = list(jobs) if jobs is not None else grid.expand()
+    if not job_list:
+        raise ValueError("run_perf needs at least one job")
 
-    def _measure() -> List[SweepRun]:
-        return [
-            run_sweep(
-                job_list,
-                cache_dir=None,
-                parallel=False,
-                use_cache=False,
-                worker=perf_worker,
-            )
-            for _ in range(repeats)
-        ]
-
-    if not fast_path_enabled():  # pragma: no cover - defensive
-        raise RuntimeError(
-            "run_perf must start on the fast path "
-            "(unset REPRO_FASTPATH=0)"
-        )
     # Warm-up: one unmeasured job so first-touch costs (module imports,
     # lazily built tables) do not land inside the first measured job's
     # spans and inflate small stages like pass:decompose.
-    if job_list:
-        perf_worker(job_list[0], None, False)
-    fast = _aggregate(_measure())
-    reference = None
-    if include_reference:
-        with reference_pipeline():
-            reference = _aggregate(_measure())
+    perf_worker(job_list[0], None, False)
+    runs = [
+        run_sweep(
+            job_list,
+            cache_dir=None,
+            parallel=False,
+            use_cache=False,
+            worker=perf_worker,
+        )
+        for _ in range(repeats)
+    ]
+    probe_s = min(
+        fmean(outcome["probe_s"] for outcome in run.outcomes) for run in runs
+    )
     scale = None
     if include_scale:
         scale = run_scale_perf(
             jobs=scale_jobs, fresh_process=scale_fresh_process
         )
-    return build_perf_payload(grid, repeats, fast, reference, scale)
+    return build_perf_payload(grid, repeats, _aggregate(runs), probe_s, scale)
 
 
 def _streamed_overhead(scale: Optional[Dict[str, Any]]) -> Optional[float]:
@@ -519,27 +549,18 @@ def build_perf_payload(
     grid: Optional[SweepGrid],
     repeats: int,
     fast: Dict[str, Any],
-    reference: Optional[Dict[str, Any]],
+    probe_s: float,
     scale: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the versioned ``BENCH_perf.json`` document."""
-    speedup = None
-    if (
-        reference is not None
-        and fast["total_compute_s"] > 0
-        and not fast["failed_jobs"]
-        and not reference["failed_jobs"]
-    ):
-        speedup = reference["total_compute_s"] / fast["total_compute_s"]
     return {
         "schema": PERF_SCHEMA,
         "pipeline_version": PIPELINE_VERSION,
         "created_unix": time.time(),
         "grid": grid.to_dict() if grid is not None else None,
         "repeats": repeats,
+        "probe_s": probe_s,
         "fast": fast,
-        "reference": reference,
-        "speedup": speedup,
         "scale": scale,
         "streamed_overhead": _streamed_overhead(scale),
     }
@@ -630,38 +651,28 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
     if not isinstance(payload, dict):
         return ["payload is not an object"]
     schema = payload.get("schema")
-    if schema not in ACCEPTED_PERF_SCHEMAS:
+    if schema != PERF_SCHEMA:
         problems.append(
-            f"schema: expected one of {ACCEPTED_PERF_SCHEMAS!r}, got "
-            f"{schema!r}"
+            f"schema: expected {PERF_SCHEMA!r}, got {schema!r}"
         )
     need(payload, "pipeline_version", str, "$")
     need(payload, "created_unix", (int, float), "$")
     need(payload, "repeats", int, "$")
+    probe_s = need(payload, "probe_s", (int, float), "$")
+    if probe_s is not None and not (math.isfinite(probe_s) and probe_s > 0):
+        problems.append(
+            f"$.probe_s: expected a finite number > 0, got {probe_s!r}"
+        )
     fast = need(payload, "fast", dict, "$")
     if fast is not None:
         check_side(fast, "fast")
-    if "reference" not in payload:
-        problems.append("$: missing key 'reference'")
-    elif payload["reference"] is not None:
-        if not isinstance(payload["reference"], dict):
-            problems.append("$.reference: expected dict or null")
+    if "scale" not in payload:
+        problems.append("$: missing key 'scale'")
+    elif payload["scale"] is not None:
+        if not isinstance(payload["scale"], dict):
+            problems.append("$.scale: expected dict or null")
         else:
-            check_side(payload["reference"], "reference")
-    if "speedup" not in payload:
-        problems.append("$: missing key 'speedup'")
-    elif payload["speedup"] is not None and not isinstance(
-        payload["speedup"], (int, float)
-    ):
-        problems.append("$.speedup: expected number or null")
-    if schema == PERF_SCHEMA:
-        if "scale" not in payload:
-            problems.append("$: missing key 'scale'")
-        elif payload["scale"] is not None:
-            if not isinstance(payload["scale"], dict):
-                problems.append("$.scale: expected dict or null")
-            else:
-                check_scale(payload["scale"], "scale")
+            check_scale(payload["scale"], "scale")
     return problems
 
 
@@ -674,19 +685,17 @@ def compare_perf_payloads(
 ) -> List[str]:
     """Regression check of ``current`` against a committed ``baseline``.
 
-    The two documents generally come from different machines, so raw
-    seconds are not comparable. Both documents carry a
-    reference-pipeline measurement of the same pinned grid; the ratio
-    of the two reference totals is a machine-speed scale, and baseline
-    stage times are rescaled by it before comparison. A stage regresses
-    when::
+    Both must be valid documents (:func:`validate_perf_payload`). They
+    generally come from different machines, so raw seconds are not
+    comparable: the ratio of the two documents' ``probe_s`` is a
+    machine-speed scale, and baseline stage times are rescaled by it
+    before comparison. A stage regresses when::
 
         current_stage > baseline_stage * scale * (1 + tolerance)
 
     Stages below ``floor_s`` seconds (after rescaling) are skipped as
     noise. Returns human-readable regression descriptions (empty =
-    pass). Documents without reference measurements fall back to
-    ``scale = 1`` (same-machine comparison).
+    pass).
 
     Scale-job **memory** is gated analogously: baseline
     ``peak_rss_kb_per_mgate`` is rescaled by the ratio of the two
@@ -696,20 +705,12 @@ def compare_perf_payloads(
     Labels embed the pipeline mode, so a streamed row only ever gates
     against a streamed baseline row — materialized memory (which grows
     without bound by design) can never mask or trip the streamed gate.
-    Jobs present on one side only are skipped, so ``/1`` baselines
-    simply don't exercise the memory gate.
+    Jobs present on one side only are skipped.
     """
     problems: List[str] = []
     cur_fast = current.get("fast") or {}
     base_fast = baseline.get("fast") or {}
-    cur_ref = current.get("reference") or {}
-    base_ref = baseline.get("reference") or {}
-
-    scale = 1.0
-    cur_ref_total = cur_ref.get("total_compute_s") or 0.0
-    base_ref_total = base_ref.get("total_compute_s") or 0.0
-    if cur_ref_total > 0 and base_ref_total > 0:
-        scale = cur_ref_total / base_ref_total
+    scale = current["probe_s"] / baseline["probe_s"]
 
     def regressed(name: str, cur_s: float, base_s: float) -> None:
         budget = base_s * scale
@@ -737,7 +738,7 @@ def compare_perf_payloads(
         base_fast.get("total_compute_s") or 0.0,
     )
 
-    # -- scale-job memory gate (schema /2 on both sides) ----------------
+    # -- scale-job memory gate -------------------------------------------
     cur_rows = {
         row["label"]: row
         for row in (current.get("scale") or {}).get("jobs", ())

@@ -232,7 +232,7 @@ class SweepGrid:
             raise ValueError("k must be >= 1")
         if any(d is not None and d < 1 for d in self.ds):
             raise ValueError("d must be >= 1 or 'inf'")
-        if self.epr_rate is not None and self.epr_rate <= 0:
+        if self.epr_rate is not None and not self.epr_rate > 0:
             raise ValueError("epr_rate must be positive or 'inf'")
         from ..multicore.topology import TOPOLOGIES
 

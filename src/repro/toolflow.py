@@ -30,7 +30,7 @@ from .arch.machine import (
     TELEPORT_CYCLES,
 )
 from .core.dag import DependenceDAG
-from .core.module import Program
+from .core.module import Module, Program
 from .instrument import span
 from .passes.decompose import (
     DecomposeConfig,
@@ -228,6 +228,41 @@ def _candidate_widths(k: int) -> List[int]:
     return widths
 
 
+def _fill_coarse_profile(
+    profile: ModuleProfile,
+    mod: Module,
+    profiles: Dict[str, ModuleProfile],
+    widths: List[int],
+) -> None:
+    """Fill a non-leaf module's profile by the Section 3.2 cost policy.
+
+    ``length`` comes from a communication-free coarse pass (gates cost
+    1 cycle, calls nothing extra), ``runtime`` from a
+    communication-aware one (gates cost 1 + 4, each call one teleport
+    epoch); both are clamped to at least 1 cycle.
+    """
+    # Sorted for cross-process determinism: callees() is a set, and set
+    # iteration order varies with the hash seed.
+    callees = sorted(mod.callees())
+    lengths = coarse_length_profile(
+        mod,
+        {c: profiles[c].length for c in callees},
+        widths,
+        gate_cost=GATE_CYCLES,
+        call_overhead=0,
+    )
+    runtimes = coarse_length_profile(
+        mod,
+        {c: profiles[c].runtime for c in callees},
+        widths,
+        gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
+        call_overhead=TELEPORT_CYCLES,
+    )
+    for w in widths:
+        profile.length[w] = max(lengths[w], 1)
+        profile.runtime[w] = max(runtimes[w], 1)
+
+
 def compile_and_schedule(
     program: Program,
     machine: MultiSIMD,
@@ -353,26 +388,7 @@ def compile_and_schedule(
                 # schedules keep the DAG, not the view.
                 dag.release_columns()
             else:
-                # Sorted for cross-process determinism: callees() is a
-                # set, and set iteration order varies with the hash
-                # seed.
-                callees = sorted(mod.callees())
-                length_dims = {c: profiles[c].length for c in callees}
-                runtime_dims = {c: profiles[c].runtime for c in callees}
-                lengths = coarse_length_profile(
-                    mod, length_dims, widths, gate_cost=GATE_CYCLES,
-                    call_overhead=0,
-                )
-                runtimes = coarse_length_profile(
-                    mod,
-                    runtime_dims,
-                    widths,
-                    gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
-                    call_overhead=TELEPORT_CYCLES,
-                )
-                for w in widths:
-                    profile.length[w] = max(lengths[w], 1)
-                    profile.runtime[w] = max(runtimes[w], 1)
+                _fill_coarse_profile(profile, mod, profiles, widths)
             profiles[name] = profile
 
     if strict:
@@ -472,8 +488,8 @@ def compile_and_schedule_streamed(
     leaf body: flattening *decisions* come from hierarchical gate
     counts (:func:`~repro.passes.stream.plan_flatten`), leaf bodies are
     lazily expanded (:func:`~repro.passes.stream.leaf_stream`) and
-    ingested into columns ``window`` ops at a time, and the fast path's
-    own scheduler kernels run over the columns.
+    ingested into columns ``window`` ops at a time, and the materialized
+    pipeline's own scheduler kernels run over the columns.
     Peak memory is O(gates * ~50 bytes) for the columns instead of
     O(gates * ~1 KiB) for boxed ops — and independent of ``window``,
     which only bounds the boxed-op transient during ingestion.
@@ -575,23 +591,7 @@ def compile_and_schedule_streamed(
             else:
                 profile = ModuleProfile(name, False)
                 dmod = decompose_module(mod, synth) if synth else mod
-                callees = sorted(dmod.callees())
-                length_dims = {c: profiles[c].length for c in callees}
-                runtime_dims = {c: profiles[c].runtime for c in callees}
-                lengths = coarse_length_profile(
-                    dmod, length_dims, width_list, gate_cost=GATE_CYCLES,
-                    call_overhead=0,
-                )
-                runtimes = coarse_length_profile(
-                    dmod,
-                    runtime_dims,
-                    width_list,
-                    gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
-                    call_overhead=TELEPORT_CYCLES,
-                )
-                for w in width_list:
-                    profile.length[w] = max(lengths[w], 1)
-                    profile.runtime[w] = max(runtimes[w], 1)
+                _fill_coarse_profile(profile, dmod, profiles, width_list)
                 # Mirror of hierarchical_critical_path for one module:
                 # a call weighs iterations * CP(callee).
                 weights = [

@@ -2,7 +2,8 @@
 
 The global memory is unbounded and teleport-connected; each SIMD region
 may also have a small *local* scratchpad reached by 1-cycle ballistic
-moves (Section 2.5). The scheduler's local-memory refinement pass
+moves (Section 2.5). The oracle's movement derivation
+(:func:`tests.oracle.reference_sched.derive_movement_reference`)
 consults :class:`Scratchpad` occupancy to decide whether an evicted
 qubit can be parked locally or must pay a global teleport.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
-from ..core.qubits import Qubit
+from repro.core.qubits import Qubit
 
 __all__ = ["Scratchpad", "MemoryMap"]
 

@@ -1,30 +1,25 @@
-"""Reference (pre-optimization) scheduler implementations.
+"""Reference (pre-optimization) scheduler implementations: the oracle.
 
-These are the straightforward implementations the fast path
-(:mod:`repro.fastpath`) replaced: full ready-list rescans per timestep
-in RCP and LPFS, per-width re-derivation in the coarse scheduler, and a
+These are the straightforward implementations the pipeline's kernels
+replaced: full ready-list rescans per timestep in RCP and LPFS,
+per-width re-derivation in the coarse scheduler, and a
 whole-memory-map eviction scan per timestep in movement derivation.
-They are kept verbatim — not as dead code, but as the executable
-specification the optimizations are measured and verified against:
+They are kept verbatim as the executable specification the kernels in
+``repro.core.dag`` and ``repro.sched`` are verified against: the
+differential battery (``tests/test_differential.py``) swaps them in
+with :func:`tests.oracle.reference_swapped` and asserts byte-identical
+``Schedule.to_dict()`` output on hundreds of generated programs and on
+every registry program.
 
-* the differential battery (``tests/test_differential.py``) asserts the
-  fast path produces *byte-identical* ``Schedule.to_dict()`` output on
-  hundreds of generated programs;
-* the ``perf`` harness (:mod:`repro.service.perf`) times the same
-  pinned grid through both pipelines and records the speedup in
-  ``BENCH_perf.json``.
-
-The one deliberate semantic change shared by both paths is RCP's
-deterministic tie-break: ``getMaxWeightSimdOpType`` historically kept
-whichever (region, gate-type) pair it *encountered first* at the
+The one deliberate semantic change shared by both implementations is
+RCP's deterministic tie-break: ``getMaxWeightSimdOpType`` historically
+kept whichever (region, gate-type) pair it *encountered first* at the
 maximum weight, which depended on ready-list arrival order. Both
 implementations now break weight ties by smallest gate name, then
 smallest region index (see ``_max_weight_simd_optype``).
 
-Nothing here is instrumented: the public entry points in
-:mod:`repro.sched.rcp` etc. dispatch to this module from inside their
-``schedule:*`` spans, so reference runs are measured under the same
-span names as fast runs.
+Nothing here is instrumented: swapped in, these functions run without
+the pipeline's ``schedule:*`` spans.
 """
 
 from __future__ import annotations
@@ -32,16 +27,22 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..arch.machine import (
+from repro.arch.machine import (
     GATE_CYCLES,
     MultiSIMD,
     epoch_cycles,
     split_epoch,
 )
-from ..arch.memory import MemoryMap
-from ..core.module import Module
-from ..core.operation import Operation, Statement
-from ..core.qubits import Qubit
+from repro.core.dag import DependenceDAG
+from repro.core.module import Module
+from repro.core.operation import Operation, Statement
+from repro.core.qubits import Qubit
+from repro.sched.coarse import CoarseResult, Placement
+from repro.sched.comm import CommStats
+from repro.sched.rcp import RCPWeights
+from repro.sched.types import Move, Schedule
+
+from .memory import MemoryMap
 
 __all__ = [
     "dag_edges_reference",
@@ -49,6 +50,7 @@ __all__ = [
     "schedule_lpfs_reference",
     "derive_movement_reference",
     "schedule_coarse_reference",
+    "coarse_length_profile_reference",
 ]
 
 
@@ -89,9 +91,6 @@ def dag_edges_reference(
 
 def schedule_rcp_reference(dag, k, d=None, weights=None):
     """Pre-optimization RCP: deque ready list, full rescans."""
-    from .rcp import RCPWeights
-    from .types import Schedule
-
     w = weights or RCPWeights()
     sched = Schedule(dag, k=k, d=d, algorithm="rcp")
     indeg = dag.indegrees()
@@ -196,8 +195,6 @@ def _extract_optype(
 def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
     """Pre-optimization LPFS: one shared deque, full rescans per
     region per timestep."""
-    from .types import Schedule
-
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
@@ -370,9 +367,6 @@ def _loc_label(loc: tuple) -> str:
 def derive_movement_reference(sched, machine: MultiSIMD):
     """Pre-optimization movement derivation: the eviction pass scans
     the whole memory map every timestep."""
-    from .comm import CommStats
-    from .types import Move
-
     for ts in sched.timesteps:
         ts.moves = []
 
@@ -484,9 +478,6 @@ def schedule_coarse_reference(
     """Pre-optimization coarse scheduling: rebuilds the statement DAG
     and every dims table on each call (the toolflow called this 2x per
     candidate width per module)."""
-    from ..core.dag import DependenceDAG
-    from .coarse import CoarseResult, Placement
-
     stmts = module.body
     if not stmts:
         return CoarseResult(module.name, k, 0, 0, [])
@@ -574,6 +565,23 @@ def schedule_coarse_reference(
     return CoarseResult(
         module.name, k, total_length, total_width, placements
     )
+
+
+def coarse_length_profile_reference(
+    module: Module,
+    callee_dims: Dict[str, Dict[int, int]],
+    widths: Sequence[int],
+    gate_cost: int = 1,
+    call_overhead: int = 0,
+) -> Dict[int, int]:
+    """Pre-optimization width profile: one full coarse schedule per
+    width in ``widths``."""
+    return {
+        w: schedule_coarse_reference(
+            module, callee_dims, w, gate_cost, call_overhead
+        ).total_length
+        for w in widths
+    }
 
 
 def _optimize_widths(

@@ -12,11 +12,11 @@ from repro.arch.machine import (
     NAIVE_FACTOR,
     TELEPORT_CYCLES,
 )
-from repro.arch.memory import MemoryMap, Scratchpad
 from repro.arch.teleport import EPRAccounting, teleportation_ops
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
 from repro.sim.statevector import Simulator
+from tests.oracle.memory import MemoryMap, Scratchpad
 
 
 class TestMultiSIMD:

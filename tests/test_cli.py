@@ -318,3 +318,69 @@ class TestBadMachineArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --window must be >= 0, got -5\n"
+
+    #: Every verb that takes ``--local-mem``.
+    LOCAL_MEM_VERBS = (
+        ["compile", "BF", "--json"],
+        ["execute", "BF"],
+        ["execute", "--stream", "missing.jsonl"],
+        ["bench", "BF", "--schedulers", "rcp", "-k", "2", "-o", ""],
+    )
+
+    @pytest.mark.parametrize("verb", LOCAL_MEM_VERBS, ids=" ".join)
+    def test_nan_local_mem_exits_two(self, verb, capsys):
+        # NaN passes a "< 0" test, and a NaN capacity reaches the JSON
+        # report as a bare NaN token, which is not JSON.
+        assert main(verb + ["--local-mem", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: local-memory capacity must be >= 0, got 'nan'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["execute", "BF", "-k", "2", "--epr-rate", "nan"],
+            ["execute", "--stream", "missing.jsonl", "--epr-rate", "nan"],
+            ["execute", "BF", "--topology", "line", "--cores", "2",
+             "--link-epr-rate", "nan"],
+            ["execute", "BF", "--banks", "2", "--channel-bw", "nan"],
+        ],
+        ids=" ".join,
+    )
+    def test_nan_rate_exits_two(self, argv, capsys):
+        # NaN passes a "<= 0" test, and a NaN rate fails in the engine
+        # with "cannot convert float NaN to integer".
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rate must be positive, got 'nan'\n"
+
+    def test_bench_nan_engine_rate_exits_two(self, capsys):
+        argv = ["bench", "BF", "--schedulers", "rcp", "-k", "2",
+                "--engine", "--epr-rate", "nan", "-o", ""]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: epr_rate must be positive or 'inf'\n"
+        )
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_bench_timeout_exits_two(self, value, capsys, monkeypatch):
+        # A non-positive or NaN timeout reports every job as timed out
+        # (exit 1), so it must be refused before any job runs.
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("repro.service.run_sweep", no_sweep)
+        argv = ["bench", "BF", "--schedulers", "rcp", "-k", "2", "-o", "",
+                f"--timeout={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --timeout must be a finite number > 0, "
+            f"got {float(value)}\n"
+        )

@@ -1,14 +1,16 @@
-"""Differential battery: the fast path vs the reference pipeline.
+"""Differential battery: the pipeline vs the ``tests/oracle/`` reference.
 
-The fast-path rewrites (:mod:`repro.core.dag`, :mod:`repro.sched.rcp`,
+The pipeline's kernels (:mod:`repro.core.dag`, :mod:`repro.sched.rcp`,
 :mod:`repro.sched.lpfs`, :mod:`repro.sched.comm`,
 :mod:`repro.sched.coarse`) promise **bit-identical** output to the
-pre-optimization implementations preserved in
-:mod:`repro.sched._reference`. This battery generates random programs
-with hypothesis and runs every scheduler through both pipelines
-(:func:`repro.fastpath.reference_pipeline` flips the dispatch), checking
+pre-optimization implementations kept in
+:mod:`tests.oracle.reference_sched`. This battery generates random
+programs with hypothesis and runs every scheduler through both
+(:func:`tests.oracle.reference_swapped` swaps the oracle in behind the
+same entry points), checking
 
-* byte-identical :func:`~repro.sched.report.schedule_to_dict` exports,
+* identical DAG edge lists and byte-identical
+  :func:`~repro.sched.report.schedule_to_dict` exports,
 * the Multi-SIMD execution invariants (dependence order, region count
   within ``k``, SIMD group width within ``d``, one gate type per group),
 * that the analytic runtime equals the engine's realized runtime under
@@ -39,7 +41,6 @@ from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
 from repro.engine import run_schedule
-from repro.fastpath import fast_path_enabled, reference_pipeline
 from repro.sched import (
     CoarseResult,
     coarse_length_profile,
@@ -53,6 +54,7 @@ from repro.sched import (
 from repro.sched.rcp import RCPWeights
 from repro.sched.report import _comm_to_dict
 from repro.toolflow import SchedulerConfig, compile_and_schedule
+from tests.oracle import reference_sched, reference_swapped
 
 N_QUBITS = 8
 QUBITS = [Qubit("q", i) for i in range(N_QUBITS)]
@@ -88,22 +90,26 @@ ks = st.integers(min_value=1, max_value=4)
 
 
 def both_pipelines(fn: Callable[[], str]):
-    """Run ``fn`` once on the fast path and once on the reference
-    pipeline; the callable must rebuild everything (including DAGs)
-    from scratch so both dispatch points are exercised."""
-    assert fast_path_enabled()
+    """Run ``fn`` once on the pipeline and once with the oracle swapped
+    in; the callable must rebuild everything (including DAGs) from
+    scratch so every swapped function is exercised."""
     fast = fn()
-    with reference_pipeline():
-        assert not fast_path_enabled()
+    with reference_swapped():
         ref = fn()
-    assert fast_path_enabled()
     return fast, ref
 
 
 def schedule_bytes(ops: List[Operation], schedule) -> bytes:
+    """The DAG's edge lists and the schedule's export, as one blob:
+    duplicate or misordered edges can leave a schedule unchanged."""
     dag = DependenceDAG(list(ops))
     return json.dumps(
-        schedule_to_dict(schedule(dag)), sort_keys=True
+        {
+            "preds": dag.preds,
+            "succs": dag.succs,
+            "schedule": schedule_to_dict(schedule(dag)),
+        },
+        sort_keys=True,
     ).encode()
 
 
@@ -346,3 +352,38 @@ def test_registry_matches_reference(key):
     for algorithm in ("rcp", "lpfs"):
         fast, ref = both_pipelines(lambda: run(algorithm))
         assert fast == ref, (key, algorithm)
+
+
+def test_oracle_is_live(monkeypatch):
+    """Compiling a registry program under the swap runs the oracle's
+    DAG edges, RCP, LPFS, movement and coarse profile, so a rename or
+    an import change cannot quietly turn this battery into
+    pipeline-vs-pipeline."""
+    calls = dict.fromkeys(
+        (
+            "dag_edges_reference",
+            "schedule_rcp_reference",
+            "schedule_lpfs_reference",
+            "derive_movement_reference",
+            "coarse_length_profile_reference",
+        ),
+        0,
+    )
+    for name in calls:
+
+        def counted(*args, _fn=getattr(reference_sched, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(reference_sched, name, counted)
+    spec = BENCHMARKS["BF"]
+    with reference_swapped():
+        for algorithm in ("rcp", "lpfs"):
+            compile_and_schedule(
+                spec.build(),
+                MultiSIMD(4, 4, local_memory=4),
+                SchedulerConfig(algorithm),
+                fth=spec.fth,
+            )
+    assert all(calls.values()), calls

@@ -269,13 +269,12 @@ class TestRCPTieBreak:
         assert dag.statements[first[0]].gate == "H"
 
     def test_tie_break_is_stable_across_pipelines(self):
-        from repro.fastpath import reference_pipeline
         from repro.sched.report import schedule_to_dict
+        from tests.oracle.reference_sched import schedule_rcp_reference
 
         for k in (1, 2, 3):
             fast = schedule_rcp(self._two_chain_dag(), k=k)
-            with reference_pipeline():
-                ref = schedule_rcp(self._two_chain_dag(), k=k)
+            ref = schedule_rcp_reference(self._two_chain_dag(), k=k)
             assert schedule_to_dict(fast) == schedule_to_dict(ref)
 
     def test_tie_break_independent_of_statement_order(self):

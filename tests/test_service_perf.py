@@ -20,6 +20,9 @@ from repro.service import (
 )
 from repro.service.perf import STAGE_FLOOR_S, _aggregate
 
+#: A plausible ``probe_s`` (the probe is about 1 ms of work).
+PROBE_S = 0.001
+
 
 def _outcome(label="BF|rcp", status="ok", compute_s=1.0, spans=None,
              rss=2048):
@@ -83,34 +86,28 @@ class TestPayload:
     def _fast(self):
         return _aggregate([_run([_outcome(compute_s=1.0)])])
 
-    def _ref(self):
-        return _aggregate([_run([_outcome(compute_s=2.0)])])
-
     def test_build_and_validate_round_trip(self):
-        payload = build_perf_payload(perf_grid(), 1, self._fast(),
-                                     self._ref())
-        assert payload["schema"] == PERF_SCHEMA
-        assert payload["speedup"] == pytest.approx(2.0)
+        payload = build_perf_payload(perf_grid(), 1, self._fast(), PROBE_S)
+        assert payload["schema"] == PERF_SCHEMA == "repro.bench-perf/3"
+        assert payload["probe_s"] == PROBE_S
+        assert "speedup" not in payload and "reference" not in payload
         assert validate_perf_payload(payload) == []
         # JSON round-trip stays valid (what CI reads back from disk).
         assert validate_perf_payload(json.loads(json.dumps(payload))) == []
 
-    def test_no_reference_means_no_speedup(self):
-        payload = build_perf_payload(None, 1, self._fast(), None)
-        assert payload["speedup"] is None
-        assert validate_perf_payload(payload) == []
-
-    def test_failed_jobs_suppress_speedup(self):
-        fast = self._fast()
-        fast["failed_jobs"] = ["BF|rcp"]
-        payload = build_perf_payload(None, 1, fast, self._ref())
-        assert payload["speedup"] is None
-
     def test_validator_flags_corruption(self):
-        payload = build_perf_payload(None, 1, self._fast(), self._ref())
+        payload = build_perf_payload(None, 1, self._fast(), PROBE_S)
         for mutate, fragment in [
             (lambda d: d.update(schema="bogus/9"), "schema"),
-            (lambda d: d.pop("speedup"), "speedup"),
+            # A /2 document has no probe: comparing against it at
+            # scale 1 would silently compare two machines.
+            (lambda d: d.update(schema="repro.bench-perf/2"), "schema"),
+            (lambda d: d.pop("probe_s"), "probe_s"),
+            (lambda d: d.update(probe_s=float("nan")), "probe_s"),
+            (lambda d: d.update(probe_s=float("inf")), "probe_s"),
+            (lambda d: d.update(probe_s=0.0), "probe_s"),
+            (lambda d: d.update(probe_s=-PROBE_S), "probe_s"),
+            (lambda d: d.update(probe_s="1ms"), "probe_s"),
             (lambda d: d["fast"].pop("stages"), "stages"),
             (
                 lambda d: d["fast"]["stages"].update(x={"calls": "one"}),
@@ -130,23 +127,18 @@ class TestPayload:
 
 
 class TestCompare:
-    def _doc(self, stage_s, total_s, ref_total=None):
-        doc = {
+    def _doc(self, stage_s, total_s, probe_s=PROBE_S):
+        return {
+            "probe_s": probe_s,
             "fast": {
                 "stages": {"schedule:rcp": {"calls": 1,
                                             "seconds": stage_s}},
                 "total_compute_s": total_s,
             },
-            "reference": (
-                {"total_compute_s": ref_total}
-                if ref_total is not None
-                else None
-            ),
         }
-        return doc
 
     def test_identical_documents_pass(self):
-        doc = self._doc(1.0, 1.0, ref_total=2.0)
+        doc = self._doc(1.0, 1.0)
         assert compare_perf_payloads(doc, doc) == []
 
     def test_stage_regression_flagged(self):
@@ -174,14 +166,16 @@ class TestCompare:
         cur = self._doc(STAGE_FLOOR_S * 10, STAGE_FLOOR_S / 2)
         assert compare_perf_payloads(cur, base) == []
 
-    def test_machine_scale_from_reference_totals(self):
-        # Current machine is 2x slower (reference total doubled): a 1.9x
+    def test_machine_scale_from_probe(self):
+        # Current machine is 2x slower (probe time doubled): a 1.9x
         # stage slowdown is within the rescaled budget, a 3x is not.
-        base = self._doc(1.0, 1.0, ref_total=10.0)
-        ok = self._doc(1.9, 1.9, ref_total=20.0)
-        bad = self._doc(3.0, 3.0, ref_total=20.0)
+        base = self._doc(1.0, 1.0, probe_s=PROBE_S)
+        ok = self._doc(1.9, 1.9, probe_s=2 * PROBE_S)
+        bad = self._doc(3.0, 3.0, probe_s=2 * PROBE_S)
         assert compare_perf_payloads(ok, base) == []
-        assert len(compare_perf_payloads(bad, base)) == 2
+        problems = compare_perf_payloads(bad, base)
+        assert len(problems) == 2
+        assert "machine scale 2.00" in problems[0]
 
     def test_stage_missing_from_current_is_not_a_regression(self):
         base = self._doc(1.0, 1.0)
@@ -194,6 +188,10 @@ class TestRunPerf:
     def test_rejects_bad_repeats(self):
         with pytest.raises(ValueError):
             run_perf(repeats=0)
+
+    def test_rejects_empty_job_list(self):
+        with pytest.raises(ValueError, match="at least one job"):
+            run_perf(jobs=[], include_scale=False)
 
     def test_tiny_real_run(self):
         # One real (small) job through the measurement loop, both
@@ -213,8 +211,7 @@ class TestRunPerf:
         assert validate_perf_payload(payload) == []
         assert payload["grid"] is None
         assert payload["fast"]["failed_jobs"] == []
-        assert payload["reference"]["failed_jobs"] == []
-        assert payload["speedup"] is not None
+        assert 0 < payload["probe_s"] < 1
         assert payload["fast"]["stages"], "no spans recorded"
         assert payload["fast"]["per_job"][0]["label"].startswith("BF")
         rows = payload["scale"]["jobs"]
@@ -223,10 +220,7 @@ class TestRunPerf:
 
     def test_no_scale_section(self):
         jobs = [JobSpec("BF", "rcp", k=2)]
-        payload = run_perf(
-            repeats=1, jobs=jobs, include_reference=False,
-            include_scale=False,
-        )
+        payload = run_perf(repeats=1, jobs=jobs, include_scale=False)
         assert payload["scale"] is None
         assert payload["streamed_overhead"] is None
         assert validate_perf_payload(payload) == []
@@ -255,6 +249,50 @@ class TestPerfCLI:
         assert main(["perf", "--baseline", str(bad)]) == 2
         assert "not a valid perf document" in capsys.readouterr().err
 
+    def test_probe_less_baseline_is_usage_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        # A /2 document measured the reference pipeline, not the probe:
+        # there is no machine scale to compare it at.
+        fast = _aggregate([_run([_outcome(compute_s=1.0)])])
+        old = build_perf_payload(None, 1, fast, PROBE_S)
+        old.update(schema="repro.bench-perf/2", reference=fast,
+                   speedup=1.0)
+        del old["probe_s"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(old))
+        monkeypatch.setattr("repro.service.run_perf", _no_grid)
+        assert main(["perf", "--baseline", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "not a valid perf document" in err
+        assert "probe_s" in err
+
+    @pytest.mark.parametrize("flag", ["--tolerance", "--memory-tolerance"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf"])
+    def test_bad_tolerance_is_usage_error(self, flag, value, tmp_path,
+                                          capsys, monkeypatch):
+        # NaN compares false against every budget, so the gate would
+        # pass anything; a negative tolerance flags every stage. Both
+        # must be refused before the grid runs.
+        fast = _aggregate([_run([_outcome(compute_s=1.0)])])
+        baseline = tmp_path / "base.json"
+        baseline.write_text(
+            json.dumps(build_perf_payload(None, 1, fast, PROBE_S))
+        )
+        monkeypatch.setattr("repro.service.run_perf", _no_grid)
+        argv = ["perf", "--baseline", str(baseline), f"{flag}={value}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {flag} must be a finite number >= 0, "
+            f"got {float(value)}\n"
+        )
+
+
+def _no_grid(*args, **kwargs):
+    raise AssertionError("the perf grid ran")
+
+
 def _scale_row(label, pipeline, mem=1000.0, interp=20000, status="ok"):
     return {
         "label": label,
@@ -280,7 +318,7 @@ class TestScaleValidator:
     def _payload(self, rows):
         fast = _aggregate([_run([_outcome(compute_s=1.0)])])
         return build_perf_payload(
-            None, 1, fast, None, scale=_scale_section(rows)
+            None, 1, fast, PROBE_S, scale=_scale_section(rows)
         )
 
     def test_valid_scale_section(self):
@@ -292,17 +330,9 @@ class TestScaleValidator:
         assert payload["schema"] == PERF_SCHEMA
         assert validate_perf_payload(payload) == []
 
-    def test_schema_v1_accepted_without_scale(self):
-        fast = _aggregate([_run([_outcome(compute_s=1.0)])])
-        payload = build_perf_payload(None, 1, fast, None)
-        payload["schema"] = "repro.bench-perf/1"
-        del payload["scale"]
-        del payload["streamed_overhead"]
-        assert validate_perf_payload(payload) == []
-
     def test_v2_requires_scale_key(self):
         fast = _aggregate([_run([_outcome(compute_s=1.0)])])
-        payload = build_perf_payload(None, 1, fast, None)
+        payload = build_perf_payload(None, 1, fast, PROBE_S)
         del payload["scale"]
         problems = validate_perf_payload(payload)
         assert any("'scale'" in p for p in problems)
@@ -332,8 +362,8 @@ class TestScaleValidator:
 class TestMemoryGate:
     def _doc(self, rows):
         return {
+            "probe_s": PROBE_S,
             "fast": {"stages": {}, "total_compute_s": 0.0},
-            "reference": None,
             "scale": _scale_section(rows),
         }
 
@@ -394,17 +424,6 @@ class TestMemoryGate:
                         "streamed", mem=5000.0)]
         )
         assert compare_perf_payloads(cur, base) == []
-
-    def test_v1_baseline_skips_memory_gate(self):
-        cur = self._doc(
-            [_scale_row("scale:adder@1000/streamed[w=8]", "streamed",
-                        mem=9999.0)]
-        )
-        v1_base = {
-            "fast": {"stages": {}, "total_compute_s": 0.0},
-            "reference": None,
-        }
-        assert compare_perf_payloads(cur, v1_base) == []
 
     def test_error_rows_skipped(self):
         label = "scale:adder@1000/streamed[w=8]"
