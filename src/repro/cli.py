@@ -27,8 +27,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro execute BF --fault-epr 0.1 --seed 7 --json
     python -m repro execute BF --topology line --cores 4 --link-bw 2
     python -m repro partition GSE --topology mesh --cores 4 -d 16
-    python -m repro serve --port 8787 --workers 2 --rate 50
-    python -m repro loadtest --spawn --storm 32 --distinct 8
     python -m repro cache-stats --format json
 
 Exit codes form a stable contract (tested in ``tests/test_cli.py``):
@@ -715,27 +713,26 @@ def _verify_stream_file(
 ) -> int:
     """``verify --stream FILE``: exported replay vs. direct execution."""
     from .passes.stream import leaf_stream
-    from .service.stream_io import stream_ops
+    from .sched.report import _parse_qubit
+    from .service.stream_io import ScheduleStreamError, stream_ops
     from .sim.reversible import verify_equivalent
 
     try:
         header, replay = stream_ops(args.stream)
     except FileNotFoundError:
         raise CLIError(f"stream file {args.stream!r} not found") from None
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    module = args.module or header.get("module") or prog.entry
+    except ScheduleStreamError as exc:
+        return _invalid_stream(args.stream, exc)
+    module = args.module or header["module"] or prog.entry
     if module not in prog:
         raise CLIError(
             f"stream header names module {module!r}, which the program "
             "does not contain (pass --module)"
         )
-    from .sched.report import _parse_qubit
-
     universe: Dict[Qubit, None] = {}
     for q in prog.module(module).qubits():
         universe.setdefault(q)
-    for name in header.get("qubits", ()):
+    for name in header["qubits"]:
         universe.setdefault(_parse_qubit(name))
     try:
         report = verify_equivalent(
@@ -745,11 +742,19 @@ def _verify_stream_file(
             label=f"{module} vs {args.stream}",
             **sweep,
         )
+    except ScheduleStreamError as exc:
+        return _invalid_stream(args.stream, exc)
     except KeyError as exc:
         raise CLIError(
             f"stream export and program disagree on qubit {exc}"
         ) from None
     return 0 if report_line(report) else EXIT_LINT
+
+
+def _invalid_stream(path: str, exc: Exception) -> int:
+    """Report unusable schedule-stream content (exit 4)."""
+    print(f"error: invalid schedule stream {path!r}: {exc}", file=sys.stderr)
+    return EXIT_SCHEDULE
 
 
 def _verify_spec_schedule(
@@ -1241,12 +1246,8 @@ def _execute_stream(args: argparse.Namespace) -> int:
     except EngineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(
-            f"error: invalid schedule stream {args.stream!r}: {exc}",
-            file=sys.stderr,
-        )
-        return EXIT_SCHEDULE
+    except (ValueError, KeyError) as exc:
+        return _invalid_stream(args.stream, exc)
 
     trace_events = None
     if args.trace and result.trace is not None:
@@ -1652,143 +1653,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import signal
-
-    from .server import ReproServer, ServerConfig
-    from .service import default_cache_dir
-
-    if args.workers < 1:
-        raise CLIError(f"--workers must be >= 1, got {args.workers}")
-    if args.queue_depth < 1:
-        raise CLIError(
-            f"--queue-depth must be >= 1, got {args.queue_depth}"
-        )
-    if args.rate is not None and args.rate <= 0:
-        raise CLIError(f"--rate must be positive, got {args.rate}")
-    if args.job_timeout is not None and args.job_timeout <= 0:
-        raise CLIError(
-            f"--job-timeout must be positive, got {args.job_timeout}"
-        )
-    cache_dir = (
-        None
-        if args.no_cache
-        else (args.cache_dir or str(default_cache_dir()))
-    )
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        rate=args.rate,
-        burst=args.burst,
-        job_timeout=args.job_timeout,
-        cache_dir=cache_dir,
-        use_cache=not args.no_cache,
-        drain_grace=args.drain_grace,
-        allow_delay=args.allow_delay,
-        stats_file=args.stats_file,
-    )
-
-    async def run() -> None:
-        server = ReproServer(config)
-        await server.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, server.request_drain)
-        print(
-            f"repro-server listening on "
-            f"http://{server.host}:{server.port}",
-            flush=True,
-        )
-        print(
-            f"  workers={config.workers} "
-            f"queue_depth={config.queue_depth} "
-            f"cache={'off' if cache_dir is None else cache_dir}",
-            flush=True,
-        )
-        await server.wait_done()
-
-    asyncio.run(run())
-    print("repro-server drained cleanly", flush=True)
-    return 0
-
-
-def _cmd_loadtest(args: argparse.Namespace) -> int:
-    from .server.loadtest import (
-        LoadTestConfig,
-        loadtest_with_spawn,
-        render_service_report,
-        run_loadtest,
-        validate_service_payload,
-    )
-
-    if args.benchmark not in BENCHMARKS:
-        raise CLIError(
-            f"unknown benchmark {args.benchmark!r} "
-            f"(have {', '.join(benchmark_names())})"
-        )
-    for name, value in (
-        ("--clients", args.clients),
-        ("--storm", args.storm),
-        ("--rounds", args.rounds),
-    ):
-        if value < 1:
-            raise CLIError(f"{name} must be >= 1, got {value}")
-    if args.distinct < 0:
-        raise CLIError(f"--distinct must be >= 0, got {args.distinct}")
-    config = LoadTestConfig(
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        storm=args.storm,
-        distinct=args.distinct,
-        rounds=args.rounds,
-        storm_request={
-            "source": args.benchmark,
-            "k": args.k,
-            "scheduler": args.scheduler,
-        },
-        tenant=args.tenant,
-        timeout=args.timeout,
-    )
-    if args.spawn or args.term_during_load:
-        serve_argv = ["--workers", str(args.workers)]
-        if args.cache_dir:
-            serve_argv += ["--cache-dir", args.cache_dir]
-        if args.no_cache:
-            serve_argv.append("--no-cache")
-        payload = loadtest_with_spawn(
-            config,
-            serve_argv,
-            term_during_load=args.term_during_load,
-        )
-    else:
-        payload = run_loadtest(config)
-    problems = validate_service_payload(payload)
-    for problem in problems:  # defensive; the harness emits valid docs
-        print(
-            f"warning: invalid service payload: {problem}",
-            file=sys.stderr,
-        )
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_service_report(payload))
-        if args.output:
-            print(f"wrote {args.output}")
-    drain = payload.get("drain") or {}
-    if payload["requests"]["errors"]:
-        return EXIT_LINT
-    if drain and (drain.get("exit_code") != 0 or drain.get("dropped")):
-        return EXIT_LINT
-    return 0
-
-
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     from .service import default_cache_dir, inspect_store
 
@@ -1811,31 +1675,6 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
             "" if version == report["pipeline_version"] else "  (stale)"
         )
         print(f"  {version:<24} {count:,}{marker}")
-    snapshot = report["snapshot"]
-    if snapshot is None:
-        print("counters:          no snapshot "
-              "(written on server drain)")
-        return 0
-    stats = snapshot["stats"]
-    print(f"counters (snapshot from unix {snapshot['written_unix']:.0f}):")
-    print(f"  memory hits      {stats['memory_hits']:,}")
-    print(f"  disk hits        {stats['disk_hits']:,}")
-    print(f"  misses           {stats['misses']:,}")
-    print(f"  evictions        {stats['evictions']:,}")
-    print(f"  stores           {stats['stores']:,}")
-    print(f"  hit rate         {stats['hit_rate']:.1%}")
-    server = (snapshot.get("extra") or {}).get("server")
-    if server:
-        jobs = server.get("jobs", {})
-        coalesce = server.get("coalesce", {})
-        print("last server run:")
-        print(f"  jobs submitted   {jobs.get('submitted', 0):,}")
-        print(f"  coalesced        {coalesce.get('coalesced', 0):,}")
-        print(f"  cache served     {coalesce.get('cache_served', 0):,}")
-        print(
-            f"  amortized rate   "
-            f"{coalesce.get('amortized_rate', 0.0):.1%}"
-        )
     return 0
 
 
@@ -2451,162 +2290,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format (default text)",
     )
     p_pt.set_defaults(fn=_cmd_partition)
-
-    p_s = sub.add_parser(
-        "serve",
-        help="run the compile daemon (HTTP/JSON on asyncio)",
-    )
-    p_s.add_argument(
-        "--host", default="127.0.0.1", help="bind address"
-    )
-    p_s.add_argument(
-        "--port", type=int, default=8787,
-        help="bind port; 0 picks an ephemeral port (default 8787)",
-    )
-    p_s.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="warm worker processes (default 2)",
-    )
-    p_s.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
-        help=(
-            "max admitted-but-unfinished jobs before new work gets "
-            "429 (default 64)"
-        ),
-    )
-    p_s.add_argument(
-        "--rate", type=float, default=None, metavar="R",
-        help=(
-            "per-tenant admission rate in requests/second "
-            "(default unlimited)"
-        ),
-    )
-    p_s.add_argument(
-        "--burst", type=float, default=None, metavar="B",
-        help="per-tenant burst size (default max(1, 2*rate))",
-    )
-    p_s.add_argument(
-        "--job-timeout", type=float, default=None, metavar="S",
-        help=(
-            "per-job wall-clock limit; the worker is recycled on "
-            "breach (default none)"
-        ),
-    )
-    p_s.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "artifact store directory (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_s.add_argument(
-        "--no-cache", action="store_true",
-        help="compute every request fresh (coalescing still applies)",
-    )
-    p_s.add_argument(
-        "--drain-grace", type=float, default=30.0, metavar="S",
-        help=(
-            "seconds to let in-flight jobs finish on SIGTERM "
-            "(default 30)"
-        ),
-    )
-    p_s.add_argument(
-        "--allow-delay", action="store_true",
-        help=(
-            "honor the 'delay_s' request field (testing hook; keep "
-            "off in production)"
-        ),
-    )
-    p_s.add_argument(
-        "--stats-file", default=None, metavar="FILE",
-        help="also write the final stats snapshot to this path",
-    )
-    p_s.set_defaults(fn=_cmd_serve)
-
-    p_lt = sub.add_parser(
-        "loadtest",
-        help="drive concurrent clients against the compile daemon",
-    )
-    p_lt.add_argument(
-        "--host", default="127.0.0.1", help="daemon address"
-    )
-    p_lt.add_argument(
-        "--port", type=int, default=8787, help="daemon port"
-    )
-    p_lt.add_argument(
-        "--spawn", action="store_true",
-        help=(
-            "spawn a daemon on an ephemeral port for the duration of "
-            "the test (ignores --host/--port)"
-        ),
-    )
-    p_lt.add_argument(
-        "--term-during-load", action="store_true",
-        help=(
-            "with --spawn: SIGTERM the daemon while requests are in "
-            "flight and verify the drain completes them (exit 1 on "
-            "drops or a non-zero daemon exit)"
-        ),
-    )
-    p_lt.add_argument(
-        "--clients", type=int, default=8, metavar="N",
-        help="concurrent client coroutines (default 8)",
-    )
-    p_lt.add_argument(
-        "--storm", type=int, default=32, metavar="N",
-        help="identical requests per round (default 32)",
-    )
-    p_lt.add_argument(
-        "--distinct", type=int, default=8, metavar="N",
-        help="distinct requests per round (default 8)",
-    )
-    p_lt.add_argument(
-        "--rounds", type=int, default=1, metavar="N",
-        help="rounds of the mix (default 1)",
-    )
-    p_lt.add_argument(
-        "--benchmark", default="BF",
-        help="storm benchmark key (default BF)",
-    )
-    p_lt.add_argument(
-        "-k", type=int, default=4, help="storm SIMD regions"
-    )
-    p_lt.add_argument(
-        "--scheduler", choices=("sequential", "rcp", "lpfs"),
-        default="lpfs",
-    )
-    p_lt.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker count for the spawned daemon (default 2)",
-    )
-    p_lt.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="cache directory for the spawned daemon",
-    )
-    p_lt.add_argument(
-        "--no-cache", action="store_true",
-        help="spawn the daemon with caching off",
-    )
-    p_lt.add_argument(
-        "--tenant", default=None,
-        help="X-Tenant header value for every request",
-    )
-    p_lt.add_argument(
-        "--timeout", type=float, default=120.0, metavar="S",
-        help="per-request client timeout (default 120)",
-    )
-    p_lt.add_argument(
-        "-o", "--output", default="BENCH_service.json",
-        help=(
-            "service report path (default BENCH_service.json; '' to "
-            "skip)"
-        ),
-    )
-    p_lt.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout format (default text)",
-    )
-    p_lt.set_defaults(fn=_cmd_loadtest)
 
     p_cs = sub.add_parser(
         "cache-stats",

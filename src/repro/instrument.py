@@ -9,9 +9,9 @@ code knowing anything about benchmarking. This module provides that as
 
 Design constraints:
 
-* **near-zero cost when idle** — ``span()`` checks a module-level list
-  and yields immediately when no recorder is active, so ordinary
-  library use pays one ``if`` per instrumented call;
+* **near-zero cost when idle** — ``span()`` checks the module-level
+  list of active recorders and yields immediately when it is empty,
+  so ordinary library use pays one ``if`` per instrumented call;
 * **no global state leaks** — recorders are scoped with
   :func:`record_spans`; nesting is allowed and every active recorder
   sees every span (spans may overlap: ``toolflow:schedule`` contains
@@ -48,9 +48,6 @@ __all__ = [
     "span",
     "spanned",
     "record_spans",
-    "add_span_listener",
-    "remove_span_listener",
-    "subscribe_spans",
 ]
 
 F = TypeVar("F", bound=Callable)
@@ -59,13 +56,6 @@ F = TypeVar("F", bound=Callable)
 #: the pipeline is single-threaded within a process, and sweep workers
 #: are separate *processes* with their own copy of this list.
 _ACTIVE: List["SpanRecorder"] = []
-
-#: Live span listeners: callables invoked as ``fn(name, seconds)`` the
-#: moment a span closes. Unlike recorders (which aggregate), listeners
-#: see individual span completions in order — the server's worker
-#: processes use this to stream ``pass:*``/``schedule:*`` progress to
-#: watching clients while a compile is still running.
-_LISTENERS: List[Callable[[str, float], None]] = []
 
 
 @dataclass
@@ -125,10 +115,10 @@ class SpanRecorder:
 def span(name: str) -> Iterator[None]:
     """Time a section against every active recorder.
 
-    A no-op (single list check) when no :func:`record_spans` scope or
-    span listener is active.
+    A no-op (single list check) when no :func:`record_spans` scope is
+    active.
     """
-    if not _ACTIVE and not _LISTENERS:
+    if not _ACTIVE:
         yield
         return
     start = time.perf_counter()
@@ -138,13 +128,6 @@ def span(name: str) -> Iterator[None]:
         elapsed = time.perf_counter() - start
         for rec in _ACTIVE:
             rec.add(name, elapsed)
-        for fn in list(_LISTENERS):
-            try:
-                fn(name, elapsed)
-            except Exception:  # noqa: BLE001
-                # A broken listener (e.g. a progress pipe that went
-                # away) must never take down the compile it observes.
-                pass
 
 
 def spanned(name: str) -> Callable[[F], F]:
@@ -159,31 +142,6 @@ def spanned(name: str) -> Callable[[F], F]:
         return wrapper  # type: ignore[return-value]
 
     return decorate
-
-
-def add_span_listener(fn: Callable[[str, float], None]) -> None:
-    """Register ``fn(name, seconds)`` to fire as each span closes."""
-    _LISTENERS.append(fn)
-
-
-def remove_span_listener(fn: Callable[[str, float], None]) -> None:
-    """Unregister a listener (no-op when not registered)."""
-    try:
-        _LISTENERS.remove(fn)
-    except ValueError:
-        pass
-
-
-@contextmanager
-def subscribe_spans(
-    fn: Callable[[str, float], None],
-) -> Iterator[None]:
-    """Scope a span listener to the enclosed block."""
-    add_span_listener(fn)
-    try:
-        yield
-    finally:
-        remove_span_listener(fn)
 
 
 @contextmanager

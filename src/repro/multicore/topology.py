@@ -14,8 +14,7 @@ pairs — one per link — and needs ``h`` swap-teleport rounds unless
 links pipeline, see :mod:`repro.multicore.makespan`).
 
 The graph round-trips through a schema-versioned dict
-(``repro.core-graph/1``) so sweeps and the daemon can carry it in
-JSON documents.
+(``repro.core-graph/1``) so sweeps can carry it in JSON documents.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ __all__ = [
 #: Version tag of the CoreGraph dict layout.
 TOPOLOGY_SCHEMA = "repro.core-graph/1"
 
-#: Named factory topologies accepted by the CLI / sweep / daemon.
+#: Named factory topologies accepted by the CLI and sweeps.
 TOPOLOGIES = ("line", "ring", "mesh", "all-to-all")
 
 
@@ -296,7 +295,7 @@ def _shortest_path(graph: CoreGraph, a: int, b: int) -> Tuple[Link, ...]:
 def parse_topology(
     name: str, cores: int, link_bw: float = 1.0
 ) -> CoreGraph:
-    """Build a named topology from CLI/sweep/daemon spellings.
+    """Build a named topology from CLI/sweep spellings.
 
     Accepts the names in :data:`TOPOLOGIES` (``all_to_all`` is
     tolerated as an alias of ``all-to-all``).

@@ -47,14 +47,11 @@ from .stream_io import (
 )
 from .store import (
     ARTIFACT_SCHEMA,
-    STATS_SNAPSHOT_SCHEMA,
     ArtifactStore,
     CacheStats,
     LRUCache,
     default_cache_dir,
     inspect_store,
-    read_stats_snapshot,
-    write_stats_snapshot,
 )
 from .sweep import (
     ACCEPTED_SCHEMAS,
@@ -78,7 +75,6 @@ __all__ = [
     "LRUCache",
     "PERF_SCHEMA",
     "PIPELINE_VERSION",
-    "STATS_SNAPSHOT_SCHEMA",
     "STREAM_SCHEMA",
     "SWEEP_SCHEMA",
     "ServiceEntry",
@@ -100,7 +96,6 @@ __all__ = [
     "perf_grid",
     "perf_worker",
     "read_schedule_stream",
-    "read_stats_snapshot",
     "record_spans",
     "run_perf",
     "run_scale_perf",
@@ -110,5 +105,4 @@ __all__ = [
     "validate_perf_payload",
     "validate_schedule_stream",
     "write_schedule_stream",
-    "write_stats_snapshot",
 ]

@@ -91,6 +91,11 @@ def _rehydrate_schedules(store: ArtifactStore, fp: str, result) -> None:
 class CompileService:
     """Content-addressed compile cache over the full toolflow.
 
+    :meth:`lookup` serves a request through the memory tier, then the
+    disk tier, then a fresh compute; a stale or corrupt artifact counts
+    as a miss and is recomputed. :meth:`compile` returns just the
+    result. Both tiers share one :class:`CacheStats`.
+
     Args:
         cache_dir: artifact store directory; ``None`` disables the disk
             tier (memory LRU only).
@@ -131,47 +136,6 @@ class CompileService:
         self.memory.clear()
         if self.store is not None:
             self.store.clear()
-
-    def peek(self, fingerprint: str) -> Optional[ServiceEntry]:
-        """Cache-only lookup by fingerprint: memory, then disk.
-
-        Never computes — the server's admission path uses this to
-        serve completed work straight from the content-addressed store
-        without occupying a worker. Hits count toward the shared
-        stats; a miss counts as a miss (the subsequent compute happens
-        elsewhere, typically in a pool worker).
-        """
-        entry = self.memory.get(fingerprint)
-        if entry is not None:
-            self.stats.memory_hits += 1
-            return ServiceEntry(
-                result=entry["result"],
-                fingerprint=fingerprint,
-                cached="memory",
-                elapsed_s=entry["elapsed_s"],
-                spans=entry["spans"],
-            )
-        if self.store is not None:
-            payload = self.store.load(fingerprint)
-            if payload is not None:
-                self.stats.disk_hits += 1
-                result = compile_result_from_dict(payload["result"])
-                _rehydrate_schedules(self.store, fingerprint, result)
-                entry = {
-                    "result": result,
-                    "elapsed_s": payload.get("elapsed_s", 0.0),
-                    "spans": payload.get("spans", {}),
-                }
-                self.memory.put(fingerprint, entry)
-                return ServiceEntry(
-                    result=result,
-                    fingerprint=fingerprint,
-                    cached="disk",
-                    elapsed_s=entry["elapsed_s"],
-                    spans=entry["spans"],
-                )
-        self.stats.misses += 1
-        return None
 
     # -- the service call ----------------------------------------------
 

@@ -10,7 +10,9 @@ fingerprint can never leave a torn artifact.
 Every artifact embeds the pipeline version it was produced under;
 :meth:`ArtifactStore.load` refuses (and deletes) artifacts from any
 other version — stale results can never be served after a behavioural
-change.
+change. A corrupt artifact (undecodable, not a JSON object, or missing
+its body) is refused and deleted the same way, so it reads as one miss
+instead of failing every run that touches it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import gzip
 import json
 import os
 import threading
-import time
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,24 +31,15 @@ from ..core.canonical import PIPELINE_VERSION
 
 __all__ = [
     "ARTIFACT_SCHEMA",
-    "STATS_SNAPSHOT_SCHEMA",
     "ArtifactStore",
     "CacheStats",
     "LRUCache",
     "default_cache_dir",
     "inspect_store",
-    "read_stats_snapshot",
-    "write_stats_snapshot",
 ]
 
 #: Version tag of the artifact JSON layout itself.
 ARTIFACT_SCHEMA = "repro.artifact/1"
-
-#: Version tag of the persisted cache-counter snapshot layout.
-STATS_SNAPSHOT_SCHEMA = "repro.cache-stats/1"
-
-#: Snapshot filename inside a cache directory.
-_STATS_SNAPSHOT_NAME = "stats.json"
 
 
 def default_cache_dir() -> Path:
@@ -98,11 +91,10 @@ class CacheStats:
 class LRUCache:
     """A bounded least-recently-used mapping (fingerprint -> object).
 
-    Thread-safe: every operation holds an internal lock, so concurrent
-    readers/writers (e.g. the server's event loop racing a drain-time
-    stats flush, or threaded test harnesses) can never observe a
-    half-applied recency update or evict the same entry twice. The
-    lock is re-entrant so ``stats`` callbacks can safely re-enter.
+    Thread-safe: every operation holds an internal lock, so threads
+    sharing one cache can never observe a half-applied recency update
+    or evict the same entry twice. The lock is re-entrant so ``stats``
+    callbacks can safely re-enter.
     """
 
     max_entries: int = 128
@@ -142,6 +134,15 @@ class LRUCache:
     def __contains__(self, key: str) -> bool:
         with self._lock:
             return key in self._entries
+
+
+def _envelope_body(doc: Any, key: str) -> Optional[Dict[str, Any]]:
+    """``doc[key]`` when ``doc`` is an envelope whose ``key`` holds an
+    object, else ``None`` (the document is corrupt)."""
+    if not isinstance(doc, dict):
+        return None
+    body = doc.get(key)
+    return body if isinstance(body, dict) else None
 
 
 class ArtifactStore:
@@ -209,22 +210,15 @@ class ArtifactStore:
                 doc = json.loads(fh.read())
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError, EOFError):
+        except (OSError, EOFError, ValueError, zlib.error):
+            doc = None
+        schedules = self._current_body(doc, "schedules")
+        if schedules is None:
             try:
                 path.unlink()
             except FileNotFoundError:
                 pass
-            return None
-        if (
-            doc.get("schema") != ARTIFACT_SCHEMA
-            or doc.get("pipeline_version") != self.pipeline_version
-        ):
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                pass
-            return None
-        return doc["schedules"]
+        return schedules
 
     def save(self, fingerprint: str, payload: Dict[str, Any]) -> Path:
         """Atomically persist ``payload`` under ``fingerprint``.
@@ -246,29 +240,38 @@ class ArtifactStore:
         self.stats.stores += 1
         return path
 
+    def _current_body(self, doc: Any, key: str) -> Optional[Dict[str, Any]]:
+        """``doc[key]`` when ``doc`` is an intact envelope of the
+        current artifact schema and pipeline version, else ``None``."""
+        body = _envelope_body(doc, key)
+        if (
+            body is None
+            or doc.get("schema") != ARTIFACT_SCHEMA
+            or doc.get("pipeline_version") != self.pipeline_version
+        ):
+            return None
+        return body
+
     def load(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The stored payload, or ``None`` on miss / stale version.
 
         Artifacts whose envelope doesn't match the current artifact
         schema and pipeline version are deleted (explicit invalidation
         on code-version change) and counted in
-        ``stats.invalidations``.
+        ``stats.invalidations``; so are corrupt ones (undecodable, not
+        a JSON object, or without an object ``payload``).
         """
         path = self._path(fingerprint)
         try:
             doc = json.loads(path.read_text())
         except FileNotFoundError:
             return None
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            doc = None
+        payload = self._current_body(doc, "payload")
+        if payload is None:
             self.invalidate(fingerprint)
-            return None
-        if (
-            doc.get("schema") != ARTIFACT_SCHEMA
-            or doc.get("pipeline_version") != self.pipeline_version
-        ):
-            self.invalidate(fingerprint)
-            return None
-        return doc["payload"]
+        return payload
 
     def invalidate(self, fingerprint: str) -> None:
         """Delete one artifact and its schedule sidecar (no-op when
@@ -308,49 +311,6 @@ class ArtifactStore:
 # -- operator surfaces --------------------------------------------------
 
 
-def write_stats_snapshot(
-    root: Path,
-    stats: CacheStats,
-    extra: Optional[Dict[str, Any]] = None,
-) -> Path:
-    """Atomically persist a counter snapshot into a cache directory.
-
-    The server writes one on graceful drain (and ``repro bench`` could
-    do the same) so ``repro cache-stats`` can report the hit/miss
-    profile of the last run without talking to a live process.
-    """
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    path = root / _STATS_SNAPSHOT_NAME
-    doc = {
-        "schema": STATS_SNAPSHOT_SCHEMA,
-        "pipeline_version": PIPELINE_VERSION,
-        "written_unix": time.time(),
-        "stats": stats.to_dict(),
-        **({"extra": extra} if extra else {}),
-    }
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(doc, indent=2))
-    os.replace(tmp, path)
-    return path
-
-
-def read_stats_snapshot(root: Path) -> Optional[Dict[str, Any]]:
-    """The last persisted counter snapshot, or ``None``.
-
-    Unreadable or wrong-schema snapshots read as ``None`` (the verb
-    degrades to disk-only inspection rather than failing).
-    """
-    path = Path(root) / _STATS_SNAPSHOT_NAME
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != STATS_SNAPSHOT_SCHEMA:
-        return None
-    return doc
-
-
 def inspect_store(
     root: Path,
     pipeline_version: str = PIPELINE_VERSION,
@@ -359,7 +319,8 @@ def inspect_store(
 
     Returns a JSON-safe report: artifact/shard counts, total bytes,
     artifacts grouped by pipeline version, and how many are stale
-    (i.e. would be invalidated on their next load). Missing or empty
+    (i.e. would be invalidated on their next load). Corrupt artifacts
+    count as both unreadable and stale. Missing or empty
     directories report zero artifacts rather than erroring, so the
     ``cache-stats`` verb is safe to point at a fresh checkout.
     """
@@ -374,7 +335,6 @@ def inspect_store(
         "total_bytes": 0,
         "shards": 0,
         "by_pipeline_version": {},
-        "snapshot": read_stats_snapshot(root),
     }
     if not root.is_dir():
         return report
@@ -386,7 +346,9 @@ def inspect_store(
         try:
             report["total_bytes"] += path.stat().st_size
             doc = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):
+            doc = None
+        if _envelope_body(doc, "payload") is None:
             report["unreadable_artifacts"] += 1
             report["stale_artifacts"] += 1
             continue

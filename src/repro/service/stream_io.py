@@ -22,6 +22,10 @@ execution engine, so neither side ever holds more than one epoch:
 Files ending in ``.gz`` are transparently gzip-compressed (the CI
 artifact form). Small files can be inflated back to a boxed
 :class:`~repro.sched.types.Schedule` for the differential battery.
+
+The reader trusts nothing: every id, region and location is checked
+against the header, and any malformed line raises
+:class:`ScheduleStreamError` naming its line number.
 """
 
 from __future__ import annotations
@@ -32,10 +36,16 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD
 from ..core.dag import DependenceDAG
+from ..core.gates import GATES
 from ..core.operation import Operation
 from ..core.qubits import Qubit
 from ..sched.comm import CommStats
-from ..sched.report import _comm_from_dict, _comm_to_dict, _qubit_name
+from ..sched.report import (
+    _comm_from_dict,
+    _comm_to_dict,
+    _parse_qubit,
+    _qubit_name,
+)
 from ..sched.stream import (
     StreamColumns,
     StreamedSchedule,
@@ -45,6 +55,7 @@ from ..sched.types import Move, Schedule
 
 __all__ = [
     "STREAM_SCHEMA",
+    "ScheduleStreamError",
     "write_schedule_stream",
     "read_schedule_stream",
     "stream_ops",
@@ -55,6 +66,35 @@ __all__ = [
 
 STREAM_SCHEMA = "repro.schedule-stream/1"
 
+#: Header fields the readers rely on.
+_HEADER_FIELDS = (
+    "module", "algorithm", "k", "d", "op_count", "length", "qubits", "gates"
+)
+
+
+class ScheduleStreamError(ValueError):
+    """Malformed stream content; the message starts with ``line N:``."""
+
+
+class _Table(dict):
+    """A lookup table whose misses raise a ``ValueError`` naming the
+    key (a negative or out-of-range id never wraps around)."""
+
+    def __init__(self, items, what: str) -> None:
+        super().__init__(items)
+        self.what = what
+
+    def __missing__(self, key):
+        raise ValueError(f"{json.dumps(key)} is not {self.what}")
+
+
+def _reason(exc: Exception) -> str:
+    if isinstance(exc, json.JSONDecodeError):
+        return f"invalid JSON at column {exc.colno}: {exc.msg}"
+    if isinstance(exc, KeyError):
+        return f"missing field {exc}"
+    return str(exc)
+
 
 def _open(path: str, mode: str):
     if path.endswith(".gz"):
@@ -64,10 +104,6 @@ def _open(path: str, mode: str):
 
 def _loc_to_json(loc: tuple) -> List[Any]:
     return list(loc)
-
-
-def _loc_from_json(loc: List[Any]) -> tuple:
-    return tuple(loc)
 
 
 def write_schedule_stream(
@@ -167,6 +203,34 @@ class StreamEpoch:
         self.regions = regions
 
 
+def _read_header(fh) -> Dict[str, Any]:
+    """Decode and check line 1 (raises ``ValueError``)."""
+    header = json.loads(fh.readline())
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    if header.get("schema") != STREAM_SCHEMA:
+        raise ValueError(
+            f"not a {STREAM_SCHEMA} file: {header.get('schema')!r}"
+        )
+    missing = [f for f in _HEADER_FIELDS if f not in header]
+    if missing:
+        raise ValueError(f"header lacks {', '.join(missing)}")
+    k = header["k"]
+    if type(k) is not int or k < 1:
+        raise ValueError(f"header k={k!r} is not a positive integer")
+    names = header["qubits"]
+    if not isinstance(names, list) or not all(
+        isinstance(name, str) for name in names
+    ):
+        raise ValueError("header qubits is not a list of qubit names")
+    if not isinstance(header["gates"], list):
+        raise ValueError("header gates is not a list of gate names")
+    for gate in header["gates"]:
+        if not isinstance(gate, str) or gate not in GATES:
+            raise ValueError(f"header names unknown gate {gate!r}")
+    return header
+
+
 def read_schedule_stream(
     path: str,
 ) -> Tuple[Dict[str, Any], Iterator[StreamEpoch], List[Optional[CommStats]]]:
@@ -176,63 +240,99 @@ def read_schedule_stream(
     it is exhausted, ``footer_box[0]`` holds the footer's
     :class:`CommStats` (None until then, and a missing footer raises —
     a truncated file never passes silently).
+
+    Raises:
+        ScheduleStreamError: from this call for a bad header, from the
+            iterator for a bad line — an undecodable line, an id the
+            header does not declare, a region outside ``0 <= r < k``,
+            a location other than ``global``/``region r``/``local r``,
+            or a missing footer.
     """
     fh = _open(path, "r")
-    header = json.loads(fh.readline())
-    if header.get("schema") != STREAM_SCHEMA:
-        fh.close()
-        raise ValueError(
-            f"not a {STREAM_SCHEMA} file: {header.get('schema')!r}"
+    try:
+        header = _read_header(fh)
+        qubits = _Table(
+            enumerate(map(_parse_qubit, header["qubits"])),
+            f"a qubit id (the header declares {len(header['qubits'])})",
         )
-    from ..sched.report import _parse_qubit
-
-    qubits = [_parse_qubit(name) for name in header["qubits"]]
-    gates = header["gates"]
+    except (EOFError, OSError, ValueError) as exc:
+        fh.close()
+        raise ScheduleStreamError(f"line 1: {_reason(exc)}") from None
+    gates = _Table(
+        enumerate(header["gates"]),
+        f"a gate id (the header declares {len(header['gates'])})",
+    )
+    k = header["k"]
+    region_ids = range(k)
+    locations = _Table(
+        [(("global",), ("global",))]
+        + [((kind, r), (kind, r)) for kind in ("region", "local")
+           for r in region_ids],
+        f"a location (global, region r or local r with 0 <= r < {k})",
+    )
     footer_box: List[Optional[CommStats]] = [None]
 
     def epochs() -> Iterator[StreamEpoch]:
+        seen = 0
+        lineno = 1
         try:
-            expected = header["length"]
-            seen = 0
-            for line in fh:
-                data = json.loads(line)
-                if "comm" in data:
-                    if data.get("timesteps") != seen:
+            while True:
+                lineno += 1
+                try:
+                    line = fh.readline()
+                    if not line:
                         raise ValueError(
-                            f"stream footer says {data.get('timesteps')} "
-                            f"timesteps, read {seen}"
+                            "stream truncated: no footer after "
+                            f"{seen}/{header['length']} timesteps"
                         )
-                    footer_box[0] = _comm_from_dict(data["comm"])
-                    return
-                moves = [
-                    Move(
-                        qubits[qid],
-                        _loc_from_json(src),
-                        _loc_from_json(dst),
-                        kind,
-                    )
-                    for qid, src, dst, kind in data["moves"]
-                ]
-                regions: List[Tuple[int, List[Tuple[int, Operation]]]] = []
-                for r, ops in data["regions"]:
-                    boxed = [
-                        (
-                            entry[0],
-                            Operation(
-                                gates[entry[1]],
-                                tuple(qubits[q] for q in entry[2]),
-                                entry[3] if len(entry) > 3 else None,
-                            ),
+                    data = json.loads(line)
+                    if not isinstance(data, dict):
+                        raise ValueError("line is not a JSON object")
+                    if "comm" in data:
+                        if data.get("timesteps") != seen:
+                            raise ValueError(
+                                "stream footer says "
+                                f"{data.get('timesteps')} timesteps, "
+                                f"read {seen}"
+                            )
+                        footer_box[0] = _comm_from_dict(data["comm"])
+                        return
+                    moves = [
+                        Move(
+                            qubits[qid],
+                            locations[tuple(src)],
+                            locations[tuple(dst)],
+                            kind,
                         )
-                        for entry in ops
+                        for qid, src, dst, kind in data["moves"]
                     ]
-                    regions.append((r, boxed))
-                yield StreamEpoch(data["t"], moves, regions)
+                    regions: List[Tuple[int, List[Tuple[int, Operation]]]] = []
+                    for r, ops in data["regions"]:
+                        if r not in region_ids:
+                            raise ValueError(
+                                f"region {r!r} is out of range for k={k}"
+                            )
+                        boxed = [
+                            (
+                                entry[0],
+                                Operation(
+                                    gates[entry[1]],
+                                    tuple([qubits[q] for q in entry[2]]),
+                                    entry[3] if len(entry) > 3 else None,
+                                ),
+                            )
+                            for entry in ops
+                        ]
+                        regions.append((r, boxed))
+                    epoch = StreamEpoch(data["t"], moves, regions)
+                except (
+                    EOFError, LookupError, OSError, TypeError, ValueError
+                ) as exc:
+                    raise ScheduleStreamError(
+                        f"line {lineno}: {_reason(exc)}"
+                    ) from None
+                yield epoch
                 seen += 1
-            raise ValueError(
-                f"stream truncated: no footer after {seen}/{expected} "
-                "timesteps"
-            )
         finally:
             fh.close()
 

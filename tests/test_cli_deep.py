@@ -90,6 +90,24 @@ class TestDeepJson:
         assert stats["misses"] == 0
         assert doc["deep"]["sources"][CLEAN]["compile_cached"]
 
+    def test_corrupt_cache_recomputes_then_hits(self, capsys, tmp_path):
+        cache = tmp_path / "cache"
+        argv = (CLEAN, "--deep", "--format", "json")
+        assert run_lint(*argv, cache_dir=cache) == 0
+        corrupted = list(cache.rglob("*.json"))
+        assert any(p.parent.parent.name == "summaries" for p in corrupted)
+        for path in corrupted:
+            path.write_text("42")
+        capsys.readouterr()
+        assert run_lint(*argv, cache_dir=cache) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["deep"]["summary_cache"]["hits"] == 0
+        assert not doc["deep"]["sources"][CLEAN]["compile_cached"]
+        assert run_lint(*argv, cache_dir=cache) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["deep"]["summary_cache"]["misses"] == 0
+        assert doc["deep"]["sources"][CLEAN]["compile_cached"]
+
     def test_machine_flags_flow_through(self, capsys):
         # A (1,4) machine can't trigger the width-overprovision rule.
         ql501 = str(DEEP_CORPUS / "ql501_width_overprovision.scd")

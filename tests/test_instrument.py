@@ -85,68 +85,3 @@ class TestToolflowSpans:
         assert "comm:derive_movement" in names
         assert "schedule:lpfs" in names
 
-
-class TestSpanListeners:
-    def test_listener_fires_per_span_close(self):
-        from repro.instrument import subscribe_spans
-
-        seen = []
-        with subscribe_spans(lambda name, s: seen.append((name, s))):
-            with span("outer"):
-                with span("inner"):
-                    pass
-        assert [name for name, _ in seen] == ["inner", "outer"]
-        assert all(s >= 0 for _, s in seen)
-
-    def test_listener_unsubscribed_after_scope(self):
-        from repro.instrument import subscribe_spans
-
-        seen = []
-        with subscribe_spans(lambda name, s: seen.append(name)):
-            with span("during"):
-                pass
-        with span("after"):
-            pass
-        assert seen == ["during"]
-
-    def test_listener_coexists_with_recorder(self):
-        from repro.instrument import subscribe_spans
-
-        seen = []
-        with subscribe_spans(lambda name, s: seen.append(name)):
-            with record_spans() as rec:
-                with span("both"):
-                    pass
-        assert seen == ["both"]
-        assert rec.to_dict()["both"]["calls"] == 1
-
-    def test_broken_listener_never_breaks_the_span(self):
-        from repro.instrument import subscribe_spans
-
-        def explode(name, seconds):
-            raise RuntimeError("pipe gone")
-
-        with subscribe_spans(explode):
-            with record_spans() as rec:
-                with span("guarded"):
-                    pass
-        assert rec.to_dict()["guarded"]["calls"] == 1
-
-    def test_add_remove_listener_direct(self):
-        from repro.instrument import (
-            add_span_listener,
-            remove_span_listener,
-        )
-
-        seen = []
-        fn = lambda name, s: seen.append(name)  # noqa: E731
-        add_span_listener(fn)
-        try:
-            with span("once"):
-                pass
-        finally:
-            remove_span_listener(fn)
-        remove_span_listener(fn)  # absent: no-op
-        with span("twice"):
-            pass
-        assert seen == ["once"]

@@ -1,9 +1,17 @@
-"""Tests for the ``repro bench`` CLI verb."""
+"""Tests for the ``repro bench`` and ``repro cache-stats`` CLI verbs."""
 
+import gzip
 import json
 
+from repro.arch.machine import MultiSIMD
 from repro.cli import main
-from repro.service import SWEEP_SCHEMA, validate_sweep_payload
+from repro.core import ProgramBuilder
+from repro.service import (
+    SWEEP_SCHEMA,
+    CompileService,
+    validate_sweep_payload,
+)
+from repro.service.sweep import _SERVICES
 
 
 def _bench(tmp_path, *extra, out="sweep.json"):
@@ -15,6 +23,14 @@ def _bench(tmp_path, *extra, out="sweep.json"):
         *extra,
     ]
     return main(argv), path
+
+
+def _cnot_program():
+    pb = ProgramBuilder()
+    mod = pb.module("main")
+    q = mod.register("q", 2)
+    mod.cnot(q[0], q[1])
+    return pb.build("main")
 
 
 class TestBenchCommand:
@@ -105,3 +121,94 @@ class TestBenchCommand:
             ])
             assert code == 0
         assert "0 served from cache" in capsys.readouterr().out
+
+
+class TestCacheStatsCommand:
+    def test_missing_store_reports_cleanly(self, tmp_path, capsys):
+        code = main(
+            ["cache-stats", "--cache-dir", str(tmp_path / "nope")]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "(missing)" in out
+        assert "artifacts:         0" in out
+
+    def test_text_report_with_artifacts(self, tmp_path, capsys):
+        service = CompileService(cache_dir=tmp_path)
+        service.lookup(_cnot_program(), MultiSIMD(k=2))
+        code = main(["cache-stats", "--cache-dir", str(tmp_path)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "artifacts:         1" in out
+
+    def test_json_format(self, tmp_path, capsys):
+        code = main(
+            [
+                "cache-stats",
+                "--cache-dir", str(tmp_path),
+                "--format", "json",
+            ]
+        )
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["artifacts"] == 0
+        assert doc["exists"] is True  # tmp_path itself exists
+
+    def test_respects_repro_cache_dir_env(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        code = main(["cache-stats", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["root"] == str(tmp_path)
+
+
+class TestCorruptCache:
+    """A corrupt artifact or sidecar reads as a miss: the verb exits 0,
+    recomputes, and the next run hits the cache."""
+
+    @staticmethod
+    def _bench_run(tmp_path):
+        """One ``bench`` run that starts with a cold memory tier, as a
+        fresh process would."""
+        _SERVICES.pop(str(tmp_path / "cache"), None)
+        return _bench(tmp_path, "--schedulers", "rcp")
+
+    def test_bench_recomputes_corrupt_artifact(self, tmp_path, capsys):
+        assert self._bench_run(tmp_path)[0] == 0
+        for path in (tmp_path / "cache").glob("??/*.json"):
+            path.write_text("[]")
+        capsys.readouterr()
+        code, report = self._bench_run(tmp_path)
+        assert code == 0
+        assert "0 served from cache" in capsys.readouterr().out
+        assert json.loads(report.read_text())["jobs"][0]["status"] == "ok"
+        assert self._bench_run(tmp_path)[0] == 0
+        assert "1 served from cache (100%)" in capsys.readouterr().out
+
+    def test_bench_survives_corrupt_sidecar(self, tmp_path, capsys):
+        assert self._bench_run(tmp_path)[0] == 0
+        sidecars = list((tmp_path / "cache").glob("??/*.sched.json.gz"))
+        assert sidecars
+        for path in sidecars:
+            with gzip.open(path, "wb") as fh:
+                fh.write(b"\xff\xfe")
+        capsys.readouterr()
+        assert self._bench_run(tmp_path)[0] == 0
+        assert "1 served from cache (100%)" in capsys.readouterr().out
+        assert not any(path.exists() for path in sidecars)
+
+    def test_cache_stats_counts_corrupt_artifacts(self, tmp_path, capsys):
+        service = CompileService(cache_dir=tmp_path)
+        for k in (2, 4):
+            service.lookup(_cnot_program(), MultiSIMD(k=k))
+        undecodable, bodyless = sorted(tmp_path.glob("??/*.json"))
+        undecodable.write_bytes(b"\xff\xfe")
+        doc = json.loads(bodyless.read_text())
+        del doc["payload"]
+        bodyless.write_text(json.dumps(doc))
+        assert main(["cache-stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "artifacts:         2" in out
+        assert "stale artifacts:   2 (2 unreadable)" in out

@@ -1,5 +1,6 @@
 """Tests for the artifact store, LRU tier, and compile service."""
 
+import gzip
 import json
 
 import pytest
@@ -28,6 +29,27 @@ def _program(n: int = 3):
 
 FP = "ab" + "0" * 62
 FP2 = "cd" + "1" * 62
+
+#: Corrupt contents for a cache document. ``None`` stands for an intact
+#: current-version envelope whose body (``payload``/``schedules``) is
+#: missing.
+CORRUPT = pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe", b"[]", b"42", None],
+    ids=["not-utf8", "json-list", "json-number", "no-body"],
+)
+
+
+def _corrupt(path, content, body, gzipped=False):
+    """Overwrite the cache document at ``path`` with ``content``."""
+    opener = gzip.open if gzipped else open
+    if content is None:
+        with opener(path, "rb") as fh:
+            doc = json.loads(fh.read())
+        del doc[body]
+        content = json.dumps(doc).encode()
+    with opener(path, "wb") as fh:
+        fh.write(content)
 
 
 class TestLRUCache:
@@ -288,64 +310,6 @@ class TestLRUConcurrency:
         assert lru.stats.evictions == total_puts - 4
 
 
-class TestPeek:
-    def test_miss_returns_none_and_counts(self, tmp_path):
-        service = CompileService(cache_dir=tmp_path)
-        assert service.peek("f" * 64) is None
-        assert service.stats.misses == 1
-
-    def test_memory_hit(self, tmp_path):
-        service = CompileService(cache_dir=tmp_path)
-        entry = service.lookup(_program(), MultiSIMD(k=2))
-        peeked = service.peek(entry.fingerprint)
-        assert peeked is not None
-        assert peeked.cached == "memory"
-        assert peeked.result.runtime == entry.result.runtime
-
-    def test_disk_hit_promotes_to_memory(self, tmp_path):
-        warm = CompileService(cache_dir=tmp_path)
-        fp = warm.lookup(_program(), MultiSIMD(k=2)).fingerprint
-        cold = CompileService(cache_dir=tmp_path)
-        first = cold.peek(fp)
-        assert first is not None and first.cached == "disk"
-        second = cold.peek(fp)
-        assert second is not None and second.cached == "memory"
-
-    def test_never_computes(self):
-        service = CompileService(cache_dir=None)  # memory-only, empty
-        assert service.peek("a" * 64) is None
-
-
-class TestStatsSnapshot:
-    def test_roundtrip(self, tmp_path):
-        from repro.service import (
-            STATS_SNAPSHOT_SCHEMA,
-            read_stats_snapshot,
-            write_stats_snapshot,
-        )
-
-        stats = CacheStats(memory_hits=3, misses=1, stores=2)
-        path = write_stats_snapshot(
-            tmp_path, stats, extra={"server": {"jobs": 5}}
-        )
-        assert path.name == "stats.json"
-        doc = read_stats_snapshot(tmp_path)
-        assert doc["schema"] == STATS_SNAPSHOT_SCHEMA
-        assert doc["stats"]["memory_hits"] == 3
-        assert doc["extra"]["server"]["jobs"] == 5
-
-    def test_missing_and_corrupt_read_as_none(self, tmp_path):
-        from repro.service import read_stats_snapshot
-
-        assert read_stats_snapshot(tmp_path) is None
-        (tmp_path / "stats.json").write_text("{broken")
-        assert read_stats_snapshot(tmp_path) is None
-        (tmp_path / "stats.json").write_text(
-            json.dumps({"schema": "other/1"})
-        )
-        assert read_stats_snapshot(tmp_path) is None
-
-
 class TestInspectStore:
     def test_missing_directory(self, tmp_path):
         from repro.service import inspect_store
@@ -353,10 +317,9 @@ class TestInspectStore:
         report = inspect_store(tmp_path / "nope")
         assert report["exists"] is False
         assert report["artifacts"] == 0
-        assert report["snapshot"] is None
 
     def test_counts_artifacts_shards_and_stale(self, tmp_path):
-        from repro.service import inspect_store, write_stats_snapshot
+        from repro.service import inspect_store
 
         store = ArtifactStore(tmp_path)
         store.save(FP, {"result": {"x": 1}})
@@ -366,7 +329,6 @@ class TestInspectStore:
         broken = tmp_path / "99"
         broken.mkdir()
         (broken / ("9" * 64 + ".json")).write_text("{nope")
-        write_stats_snapshot(tmp_path, CacheStats(memory_hits=1))
 
         report = inspect_store(tmp_path)
         assert report["exists"] is True
@@ -376,7 +338,56 @@ class TestInspectStore:
         assert report["unreadable_artifacts"] == 1
         assert report["total_bytes"] > 0
         assert report["by_pipeline_version"]["museum"] == 1
-        assert report["snapshot"]["stats"]["memory_hits"] == 1
+
+
+class TestCorruptDocuments:
+    """A corrupt artifact or sidecar reads as one miss: it is refused,
+    deleted and counted like a stale version, never raised."""
+
+    @CORRUPT
+    def test_load_invalidates(self, tmp_path, content):
+        store = ArtifactStore(tmp_path)
+        store.save(FP, {"x": 1})
+        _corrupt(store._path(FP), content, "payload")
+        assert store.load(FP) is None
+        assert not store._path(FP).exists()
+        assert store.stats.invalidations == 1
+
+    @CORRUPT
+    def test_lookup_recomputes_then_hits(self, tmp_path, content):
+        fp = CompileService(cache_dir=tmp_path).lookup(
+            _program(), MultiSIMD(k=2)
+        ).fingerprint
+        _corrupt(ArtifactStore(tmp_path)._path(fp), content, "payload")
+        service = CompileService(cache_dir=tmp_path)
+        assert service.lookup(_program(), MultiSIMD(k=2)).cached is None
+        assert service.stats.invalidations == 1
+        warm = CompileService(cache_dir=tmp_path)
+        assert warm.lookup(_program(), MultiSIMD(k=2)).cached == "disk"
+
+    @CORRUPT
+    def test_load_schedules_deletes_sidecar_only(self, tmp_path, content):
+        store = ArtifactStore(tmp_path)
+        store.save(FP, {"x": 1})
+        store.save_schedules(FP, {"main": {}})
+        _corrupt(store._sched_path(FP), content, "schedules", gzipped=True)
+        assert store.load_schedules(FP) is None
+        assert not store._sched_path(FP).exists()
+        assert store.load(FP) == {"x": 1}
+
+    @CORRUPT
+    def test_inspect_counts_unreadable_and_stale(self, tmp_path, content):
+        from repro.service import inspect_store
+
+        store = ArtifactStore(tmp_path)
+        store.save(FP, {"x": 1})
+        store.save(FP2, {"y": 2})
+        _corrupt(store._path(FP2), content, "payload")
+        report = inspect_store(tmp_path)
+        assert report["artifacts"] == 2
+        assert report["unreadable_artifacts"] == 1
+        assert report["stale_artifacts"] == 1
+        assert sum(report["by_pipeline_version"].values()) == 1
 
 
 class TestScheduleSidecar:

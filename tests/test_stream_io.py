@@ -36,6 +36,8 @@ from repro.toolflow import (
     compile_and_schedule_streamed,
 )
 
+from .stream_mutations import MALFORMED, assert_located, write_mutated
+
 MACHINE = MultiSIMD(k=4, d=None)
 SPEC = BENCHMARKS["BF"]
 
@@ -245,6 +247,21 @@ class TestStreamCLI:
             fh.writelines(lines[:-2])
         assert main(["execute", "--stream", path]) == 4
         assert "invalid schedule stream" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", MALFORMED)
+    def test_execute_stream_malformed_is_located(
+        self, mutate, tmp_path, bf_pipelines, capsys
+    ):
+        _, res, name = bf_pipelines
+        good = str(tmp_path / "bf.jsonl")
+        write_schedule_stream(
+            good, res.columns[name], res.stream_schedules[name], MACHINE,
+            module=name,
+        )
+        bad = str(tmp_path / "bad.jsonl")
+        bad_line = write_mutated(good, mutate, bad)
+        assert main(["execute", "--stream", bad, "-k", "4"]) == 4
+        assert_located(capsys.readouterr().err, bad_line)
 
     def test_compile_scale_source(self, capsys):
         assert main(

@@ -17,6 +17,8 @@ from repro.service.stream_io import write_schedule_stream
 from repro.sim.specs import build_kernel_program
 from repro.toolflow import SchedulerConfig, compile_and_schedule_streamed
 
+from .stream_mutations import MALFORMED, assert_located, write_mutated
+
 MACHINE = MultiSIMD(k=4, d=None)
 
 
@@ -157,6 +159,16 @@ class TestStreamMode:
             ["verify", adder_qasm, "--stream", "/nonexistent.jsonl"]
         ) == 2
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate", MALFORMED)
+    def test_malformed_stream_is_located(
+        self, mutate, adder_stream, tmp_path, capsys
+    ):
+        qasm, stream = adder_stream
+        bad = str(tmp_path / "bad.jsonl")
+        bad_line = write_mutated(stream, mutate, bad)
+        assert main(["verify", qasm, "--stream", bad]) == 4
+        assert_located(capsys.readouterr().err, bad_line)
 
 
 class TestUsage:
