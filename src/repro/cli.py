@@ -586,6 +586,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     machine = _machine(args)
     if args.window is not None and args.window < 0:
         raise CLIError(f"--window must be >= 0, got {args.window}")
+    if args.exhaustive_limit is not None and args.exhaustive_limit < 0:
+        raise CLIError(
+            f"--exhaustive-limit must be >= 0, got {args.exhaustive_limit}"
+        )
     prog = _load_program(args.source)
     if args.exhaustive and args.samples is not None:
         raise CLIError("--exhaustive and --samples are mutually exclusive")

@@ -18,7 +18,9 @@ over *every* input with plain python integers:
   qubit's value on input lane ``j``. A gate then acts on every lane at
   once (``CNOT`` is ``vec[t] ^= vec[c]``; ``Toffoli`` is
   ``vec[t] ^= vec[a] & vec[b]``), so sweeping all ``2^17`` inputs of a
-  width-8 adder costs ~150 bigint operations, not ``2^17`` runs.
+  width-8 adder costs ~150 bigint operations, not ``2^17`` runs. Lanes
+  are loaded and read back through one linear-time transposition
+  (packed bytes -> binary digit strings -> ``int``, every step in C).
 
 Everything else here is the verification vocabulary built on those two
 engines: a gate classifier that *refuses* anything non-classical (with
@@ -38,6 +40,8 @@ as X with a per-state phase and is simulated as X — the same answer
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -105,6 +109,13 @@ _OP_SWAP = 3
 _OP_FREDKIN = 4
 
 Instr = Tuple[int, ...]
+
+# Lane transposition tables for ``bytes.translate``: _BIT_DIGITS[b]
+# maps a byte to the ASCII digit of its bit b.
+_BIT_DIGITS = [
+    bytes(b"01"[(x >> b) & 1] for x in range(256)) for b in range(8)
+]
+_M64 = (1 << 64) - 1
 
 
 def classify_gate(gate: str) -> str:
@@ -262,35 +273,58 @@ def exhaustive_patterns(bits: int) -> List[int]:
     """The ``2^bits``-lane input vectors of an exhaustive sweep.
 
     Pattern ``i`` has bit ``j`` set iff input value ``j`` has bit ``i``
-    set — i.e. lane ``j`` *is* the input ``j``. Built in closed form
-    (alternating runs of ``2^i`` zeros and ones), not by looping lanes.
+    set — i.e. lane ``j`` *is* the input ``j``. Built from repeating
+    byte patterns, not by looping lanes: bits 0-2 repeat ``0xAA``,
+    ``0xCC`` and ``0xF0`` in every byte, and bit ``i >= 3`` alternates
+    runs of ``2^(i-3)`` zero and ``0xFF`` bytes.
     """
     lanes = 1 << bits
-    ones = (1 << lanes) - 1
+    size = (lanes + 7) // 8
+    ones = (1 << lanes) - 1  # below 8 lanes the one byte overhangs
     out: List[int] = []
     for i in range(bits):
-        run = 1 << i
-        block = ((1 << run) - 1) << run
-        if 2 * run >= lanes:
-            out.append(block & ones)
+        if i < 3:
+            pattern = bytes([(0xAA, 0xCC, 0xF0)[i]]) * size
         else:
-            out.append(block * (ones // ((1 << (2 * run)) - 1)))
+            run = 1 << (i - 3)
+            pattern = (bytes(run) + b"\xff" * run) * (size // (2 * run))
+        out.append(int.from_bytes(pattern, "little") & ones)
     return out
 
 
 def sliced_patterns(values: Sequence[int], bits: int) -> List[int]:
     """Transpose explicit input ``values`` into per-bit lane vectors:
-    pattern ``i`` has bit ``j`` set iff ``values[j]`` has bit ``i``."""
-    pats = [0] * bits
-    mask = (1 << bits) - 1
-    for lane, value in enumerate(values):
-        rem = value & mask
-        lane_bit = 1 << lane
-        while rem:
-            low = rem & -rem
-            pats[low.bit_length() - 1] |= lane_bit
-            rem ^= low
-    return pats
+    pattern ``i`` has bit ``j`` set iff ``values[j]`` has bit ``i``
+    (bits of a value at or above ``bits`` are ignored).
+
+    Transposing twice is the identity, so ``sliced_patterns(vecs,
+    lanes)`` also reads per-lane values back out of lane vectors.
+
+    Linear time: each value is laid out as little-endian bytes at a
+    fixed stride (one ``array`` slot up to 64 bits, one ``to_bytes``
+    above); bit ``i`` is the strided byte column ``i // 8``, spelled one
+    ASCII digit per lane and parsed by ``int(s, 2)`` in linear time.
+    """
+    if not values:
+        return [0] * bits
+    if bits <= 64:
+        try:
+            raw = array("Q", values)
+        except OverflowError:  # a value is negative or >= 2^64
+            raw = array("Q", [v & _M64 for v in values])
+        if sys.byteorder == "big":
+            raw.byteswap()
+        packed, stride = raw.tobytes(), 8
+    else:
+        mask = (1 << bits) - 1
+        stride = (bits + 7) // 8
+        packed = b"".join(
+            (v & mask).to_bytes(stride, "little") for v in values
+        )
+    return [  # lane 0 = lowest digit
+        int(packed[i // 8::stride].translate(_BIT_DIGITS[i % 8])[::-1], 2)
+        for i in range(bits)
+    ]
 
 
 def sample_inputs(bits: int, count: int, seed: int = 0) -> List[int]:
@@ -695,14 +729,8 @@ def truth_table_reversible(
     state = SlicedState(all_qubits, 1 << bits)
     state.load(inputs, None)
     state.run(ops, allow_phase=True)
-    out_vecs = state.output_vectors(outputs)
-    table: Dict[int, int] = {}
-    for lane in range(1 << bits):
-        out = 0
-        for i, vec in enumerate(out_vecs):
-            out |= ((vec >> lane) & 1) << i
-        table[lane] = out
-    return table
+    values = sliced_patterns(state.output_vectors(outputs), 1 << bits)
+    return dict(enumerate(values))
 
 
 def check_permutation_reversible(

@@ -3,9 +3,10 @@
 The statevector checks in ``tests/test_ctqg.py`` are width-capped
 (2-3 bits) by the 2^n amplitude cost. The bit-sliced reversible
 backend removes that cap: every kernel here is proven over *all*
-inputs at widths 2-8 (adder: 2^17 states at width 8), with ancilla
-restoration enforced on every lane. Multiply sweeps exhaustively to
-width 4 and samples above (its input register is 4n bits wide)."""
+inputs at widths 2-9 (adder: 2^19 states at width 9, past the default
+18-bit exhaustive limit), with ancilla restoration enforced on every
+lane. Multiply sweeps exhaustively to width 4 and samples above (its
+input register is 4n bits wide)."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from repro.core.qubits import AncillaAllocator, Qubit
 from repro.passes import ctqg
 from repro.sim.reversible import verify_reference
 
-WIDTHS = list(range(2, 9))
+WIDTHS = list(range(2, 10))
 
 
 def reg(name, n):

@@ -4,6 +4,8 @@ simulator, the closed-form exhaustive input patterns, the gate
 classifier and refusal contract, sweep reports with minimal
 counterexamples, and the schedule linearization helpers."""
 
+import random
+
 import pytest
 
 from repro.core.operation import Operation
@@ -140,19 +142,41 @@ class TestSingleInput:
 
 
 class TestPatterns:
-    @pytest.mark.parametrize("bits", [1, 2, 3, 5, 7])
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3, 5, 7, 8, 11])
     def test_exhaustive_patterns_closed_form(self, bits):
         pats = exhaustive_patterns(bits)
+        assert len(pats) == bits
         for value in range(1 << bits):
             for i in range(bits):
                 assert (pats[i] >> value) & 1 == (value >> i) & 1
+        assert all(p >> (1 << bits) == 0 for p in pats)
 
     def test_sliced_patterns_transpose(self):
-        values = [0b101, 0b010, 0b111, 0b000]
-        pats = sliced_patterns(values, 3)
-        for lane, value in enumerate(values):
-            for i in range(3):
-                assert (pats[i] >> lane) & 1 == (value >> i) & 1
+        # Lane counts around one packed byte per bit, and bit counts
+        # around the byte boundaries and the 64-bit switch from array
+        # slots to one ``to_bytes`` per value.
+        # Values carry up to 8 bits above ``bits`` (lane 0 all of them,
+        # past 2^64 at 64 bits), which the transposition ignores;
+        # negative values read as two's complement; no lanes, all zero.
+        rng = random.Random(5)
+        cases = [
+            ([0b101, 0b010, 0b111, 0b000], 3), ([-1, -6, 3], 9), ([], 5),
+        ]
+        for lanes in (1, 7, 8, 9, 300):
+            for bits in (0, 1, 8, 9, 64, 65, 130):
+                values = [rng.getrandbits(bits + 8) for _ in range(lanes)]
+                values[0] = (1 << (bits + 8)) - 1
+                cases.append((values, bits))
+        for values, bits in cases:
+            pats = sliced_patterns(values, bits)
+            assert len(pats) == bits
+            mask = (1 << bits) - 1
+            for i, pat in enumerate(pats):
+                want = sum(
+                    (((value & mask) >> i) & 1) << lane
+                    for lane, value in enumerate(values)
+                )
+                assert pat == want, (len(values), bits, i)
 
     def test_sample_inputs_deterministic_and_distinct(self):
         a = sample_inputs(12, 64, seed=7)
@@ -307,6 +331,17 @@ class TestDropIns:
         assert truth_table(
             ops, a + b, b, all_qubits=a + b + [c], backend="reversible"
         ) == want
+        # 10 outputs read back from 512-lane vectors (wider than 64
+        # bits), against per-lane single-input runs; the inputs are the
+        # low 9 qubits, so a lane's input value is its packed state.
+        a, b = reg("a", 4), reg("b", 4)
+        cin, cout = Qubit("cin", 0), Qubit("cout", 0)
+        ops = cuccaro_add(a, b, cin, cout)
+        qubits = a + b + [cin, cout]
+        table = truth_table_reversible(ops, a + b + [cin], qubits)
+        assert len(table) == 512
+        for value, got in table.items():
+            assert got == run_reversible(ops, qubits, value)
 
     def test_truth_table_collects_qubits_like_statevector(self):
         ops = [Operation("CNOT", (Q[2], Q[0]))]

@@ -118,6 +118,14 @@ class TestSpecMode:
         ) == 0
         assert "3 applications" in capsys.readouterr().out
 
+    def test_exhaustive_limit_steers_auto_mode(self, adder_qasm, capsys):
+        # 2*4+1 = 9 input bits: sampled below the limit, all inputs at it.
+        args = ["verify", adder_qasm, "--spec", "adder", "--no-schedule"]
+        assert main(args + ["--exhaustive-limit", "8"]) == 0
+        assert "sampled inputs" in capsys.readouterr().out
+        assert main(args + ["--exhaustive-limit", "9"]) == 0
+        assert "all 512 inputs" in capsys.readouterr().out
+
 
 class TestStreamMode:
     def test_replay_matches(self, adder_stream, capsys):
@@ -181,6 +189,18 @@ class TestUsage:
     def test_bad_sample_count(self, adder_qasm, capsys):
         assert main(["verify", adder_qasm, "--samples", "0"]) == 2
         assert "--samples" in capsys.readouterr().err
+
+    def test_negative_exhaustive_limit(self, adder_qasm, capsys):
+        assert main(
+            ["verify", adder_qasm, "--spec", "adder",
+             "--exhaustive-limit", "-1", "--no-schedule"]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:")
+        assert "--exhaustive-limit" in lines[0]
 
     def test_unknown_source(self, capsys):
         assert main(["verify", "NOPE.qasm"]) == 2
