@@ -31,10 +31,31 @@ Violation codes (shared with :mod:`repro.analysis`): ``QL301`` operand
 not resident, ``QL302`` move source mismatch, ``QL303`` invalid
 ballistic endpoints, ``QL304`` scratchpad capacity/absence, ``QL305``
 passive-storage violation, ``QL306`` schedule/machine shape mismatch.
+
+Algorithm. One pre-pass over the timesteps records each qubit's last
+operand timestep; a qubit is live after ``t`` iff its last use is
+later. The replay then keeps, next to the qubit location map, the set
+of qubits resident in each region, updated on every relocation (each
+applied move, taken at its word even when its destination is bad, and
+each QL301 repair). The passive-storage check at ``t`` visits only the
+residents of the regions active at ``t``, and drops every resident it
+finds dead for good: a dead qubit can never be live again, so it stays
+in the location map (and in ``final_locations``) but leaves the scan.
+Each visit therefore either meets an operand of ``t``, reports a
+violation or drops a qubit, and the replay runs in O(ops + moves +
+timesteps·k) time, plus the violations it reports, with O(qubits)
+memory beyond the schedule. QL305 violations are reported in the order
+the qubits were first placed, the order a scan of the whole location
+map would meet them in.
+
+Replay keeps no state between calls: nothing of a schedule outlives
+the call that replayed it, and a schedule edited in place replays
+afresh.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -126,7 +147,21 @@ def replay_schedule(
             f"schedule uses {sched.k} regions, machine has "
             f"{machine.k}",
         )
+    operation = sched.operation
+    # Each qubit's last operand timestep: a qubit is live after t iff
+    # its last use is later than t.
+    last_use: Dict[Qubit, int] = {}
+    for t, ts in enumerate(sched.timesteps):
+        for nodes in ts.regions:
+            for n in nodes:
+                for q in operation(n).qubits:
+                    last_use[q] = t
     location: Dict[Qubit, tuple] = {}
+    # Insertion rank of each key of ``location``: QL305 violations are
+    # reported in this order.
+    rank: Dict[Qubit, int] = {}
+    # The qubits in each region, less those found dead by a scan.
+    residents: Dict[int, Set[Qubit]] = defaultdict(set)
     pad_occupancy: Dict[int, Set[Qubit]] = {
         r: set() for r in range(sched.k)
     }
@@ -138,7 +173,15 @@ def replay_schedule(
     for t, ts in enumerate(sched.timesteps):
         # --- movement epoch preceding the timestep ----------------------
         for move in ts.moves:
+            q = move.qubit
+            where = location.get(q)
+            if where is None:
+                rank[q] = len(rank)
+            elif where[0] == "region":
+                residents[where[1]].discard(q)
             _apply_move(move, t, location, pad_occupancy, machine, emit)
+            if move.dst[0] == "region":
+                residents[move.dst[1]].add(q)
         for r, pad in pad_occupancy.items():
             if len(pad) > peak[r]:
                 peak[r] = len(pad)
@@ -149,17 +192,17 @@ def replay_schedule(
         elif locals_:
             local_epochs += 1
         # --- execute the timestep ----------------------------------------
-        active: Set[int] = set()
-        used_here: Dict[Qubit, int] = {}
+        active: List[int] = []
+        used_here: Set[Qubit] = set()
         for r, nodes in enumerate(ts.regions):
             if not nodes:
                 continue
-            active.add(r)
+            active.append(r)
+            here = ("region", r)
             for n in nodes:
-                op = sched.operation(n)
-                for q in op.qubits:
+                for q in operation(n).qubits:
                     where = location.get(q, ("global",))
-                    if where != ("region", r):
+                    if where != here:
                         emit(
                             "QL301",
                             f"t={t}: operand {q!r} of node {n} is at "
@@ -171,26 +214,34 @@ def replay_schedule(
                         # than echoes of this one.
                         if where[0] == "local":
                             pad_occupancy[where[1]].discard(q)
-                        location[q] = ("region", r)
-                    used_here[q] = r
+                        elif where[0] == "region":
+                            residents[where[1]].discard(q)
+                        elif q not in rank:
+                            rank[q] = len(rank)
+                        location[q] = here
+                        residents[r].add(q)
+                    used_here.add(q)
         # Passive-storage rule: a qubit resident in an *active* region
         # but not used this timestep would be hit by the region's SIMD
         # gate. Qubits with no further use are exempt (reabsorbed as
-        # ancilla feedstock, Section 4.4).
-        remaining = _future_uses(sched, t)
-        for q, where in location.items():
-            if (
-                where[0] == "region"
-                and where[1] in active
-                and q not in used_here
-                and q in remaining
-            ):
-                emit(
-                    "QL305",
-                    f"t={t}: live qubit {q!r} idles in active region "
-                    f"{where[1]}",
-                    t,
-                )
+        # ancilla feedstock, Section 4.4), and since they can never be
+        # live again they leave the scan for good.
+        idle: List[Tuple[int, Qubit, int]] = []
+        for r in active:
+            dead: List[Qubit] = []
+            for q in residents[r]:
+                if last_use.get(q, -1) <= t:
+                    dead.append(q)
+                elif q not in used_here:
+                    idle.append((rank[q], q, r))
+            residents[r].difference_update(dead)
+        idle.sort()  # ranks are unique: qubits are never compared
+        for _, q, r in idle:
+            emit(
+                "QL305",
+                f"t={t}: live qubit {q!r} idles in active region {r}",
+                t,
+            )
         runtime += GATE_CYCLES
     return ReplayReport(
         runtime=runtime,
@@ -259,25 +310,3 @@ def _apply_move(
                 t,
             )
     location[move.qubit] = move.dst
-
-
-# Cache of qubits-with-uses-after-t, computed lazily per schedule.
-_future_cache: Dict[int, Tuple[Schedule, List[Set[Qubit]]]] = {}
-
-
-def _future_uses(sched: Schedule, t: int) -> Set[Qubit]:
-    """Qubits used at any timestep > t (memoised per schedule)."""
-    cached = _future_cache.get(id(sched))
-    if cached is None or cached[0] is not sched:
-        suffix: List[Set[Qubit]] = [set() for _ in range(sched.length + 1)]
-        for i in range(sched.length - 1, -1, -1):
-            bucket = set(suffix[i + 1])
-            for nodes in sched.timesteps[i].regions:
-                for n in nodes:
-                    bucket.update(sched.operation(n).qubits)
-            suffix[i] = bucket
-        _future_cache.clear()  # keep at most one schedule cached
-        _future_cache[id(sched)] = (sched, suffix)
-        cached = _future_cache[id(sched)]
-    suffix = cached[1]
-    return suffix[t + 1] if t + 1 < len(suffix) else set()

@@ -1,15 +1,19 @@
-"""The tests' oracle: the pre-optimization schedulers and memory model.
+"""The tests' oracle: the pre-optimization schedulers, memory model
+and schedule replay.
 
 :mod:`.reference_sched` keeps the straightforward implementations of
 DAG edge construction, RCP, LPFS, movement derivation and coarse
 scheduling; :mod:`.memory` keeps the memory map its movement
-derivation tracks. Neither is part of the package: the pipeline has
-one implementation of each algorithm, and these are what it is checked
-against.
+derivation tracks; :mod:`.reference_replay` keeps the quadratic
+schedule replay (``replay_schedule_reference``). None is part of the
+package: the pipeline has one implementation of each algorithm, and
+these are what it is checked against.
 
 :func:`reference_swapped` runs a block with the oracle in place of the
 pipeline's functions, so a test drives the same entry points
-(``compile_and_schedule``, ``schedule_rcp``, ...) through both.
+(``compile_and_schedule``, ``schedule_rcp``, ...) through both. The
+replay is not swapped: ``tests/test_replay.py`` calls both replays
+side by side.
 """
 
 from __future__ import annotations

@@ -1,7 +1,9 @@
 """Tests for schedule replay — and replay used as an independent
 oracle against the movement planner."""
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from repro.sched.lpfs import schedule_lpfs
 from repro.sched.rcp import schedule_rcp
 from repro.sched.replay import ReplayError, replay_schedule
 from repro.sched.types import Move, Schedule
+from tests.oracle.reference_replay import replay_schedule_reference
 
 Q = [Qubit("q", i) for i in range(8)]
 
@@ -155,6 +158,32 @@ class TestReplayCatchesViolations:
         with pytest.raises(ReplayError, match="idles in active"):
             replay_schedule(sched, MultiSIMD(k=2))
 
+    def test_in_place_edit_replays_afresh(self):
+        dag = DependenceDAG(
+            [
+                Operation("H", (Q[0],)),
+                Operation("H", (Q[1],)),
+                Operation("T", (Q[0],)),
+            ]
+        )
+        sched = self.manual(dag, [[[0], []], [[1], []]])
+        sched.timesteps[0].moves = [
+            Move(Q[0], ("global",), ("region", 0), "teleport")
+        ]
+        sched.timesteps[1].moves = [
+            Move(Q[1], ("global",), ("region", 0), "teleport")
+        ]
+        machine = MultiSIMD(k=2)
+        replay_schedule(sched, machine)
+        # q0 now has a use after t=1, so it idles live in region 0
+        # while region 0 runs q1.
+        sched.append_timestep({0: [2]})
+        with pytest.raises(
+            ReplayError,
+            match=r"t=1: live qubit q\[0\] idles in active region 0",
+        ):
+            replay_schedule(sched, machine)
+
     def test_k_mismatch_detected(self):
         dag = DependenceDAG([Operation("H", (Q[0],))])
         sched = self.manual(dag, [[[0], []]], k=2)
@@ -202,3 +231,114 @@ class TestPlannerReplayProperty:
         assert report.runtime == stats.runtime
         assert report.teleport_epochs == stats.teleport_epochs
         assert report.local_epochs == stats.local_epochs
+
+
+# --- replay keeps no state between calls ---------------------------------
+
+class TestReplayKeepsNoState:
+    def test_schedule_freed_after_replay(self):
+        dag = DependenceDAG(
+            [Operation("H", (Q[i % 4],)) for i in range(16)]
+        )
+        machine = MultiSIMD(k=2)
+        sched, _stats = planned(dag, machine)
+        ref = weakref.ref(sched)
+        replay_schedule(sched, machine)
+        del sched
+        gc.collect()
+        assert ref() is None
+
+
+# --- differential: the replay vs the tests/oracle/ reference -------------
+
+CORRUPTIONS = ("none", "drop", "retarget", "swap", "clear", "short")
+
+
+def corrupt(sched, machine, how, data):
+    """Apply corruption ``how`` to ``sched`` in place; return the
+    machine to replay on."""
+    epochs = [t for t, ts in enumerate(sched.timesteps) if ts.moves]
+    if how == "drop" and epochs:
+        ts = sched.timesteps[data.draw(st.sampled_from(epochs))]
+        del ts.moves[data.draw(st.integers(0, len(ts.moves) - 1))]
+    elif how == "retarget" and epochs:
+        ts = sched.timesteps[data.draw(st.sampled_from(epochs))]
+        i = data.draw(st.integers(0, len(ts.moves) - 1))
+        move = ts.moves[i]
+        places = [("global",)] + [
+            (kind, r) for kind in ("region", "local") for r in range(sched.k)
+        ]
+        dst = data.draw(
+            st.sampled_from([p for p in places if p != move.src])
+        )
+        ts.moves[i] = Move(move.qubit, move.src, dst, move.kind)
+    elif how == "swap" and len(sched.timesteps) > 1:
+        a, b = data.draw(
+            st.lists(
+                st.integers(0, len(sched.timesteps) - 1),
+                min_size=2, max_size=2, unique=True,
+            )
+        )
+        ta, tb = sched.timesteps[a], sched.timesteps[b]
+        ta.moves, tb.moves = tb.moves, ta.moves
+    elif how == "clear":
+        for ts in sched.timesteps:
+            ts.moves = []
+    elif how == "short" and machine.k > 1:
+        return MultiSIMD(k=machine.k - 1, local_memory=machine.local_memory)
+    return machine
+
+
+def report_fields(report):
+    return (
+        report.runtime,
+        report.teleport_epochs,
+        report.local_epochs,
+        report.peak_scratchpad,
+        list(report.final_locations.items()),
+        report.violations,
+    )
+
+
+def collect_all(replay, sched, machine):
+    seen = []
+    report = replay(
+        sched, machine, on_violation=lambda *v: seen.append(v)
+    )
+    return seen, report_fields(report)
+
+
+def first_error(replay, sched, machine):
+    try:
+        return report_fields(replay(sched, machine))
+    except ReplayError as exc:
+        return str(exc)
+
+
+class TestReplayMatchesReference:
+    """Planned schedules, clean or broken the ways hand-edited and
+    externally modified plans break, replay identically on both."""
+
+    @given(
+        random_dag(),
+        st.integers(1, 4),
+        st.sampled_from([None, 1, 2, 4]),
+        st.sampled_from(["rcp", "lpfs"]),
+        st.sampled_from(CORRUPTIONS),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_plans_replay_identically(
+        self, dag, k, local, alg, how, data
+    ):
+        machine = MultiSIMD(k=k, local_memory=local)
+        scheduler = schedule_rcp if alg == "rcp" else schedule_lpfs
+        sched = scheduler(dag, k=k)
+        derive_movement(sched, machine)
+        machine = corrupt(sched, machine, how, data)
+        assert collect_all(replay_schedule, sched, machine) == collect_all(
+            replay_schedule_reference, sched, machine
+        )
+        assert first_error(replay_schedule, sched, machine) == first_error(
+            replay_schedule_reference, sched, machine
+        )
