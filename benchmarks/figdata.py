@@ -62,8 +62,8 @@ def compile_benchmark(
     ``local`` is the scratchpad capacity (None disables; fractions of Q
     are passed as plain floats). Results come from the content-addressed
     :data:`SERVICE`, so repeated figure regenerations — and anything
-    else sharing the artifact store, like ``python -m repro bench`` —
-    pay for each configuration once.
+    else sharing the artifact store, like ``python -m repro lint
+    --deep`` — pay for each configuration once.
     """
     spec = BENCHMARKS[key]
     return SERVICE.compile(

@@ -97,11 +97,8 @@ from .sched import (
 from .instrument import SpanRecorder, record_spans, span
 from .service import (
     CompileService,
-    JobSpec,
-    SweepGrid,
     fingerprint_program,
     fingerprint_request,
-    run_sweep,
 )
 from .toolflow import (
     CompileResult,
@@ -126,7 +123,6 @@ __all__ = [
     "EPRAccounting",
     "EPRPlan",
     "GATE_CYCLES",
-    "JobSpec",
     "LOCAL_MOVE_CYCLES",
     "Module",
     "ModuleBuilder",
@@ -147,7 +143,6 @@ __all__ = [
     "SchedulerConfig",
     "Severity",
     "SpanRecorder",
-    "SweepGrid",
     "TELEPORT_CYCLES",
     "analyze_program",
     "audit_replay",
@@ -176,7 +171,6 @@ __all__ = [
     "naive_runtime",
     "parallel_speedup",
     "record_spans",
-    "run_sweep",
     "coarse_length_profile",
     "schedule_coarse",
     "schedule_lpfs",

@@ -244,8 +244,8 @@ class SummaryCache:
     Summaries are stored through the same sharded, versioned
     :class:`~repro.service.store.ArtifactStore` the compile service
     uses, under a ``summaries/`` subdirectory of the cache root, so
-    ``repro lint --deep`` and ``repro bench`` share one cache tree and
-    one invalidation story: a :data:`PIPELINE_VERSION` bump changes
+    summaries and compile artifacts share one cache tree and one
+    invalidation story: a :data:`PIPELINE_VERSION` bump changes
     every fingerprint *and* makes the store refuse (and delete) old
     envelopes.
 

@@ -30,7 +30,6 @@ __all__ = [
     "LOCAL_MOVE_CYCLES",
     "NAIVE_FACTOR",
     "parse_capacity",
-    "capacity_label",
     "split_epoch",
     "loc_label",
     "epoch_cycles",
@@ -178,10 +177,9 @@ def split_machine(machine: MultiSIMD, cores: int) -> MultiSIMD:
 def parse_capacity(text: Optional[str]) -> Optional[float]:
     """Parse a local-memory capacity spelling.
 
-    The one canonical encoding used by the CLI, the sweep grid, and the
-    figure benches: ``None``/``"none"`` disables local memories,
-    ``"inf"`` models unbounded ones, any other spelling must parse as a
-    non-negative number (NaN is not one).
+    The one canonical encoding used by the CLI: ``None``/``"none"``
+    disables local memories, ``"inf"`` models unbounded ones, any other
+    spelling must parse as a non-negative number (NaN is not one).
 
     Raises:
         ValueError: on a non-numeric, NaN or negative spelling.
@@ -202,12 +200,3 @@ def parse_capacity(text: Optional[str]) -> Optional[float]:
             f"local-memory capacity must be >= 0, got {text!r}"
         )
     return value
-
-
-def capacity_label(value: Optional[float]) -> str:
-    """Inverse of :func:`parse_capacity`, for reports and JSON keys."""
-    if value is None:
-        return "none"
-    if math.isinf(value):
-        return "inf"
-    return f"{value:g}"

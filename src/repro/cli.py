@@ -13,9 +13,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro lint all --deep --format json
     python -m repro lint program.scd --deep --fail-on QL4
     python -m repro lint all --deep --topology mesh --cores 4
-    python -m repro bench GSE,TFP --schedulers rcp,lpfs -k 2,4
-    python -m repro bench all -o BENCH_sweep.json
-    python -m repro bench BF,CN --topology none,line,mesh --cores 2,4
     python -m repro perf --repeats 2 -o BENCH_perf.json
     python -m repro perf --baseline BENCH_perf.json -o ''
     python -m repro perf --scale-gates 1000000 --repeats 1
@@ -33,8 +30,8 @@ Exit codes form a stable contract (tested in ``tests/test_cli.py``):
 
 * ``0`` — success;
 * ``1`` — lint findings at or above the ``--fail-on`` threshold, a
-  strict-mode analysis failure, or a failed/timed-out sweep job not
-  attributable to a more specific class below;
+  strict-mode analysis failure, a ``verify`` mismatch, or a failed or
+  regressed ``perf`` job;
 * ``2`` — usage / input errors (unknown benchmark, unreadable file,
   bad option values);
 * ``3`` — parse or program-validation errors in a source file;
@@ -474,8 +471,10 @@ def _deep_lint_one(
     :func:`~repro.analysis.audit_schedule` (``deep=True``), and every
     module's blackbox profile through
     :func:`~repro.analysis.audit_profile_bounds`. Disk-cached compiles
-    carry no schedule bodies, so warm runs audit profiles only — the
-    bounds they are checked against are recomputed either way.
+    get their schedule bodies back from the store's sidecar, so warm
+    runs audit schedules too; a result without one (a pre-sidecar
+    store, or a corrupt sidecar) audits profiles only. The bounds are
+    recomputed either way.
     """
     from .analysis import (
         ResourceAnalysis,
@@ -575,6 +574,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         DEFAULT_EXHAUSTIVE_LIMIT,
         DEFAULT_SAMPLES,
         NonReversibleOpError,
+        SweepTooLargeError,
         compile_ops,
         streamed_schedule_ops,
         verify_equivalent,
@@ -710,6 +710,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except NonReversibleOpError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEDULE
+    except SweepTooLargeError as exc:
+        raise CLIError(f"{exc}; check a sample with --samples N") from None
 
 
 def _verify_stream_file(
@@ -909,104 +911,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return EXIT_LINT if hit else 0
     threshold = Severity.from_name(fail_on)
     return EXIT_LINT if diags.at_least(threshold) else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .service import (
-        SweepGrid,
-        build_sweep_payload,
-        default_cache_dir,
-        run_sweep,
-        validate_sweep_payload,
-    )
-
-    if args.timeout is not None and not (
-        math.isfinite(args.timeout) and args.timeout > 0
-    ):
-        raise CLIError(
-            f"--timeout must be a finite number > 0, got {args.timeout}"
-        )
-    try:
-        grid = SweepGrid.parse(
-            benchmarks=args.source,
-            schedulers=args.schedulers,
-            ks=args.k,
-            ds=args.d,
-            local_memories=args.local_mem,
-            fth=args.fth,
-            engine=args.engine,
-            epr_rate=args.epr_rate,
-            topologies=args.topology,
-            cores=args.cores,
-            link_bw=args.link_bw,
-        )
-    except ValueError as exc:
-        raise CLIError(str(exc)) from None
-    jobs = grid.expand()
-    cache_dir = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or str(default_cache_dir())
-    run = run_sweep(
-        jobs,
-        cache_dir=cache_dir,
-        parallel=not args.serial,
-        max_workers=args.jobs,
-        timeout=args.timeout,
-        use_cache=not args.no_cache,
-    )
-    payload = build_sweep_payload(run, grid)
-    problems = validate_sweep_payload(payload)
-    for problem in problems:  # defensive; the runner emits valid docs
-        print(f"warning: invalid sweep payload: {problem}",
-              file=sys.stderr)
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, indent=2)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        header = (
-            f"{'benchmark':<10} {'sched':<5} {'k':>2} {'d':>4} "
-            f"{'local':>6} {'status':<8} {'cache':<7} "
-            f"{'runtime':>10} {'comm x':>7} {'time':>8}"
-        )
-        print(header)
-        print("-" * len(header))
-        for outcome in run.outcomes:
-            job = outcome["job"]
-            metrics = outcome.get("metrics") or {}
-            runtime = metrics.get("runtime")
-            speedup = metrics.get("comm_aware_speedup")
-            print(
-                f"{job['benchmark']:<10} {job['algorithm']:<5} "
-                f"{job['k']:>2} "
-                f"{job['d'] if job['d'] is not None else 'inf':>4} "
-                f"{job['local_memory']:>6} "
-                f"{outcome['status']:<8} "
-                f"{outcome.get('cached') or 'miss':<7} "
-                f"{runtime if runtime is not None else '-':>10} "
-                f"{f'{speedup:.2f}' if speedup is not None else '-':>7} "
-                f"{outcome['elapsed_s']:>7.2f}s"
-            )
-        print(
-            f"\n{len(run.ok)}/{len(run.outcomes)} jobs ok, "
-            f"{run.cache_hits} served from cache "
-            f"({100 * run.hit_rate:.0f}%), wall {run.wall_s:.2f}s"
-            + (", degraded to serial" if run.degraded_to_serial else "")
-        )
-        if args.output:
-            print(f"wrote {args.output}")
-    if not run.failed:
-        return 0
-    kinds = {
-        (outcome.get("error") or {}).get("kind")
-        for outcome in run.failed
-    }
-    if "schedule" in kinds:
-        return EXIT_SCHEDULE
-    if "parse" in kinds:
-        return EXIT_PARSE
-    return EXIT_LINT
 
 
 def _cmd_perf(args: argparse.Namespace) -> int:
@@ -1459,7 +1363,7 @@ def _execute_multicore(
     ``-k``/``-d`` describe each *core* (the machine has ``--cores`` of
     them); ``--epr-rate`` throttles the per-core intra pools and
     ``--link-epr-rate`` the interconnect links (defaulting to the
-    intra rate, the sweep runner's one-knob semantic).
+    intra rate, so one knob throttles both).
     """
     from .engine import (
         EngineError,
@@ -1942,114 +1846,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="EPR pairs per teleport round per link (default 1)",
     )
     p_l.set_defaults(fn=_cmd_lint)
-
-    p_b = sub.add_parser(
-        "bench",
-        help="run a cached, parallel benchmark sweep",
-    )
-    p_b.add_argument(
-        "source", nargs="?", default="all",
-        help=(
-            "comma-separated benchmark keys, or 'all' for the whole "
-            "suite (default all)"
-        ),
-    )
-    p_b.add_argument(
-        "--schedulers", default="lpfs",
-        help=(
-            "comma-separated schedulers: sequential, rcp, lpfs "
-            "(default lpfs)"
-        ),
-    )
-    p_b.add_argument(
-        "-k", default="4",
-        help="comma-separated SIMD region counts (default 4)",
-    )
-    p_b.add_argument(
-        "-d", default="inf",
-        help="comma-separated region capacities, or inf (default inf)",
-    )
-    p_b.add_argument(
-        "--local-mem", default="none", dest="local_mem",
-        help=(
-            "comma-separated scratchpad capacities: none, a number, "
-            "or inf (default none)"
-        ),
-    )
-    p_b.add_argument(
-        "--fth", type=int, default=None,
-        help="flattening threshold in ops (default: per-benchmark)",
-    )
-    p_b.add_argument(
-        "--engine", action="store_true",
-        help=(
-            "also execute each job on the discrete-event engine, "
-            "adding engine_* columns (schema repro.bench-sweep/3)"
-        ),
-    )
-    p_b.add_argument(
-        "--epr-rate", default=None, metavar="R",
-        help=(
-            "engine EPR generation rate in pairs/cycle, or 'inf' "
-            "(default inf; only with --engine)"
-        ),
-    )
-    p_b.add_argument(
-        "--topology", default="none",
-        help=(
-            "comma-separated interconnect topologies for a multi-core "
-            "axis: none, line, ring, mesh, all-to-all ('none' mixes "
-            "in the single-core point; default none)"
-        ),
-    )
-    p_b.add_argument(
-        "--cores", default="1",
-        help=(
-            "comma-separated core counts for the multi-core axis "
-            "(applied to every non-'none' topology; default 1)"
-        ),
-    )
-    p_b.add_argument(
-        "--link-bw", default="1", dest="link_bw", metavar="B",
-        help=(
-            "EPR pairs per teleport round per interconnect link "
-            "(default 1)"
-        ),
-    )
-    p_b.add_argument(
-        "--serial", action="store_true",
-        help="run jobs in-process instead of over a worker pool",
-    )
-    p_b.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker pool size (default: CPU count)",
-    )
-    p_b.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-job timeout in seconds (default: none)",
-    )
-    p_b.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "artifact store directory (default: $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_b.add_argument(
-        "--no-cache", action="store_true",
-        help="bypass the compile cache entirely",
-    )
-    p_b.add_argument(
-        "-o", "--output", default="BENCH_sweep.json",
-        help=(
-            "sweep report path (default BENCH_sweep.json; '' to skip)"
-        ),
-    )
-    p_b.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="stdout format (default text)",
-    )
-    p_b.set_defaults(fn=_cmd_bench)
 
     p_p = sub.add_parser(
         "perf",

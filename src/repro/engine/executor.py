@@ -610,7 +610,7 @@ class ProgramExecution:
         )
 
     def metrics(self) -> Dict[str, Any]:
-        """Flat engine columns for sweep rows / CLI JSON output."""
+        """Flat engine columns for CLI JSON output."""
         return {
             "engine_runtime": self.realized_runtime,
             "engine_analytic_runtime": self.analytic_runtime,

@@ -311,7 +311,7 @@ def validate_trace_payload(payload: Any) -> List[str]:
     """Structural check of a ``repro.trace/1`` document.
 
     Returns a list of problems (empty when valid). Hand-rolled like
-    :func:`repro.service.validate_sweep_payload`; the schema is
+    :func:`repro.service.validate_perf_payload`; the schema is
     documented in ``DESIGN.md``.
     """
     problems: List[str] = []

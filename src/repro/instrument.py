@@ -1,11 +1,12 @@
 """Lightweight span instrumentation for the compilation pipeline.
 
-The service layer (:mod:`repro.service`) wants per-stage wall-clock
-breakdowns — how long decomposition, flattening, each scheduler and the
-communication refinement took for one compile — without the pipeline
-code knowing anything about benchmarking. This module provides that as
-*spans*: named timed sections recorded against whichever
-:class:`SpanRecorder` instances are active on the current stack.
+The ``perf`` harness (:mod:`repro.service.perf`) wants per-stage
+wall-clock breakdowns — how long decomposition, flattening, each
+scheduler and the communication refinement took for one compile —
+without the pipeline code knowing anything about benchmarking. This
+module provides that as *spans*: named timed sections recorded against
+whichever :class:`SpanRecorder` instances are active on the current
+stack.
 
 Design constraints:
 
@@ -22,8 +23,8 @@ Design constraints:
 
 Span name prefixes in use: ``pass:*`` (decompose/flatten/optimize),
 ``schedule:*`` (per-algorithm fine scheduling), ``comm:*`` (movement
-derivation), ``toolflow:*`` (whole-stage wrappers), ``service:*``
-(cache lookups), and ``analysis:*`` (the deep static battery —
+derivation), ``toolflow:*`` (whole-stage wrappers), and
+``analysis:*`` (the deep static battery —
 ``analysis:lifetime`` and ``analysis:resource`` fixpoint solves plus
 ``analysis:deep-rules`` emission).
 
@@ -53,8 +54,8 @@ __all__ = [
 F = TypeVar("F", bound=Callable)
 
 #: Active recorders, innermost last. Module-level (not thread-local):
-#: the pipeline is single-threaded within a process, and sweep workers
-#: are separate *processes* with their own copy of this list.
+#: the pipeline is single-threaded within a process, and ``perf``'s
+#: scale jobs are separate *processes* with their own copy of this list.
 _ACTIVE: List["SpanRecorder"] = []
 
 

@@ -284,7 +284,7 @@ class MulticoreExecution:
         )
 
     def metrics(self) -> Dict[str, Any]:
-        """Flat engine columns for sweep rows / CLI JSON output.
+        """Flat engine columns for CLI JSON output.
 
         Reuses the single-core ``engine_*`` names where the meaning
         carries over; the multi-core split is reported as

@@ -193,7 +193,7 @@ class MulticoreCompileResult:
         return naive_runtime(self.total_gates)
 
     def metrics(self) -> Dict[str, Any]:
-        """Flat multi-core columns for sweep rows / CLI JSON output."""
+        """Flat multi-core columns for CLI JSON output."""
         return {
             "multicore_cores": self.graph.cores,
             "multicore_makespan": self.runtime,

@@ -13,15 +13,15 @@ billed by hop count (a qubit crossing ``h`` links consumes ``h`` EPR
 pairs — one per link — and needs ``h`` swap-teleport rounds unless
 links pipeline, see :mod:`repro.multicore.makespan`).
 
-The graph round-trips through a schema-versioned dict
-(``repro.core-graph/1``) so sweeps can carry it in JSON documents.
+The graph exports a schema-versioned dict (``repro.core-graph/1``) for
+JSON reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = [
     "TOPOLOGY_SCHEMA",
@@ -34,7 +34,7 @@ __all__ = [
 #: Version tag of the CoreGraph dict layout.
 TOPOLOGY_SCHEMA = "repro.core-graph/1"
 
-#: Named factory topologies accepted by the CLI and sweeps.
+#: Named factory topologies accepted by the CLI.
 TOPOLOGIES = ("line", "ring", "mesh", "all-to-all")
 
 
@@ -81,7 +81,7 @@ class CoreGraph:
                 )
             seen.add((a, b))
         if list(self.edges) != sorted(self.edges):
-            raise TopologyError("edges must be sorted (use from_edges)")
+            raise TopologyError("edges must be sorted")
         hops = self.hop_matrix()
         if any(h < 0 for row in hops for h in row):
             raise TopologyError(
@@ -90,36 +90,6 @@ class CoreGraph:
             )
 
     # -- construction -------------------------------------------------
-
-    @classmethod
-    def from_edges(
-        cls,
-        cores: int,
-        edges: Iterable[Sequence[Any]],
-        name: str = "custom",
-    ) -> "CoreGraph":
-        """Build from an explicit edge list, normalizing orientation.
-
-        Each entry is ``(a, b)`` or ``(a, b, bandwidth)``; bandwidth
-        defaults to 1.0. Duplicate links (either orientation) are an
-        error.
-        """
-        normalized: List[Edge] = []
-        for edge in edges:
-            if len(edge) == 2:
-                a, b = edge
-                bw = 1.0
-            elif len(edge) == 3:
-                a, b, bw = edge
-            else:
-                raise TopologyError(f"bad edge entry {edge!r}")
-            a, b = int(a), int(b)
-            if a == b:
-                raise TopologyError(f"self-loop on core {a}")
-            if a > b:
-                a, b = b, a
-            normalized.append((a, b, float(bw)))
-        return cls(cores=cores, edges=tuple(sorted(normalized)), name=name)
 
     @classmethod
     def line(cls, cores: int, bandwidth: float = 1.0) -> "CoreGraph":
@@ -223,22 +193,6 @@ class CoreGraph:
             "cores": self.cores,
             "edges": [[a, b, bw] for a, b, bw in self.edges],
         }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CoreGraph":
-        if not isinstance(data, dict):
-            raise TopologyError("core graph document must be an object")
-        schema = data.get("schema")
-        if schema != TOPOLOGY_SCHEMA:
-            raise TopologyError(
-                f"unsupported core-graph schema {schema!r} "
-                f"(expected {TOPOLOGY_SCHEMA!r})"
-            )
-        return cls.from_edges(
-            cores=int(data["cores"]),
-            edges=data.get("edges", ()),
-            name=str(data.get("name", "custom")),
-        )
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}({self.cores})"

@@ -8,35 +8,27 @@ with two cache tiers keyed by request fingerprint:
    replaced the unbounded ``functools.lru_cache`` the figure benches
    used to rely on;
 2. an **on-disk artifact store** holding JSON exports
-   (:func:`~repro.sched.report.compile_result_to_dict` plus the span
-   timings recorded during the original compute), shared across
+   (:func:`~repro.sched.report.compile_result_to_dict`), shared across
    processes and runs.
-
-Every fresh compute runs under a span recorder
-(:mod:`repro.instrument`), so per-stage timings travel with the
-artifact: a warm lookup still reports how long each stage of the
-original compute took.
 
 A disk hit reconstructs a *metrics-equivalent* result
 (:func:`~repro.sched.report.compile_result_from_dict`): every headline
 number, per-module profile and diagnostic round-trips exactly. Schedule
 bodies live in a gzip **sidecar** next to the main artifact (kept out
 of the metrics JSON because they dominate its size) and are rehydrated
-on disk hits, so engine consumers get live schedules from the cache
-instead of recompiling; results loaded from pre-sidecar stores still
-come back with empty ``schedules``.
+on disk hits, so consumers such as the ``lint --deep`` schedule audit
+get live schedules from the cache; results loaded from pre-sidecar
+stores still come back with empty ``schedules``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..arch.machine import MultiSIMD
 from ..core.module import Program
-from ..instrument import record_spans
 from ..passes.decompose import DecomposeConfig
 from ..passes.flatten import DEFAULT_FTH
 from ..toolflow import CompileResult, SchedulerConfig, compile_and_schedule
@@ -54,30 +46,24 @@ __all__ = ["CompileService", "ServiceEntry"]
 
 @dataclass
 class ServiceEntry:
-    """One service lookup: the result plus cache/timing provenance.
+    """One service lookup: the result plus its cache provenance.
 
     Attributes:
         result: the (possibly reconstructed) compile result.
         fingerprint: content fingerprint of the request.
         cached: ``None`` for a fresh compute, ``"memory"`` or ``"disk"``
             for a cache hit.
-        elapsed_s: wall-clock seconds of the *original* compute (carried
-            through the artifact for cache hits).
-        spans: per-stage timing spans of the original compute
-            (``{name: {"calls": n, "seconds": s}}``).
     """
 
     result: CompileResult
     fingerprint: str
     cached: Optional[str]
-    elapsed_s: float
-    spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
 def _rehydrate_schedules(store: ArtifactStore, fp: str, result) -> None:
     """Attach sidecar schedule bodies to a disk-loaded result (no-op
-    when the sidecar is missing or stale — consumers that need live
-    schedules then fall back to recompiling)."""
+    when the sidecar is missing or stale: the result then keeps empty
+    ``schedules``, as one loaded from a pre-sidecar store does)."""
     if result.schedules:
         return
     payload = store.load_schedules(fp)
@@ -194,63 +180,33 @@ class CompileService:
             strict=strict,
         )
         if use_cache:
-            entry = self.memory.get(fp)
-            if entry is not None:
+            result = self.memory.get(fp)
+            if result is not None:
                 self.stats.memory_hits += 1
-                return ServiceEntry(
-                    result=entry["result"],
-                    fingerprint=fp,
-                    cached="memory",
-                    elapsed_s=entry["elapsed_s"],
-                    spans=entry["spans"],
-                )
+                return ServiceEntry(result, fp, cached="memory")
             if self.store is not None:
                 payload = self.store.load(fp)
                 if payload is not None:
                     self.stats.disk_hits += 1
                     result = compile_result_from_dict(payload["result"])
                     _rehydrate_schedules(self.store, fp, result)
-                    entry = {
-                        "result": result,
-                        "elapsed_s": payload.get("elapsed_s", 0.0),
-                        "spans": payload.get("spans", {}),
-                    }
-                    self.memory.put(fp, entry)
-                    return ServiceEntry(
-                        result=result,
-                        fingerprint=fp,
-                        cached="disk",
-                        elapsed_s=entry["elapsed_s"],
-                        spans=entry["spans"],
-                    )
+                    self.memory.put(fp, result)
+                    return ServiceEntry(result, fp, cached="disk")
             self.stats.misses += 1
 
-        start = time.perf_counter()
-        with record_spans() as rec:
-            result = compile_and_schedule(
-                program,
-                machine,
-                scheduler,
-                fth=fth,
-                decompose=decompose,
-                decompose_config=decompose_config,
-                optimize=optimize,
-                strict=strict,
-            )
-        elapsed = time.perf_counter() - start
-        spans = rec.to_dict()
-        self.memory.put(
-            fp, {"result": result, "elapsed_s": elapsed, "spans": spans}
+        result = compile_and_schedule(
+            program,
+            machine,
+            scheduler,
+            fth=fth,
+            decompose=decompose,
+            decompose_config=decompose_config,
+            optimize=optimize,
+            strict=strict,
         )
+        self.memory.put(fp, result)
         if self.store is not None:
-            self.store.save(
-                fp,
-                {
-                    "result": compile_result_to_dict(result),
-                    "spans": spans,
-                    "elapsed_s": elapsed,
-                },
-            )
+            self.store.save(fp, {"result": compile_result_to_dict(result)})
             if result.schedules:
                 self.store.save_schedules(
                     fp,
@@ -259,13 +215,7 @@ class CompileService:
                         for name, s in sorted(result.schedules.items())
                     },
                 )
-        return ServiceEntry(
-            result=result,
-            fingerprint=fp,
-            cached=None,
-            elapsed_s=elapsed,
-            spans=spans,
-        )
+        return ServiceEntry(result, fp, cached=None)
 
     def stats_dict(self) -> Dict[str, Any]:
         """JSON-safe counter snapshot (both tiers share the counters)."""

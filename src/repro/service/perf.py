@@ -4,16 +4,15 @@ This module makes the pipeline's wall time *measurable and
 regression-guarded*:
 
 * a **pinned grid** — every benchmark x {rcp, lpfs} at one fixed
-  Multi-SIMD(4,4) configuration — run serially, uncached, through the
-  existing sweep runner (:func:`repro.service.sweep.run_sweep`);
+  Multi-SIMD(4,4) configuration — compiled serially and uncached by a
+  plain loop over :func:`~repro.toolflow.compile_and_schedule`;
 * per-stage **wall time** aggregated from the pipeline's
   :mod:`~repro.instrument` spans, and process **peak RSS** sampled per
   job via ``resource.getrusage`` (no third-party profiler);
 * a **machine-speed probe** — about 1 ms of fixed interpreter work,
   timed before every job — summarized as ``probe_s``;
 * a schema-versioned report (``repro.bench-perf/3`` —
-  ``BENCH_perf.json``) with a hand-rolled validator, mirroring the
-  sweep report's conventions;
+  ``BENCH_perf.json``) with a hand-rolled validator;
 * **scale jobs**: the synthetic paper-scale generators
   (:mod:`repro.benchmarks.scale`) pushed through the streamed *and*
   materialized leaf pipelines in fresh subprocesses, so each job's
@@ -42,16 +41,18 @@ import gc
 import math
 import time
 from statistics import fmean
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..arch.machine import MultiSIMD
+from ..benchmarks import BENCHMARKS, benchmark_names
+from ..instrument import record_spans
+from ..toolflow import SchedulerConfig, compile_and_schedule
 from .fingerprint import PIPELINE_VERSION
-from .sweep import JobSpec, SweepGrid, SweepRun, execute_job, run_sweep
 
 __all__ = [
     "PERF_SCHEMA",
     "STAGE_FLOOR_S",
     "perf_grid",
-    "perf_worker",
     "run_perf",
     "scale_perf_jobs",
     "run_scale_perf",
@@ -88,25 +89,34 @@ DEFAULT_SCALE_WINDOW = 65536
 #: minimum, which drops a probe that an interrupt landed in.
 _PROBES_PER_JOB = 3
 
+#: The pinned grid's machine point: Multi-SIMD(k=4, d=4) with a 4-qubit
+#: scratchpad per region, the paper's favoured configuration family.
+PERF_MACHINE = MultiSIMD(k=4, d=4, local_memory=4.0)
 
-def perf_grid() -> SweepGrid:
-    """The pinned measurement grid.
+
+def perf_grid() -> Dict[str, Any]:
+    """The pinned measurement grid, as the document's ``grid`` records it.
 
     Every benchmark in the registry, both fine-grained schedulers, at
-    one representative machine point — Multi-SIMD(k=4, d=4) with a
-    4-qubit scratchpad, the paper's favoured configuration family. The
-    grid is pinned so ``BENCH_perf.json`` documents are comparable
-    across commits; changing it invalidates committed baselines.
+    :data:`PERF_MACHINE`, each with its registry flattening threshold.
+    The grid is pinned so ``BENCH_perf.json`` documents are comparable
+    across commits; changing it invalidates committed baselines. The
+    record keeps the layout committed baselines carry: its last six
+    keys say registry FTh, no engine, one core.
     """
-    from ..benchmarks import benchmark_names
-
-    return SweepGrid(
-        benchmarks=tuple(benchmark_names()),
-        algorithms=("rcp", "lpfs"),
-        ks=(4,),
-        ds=(4,),
-        local_memories=(4.0,),
-    )
+    return {
+        "benchmarks": benchmark_names(),
+        "algorithms": ["rcp", "lpfs"],
+        "ks": [PERF_MACHINE.k],
+        "ds": [PERF_MACHINE.d],
+        "local_memories": [f"{PERF_MACHINE.local_memory:g}"],
+        "fth": None,
+        "engine": False,
+        "epr_rate": None,
+        "topologies": ["none"],
+        "cores": [1],
+        "link_bw": 1.0,
+    }
 
 
 class _Cell:
@@ -176,22 +186,41 @@ def _peak_rss_kb() -> Optional[int]:
     return int(rss)
 
 
-def perf_worker(
-    job: JobSpec,
-    cache_dir: Optional[str] = None,
-    use_cache: bool = True,
-) -> Dict[str, Any]:
-    """:func:`~repro.service.sweep.execute_job` plus a machine-speed
-    probe sample (``probe_s``) taken just before the job and a peak-RSS
-    sample after it.
+def _measure_job(benchmark: str, algorithm: str) -> Dict[str, Any]:
+    """One grid job: a machine-speed probe sample (``probe_s``), then
+    an uncached compile of the registry benchmark on
+    :data:`PERF_MACHINE` timed under a span recorder, then a peak-RSS
+    sample.
 
-    ``ru_maxrss`` is a process-lifetime high-water mark, so the sample
+    The peak RSS is a process-lifetime high-water mark, so the sample
     is monotone across a serial run; the report keeps the maximum,
-    which is exactly that watermark.
+    which is exactly that watermark. A compile that raises marks the
+    job ``"error"`` and the loop goes on, so one failure cannot hide
+    the rest of the grid's timings.
     """
-    probe_s = min(_probe() for _ in range(_PROBES_PER_JOB))
-    outcome = execute_job(job, cache_dir, use_cache)
-    outcome["probe_s"] = probe_s
+    machine = PERF_MACHINE
+    outcome: Dict[str, Any] = {
+        "label": (
+            f"{benchmark} {algorithm} k={machine.k} d={machine.d} "
+            f"local={machine.local_memory:g}"
+        ),
+        "status": "ok",
+        "compute_s": 0.0,
+        "spans": {},
+        "probe_s": min(_probe() for _ in range(_PROBES_PER_JOB)),
+    }
+    try:
+        spec = BENCHMARKS[benchmark]
+        program = spec.build()
+        start = time.perf_counter()
+        with record_spans() as rec:
+            compile_and_schedule(
+                program, machine, SchedulerConfig(algorithm), fth=spec.fth
+            )
+        outcome["compute_s"] = time.perf_counter() - start
+        outcome["spans"] = rec.to_dict()
+    except Exception:  # noqa: BLE001 - reported in failed_jobs
+        outcome["status"] = "error"
     outcome["peak_rss_kb"] = _peak_rss_kb()
     return outcome
 
@@ -406,7 +435,12 @@ def run_scale_perf(
     return {"process_isolated": isolated, "jobs": rows}
 
 
-def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
+#: One repeat of the grid: its job outcomes in grid order, and its
+#: wall-clock seconds.
+Repeat = Tuple[List[Dict[str, Any]], float]
+
+
+def _aggregate(runs: Sequence[Repeat]) -> Dict[str, Any]:
     """Fold repeated runs of one grid into stage/total statistics.
 
     Per-stage seconds and the compute total take the minimum across
@@ -418,10 +452,10 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
     stage_runs: List[Dict[str, Dict[str, float]]] = []
     peak_rss: Optional[int] = None
     failures: List[str] = []
-    for run in runs:
+    for outcomes, wall_s in runs:
         total = 0.0
         stages: Dict[str, Dict[str, float]] = {}
-        for outcome in run.outcomes:
+        for outcome in outcomes:
             if outcome["status"] != "ok":
                 failures.append(outcome["label"])
                 continue
@@ -436,7 +470,7 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
                 agg["calls"] += stat["calls"]
                 agg["seconds"] += stat["seconds"]
         totals.append(total)
-        walls.append(run.wall_s)
+        walls.append(wall_s)
         stage_runs.append(stages)
     names = sorted({name for stages in stage_runs for name in stages})
     stages_min: Dict[str, Dict[str, float]] = {}
@@ -461,27 +495,29 @@ def _aggregate(runs: Sequence[SweepRun]) -> Dict[str, Any]:
                 "label": f"{outcome['label']}/materialized",
                 "pipeline": "materialized",
                 "compute_s": min(
-                    run.outcomes[i]["compute_s"] for run in runs
+                    outcomes[i]["compute_s"] for outcomes, _ in runs
                 ),
                 "status": outcome["status"],
             }
-            for i, outcome in enumerate(runs[0].outcomes)
+            for i, outcome in enumerate(runs[0][0])
         ],
     }
 
 
 def run_perf(
     repeats: int = 2,
-    jobs: Optional[Sequence[JobSpec]] = None,
+    jobs: Optional[Sequence[Tuple[str, str]]] = None,
     include_scale: bool = True,
     scale_jobs: Optional[Sequence[Dict[str, Any]]] = None,
     scale_fresh_process: bool = True,
 ) -> Dict[str, Any]:
     """Measure the pinned grid and return the ``BENCH_perf`` payload.
 
-    The grid runs serially and uncached (the point is to measure
+    ``jobs`` replaces the grid with ``(benchmark, algorithm)`` pairs
+    at the same machine point (the document's ``grid`` is then null).
+    The jobs run serially and uncached (the point is to measure
     compute, not the artifact store), ``repeats`` times. The machine
-    probe is timed before every job (:func:`perf_worker`); a repeat's
+    probe is timed before every job (:func:`_measure_job`); a repeat's
     mean probe is the machine's speed during that repeat, and the
     document's ``probe_s`` is the minimum of those means — the
     minimum-across-repeats rule the stage times follow. Unless
@@ -495,26 +531,26 @@ def run_perf(
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     grid = perf_grid() if jobs is None else None
-    job_list = list(jobs) if jobs is not None else grid.expand()
+    job_list = (
+        list(jobs)
+        if grid is None
+        else [(b, a) for b in grid["benchmarks"] for a in grid["algorithms"]]
+    )
     if not job_list:
         raise ValueError("run_perf needs at least one job")
 
     # Warm-up: one unmeasured job so first-touch costs (module imports,
     # lazily built tables) do not land inside the first measured job's
     # spans and inflate small stages like pass:decompose.
-    perf_worker(job_list[0], None, False)
-    runs = [
-        run_sweep(
-            job_list,
-            cache_dir=None,
-            parallel=False,
-            use_cache=False,
-            worker=perf_worker,
-        )
-        for _ in range(repeats)
-    ]
+    _measure_job(*job_list[0])
+    runs: List[Repeat] = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        outcomes = [_measure_job(b, a) for b, a in job_list]
+        runs.append((outcomes, time.perf_counter() - start))
     probe_s = min(
-        fmean(outcome["probe_s"] for outcome in run.outcomes) for run in runs
+        fmean(outcome["probe_s"] for outcome in outcomes)
+        for outcomes, _ in runs
     )
     scale = None
     if include_scale:
@@ -546,7 +582,7 @@ def _streamed_overhead(scale: Optional[Dict[str, Any]]) -> Optional[float]:
 
 
 def build_perf_payload(
-    grid: Optional[SweepGrid],
+    grid: Optional[Dict[str, Any]],
     repeats: int,
     fast: Dict[str, Any],
     probe_s: float,
@@ -557,7 +593,7 @@ def build_perf_payload(
         "schema": PERF_SCHEMA,
         "pipeline_version": PIPELINE_VERSION,
         "created_unix": time.time(),
-        "grid": grid.to_dict() if grid is not None else None,
+        "grid": grid,
         "repeats": repeats,
         "probe_s": probe_s,
         "fast": fast,
@@ -570,8 +606,7 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
     """Structural check of a ``BENCH_perf.json`` document.
 
     Returns a list of problems (empty when valid). Hand-rolled rather
-    than a jsonschema dependency, like
-    :func:`~repro.service.sweep.validate_sweep_payload`.
+    than a jsonschema dependency.
     """
     problems: List[str] = []
 

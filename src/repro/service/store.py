@@ -4,8 +4,9 @@ Artifacts are JSON documents keyed by request fingerprint (see
 :mod:`.fingerprint`), sharded into two-character prefix directories
 (``<root>/ab/abcdef....json``) so a large store never puts tens of
 thousands of files in one directory. Writes go through a temp file +
-:func:`os.replace` so concurrent sweep workers racing to store the same
-fingerprint can never leave a torn artifact.
+:func:`os.replace` so concurrent processes sharing one store (a
+``lint --deep`` run and a figure regeneration, say) racing to store the
+same fingerprint can never leave a torn artifact.
 
 Every artifact embeds the pipeline version it was produced under;
 :meth:`ArtifactStore.load` refuses (and deletes) artifacts from any
@@ -45,7 +46,7 @@ ARTIFACT_SCHEMA = "repro.artifact/1"
 def default_cache_dir() -> Path:
     """The shared artifact directory: ``$REPRO_CACHE_DIR`` if set, else
     ``.repro-cache`` under the current working directory. Used by both
-    the ``repro bench`` CLI and the figure benches so they share
+    ``repro lint --deep`` and the figure benches so they share
     artifacts."""
     env = os.environ.get("REPRO_CACHE_DIR")
     return Path(env) if env else Path(".repro-cache")

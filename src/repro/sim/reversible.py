@@ -39,6 +39,7 @@ as X with a per-state phase and is simulated as X — the same answer
 
 from __future__ import annotations
 
+import os
 import random
 import sys
 from array import array
@@ -65,6 +66,7 @@ __all__ = [
     "DEFAULT_SAMPLES",
     "classify_gate",
     "NonReversibleOpError",
+    "SweepTooLargeError",
     "VerificationError",
     "ReversibleSimulator",
     "SlicedState",
@@ -545,20 +547,54 @@ class VerificationError(Exception):
                          f"{report.summary()}")
 
 
+class SweepTooLargeError(Exception):
+    """An exhaustive sweep whose lane vectors exceed the memory this
+    process may use; refused before anything is allocated."""
+
+
+def _memory_limit() -> Optional[int]:
+    """Bytes this process may use: the ``RLIMIT_AS`` soft limit when one
+    is set, else physical memory (``None`` on Windows, which has
+    neither)."""
+    if sys.platform == "win32":
+        return None
+    import resource
+
+    soft, _hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft != resource.RLIM_INFINITY:
+        return soft
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _plan_lanes(
     input_bits: int,
+    vectors: int,
     mode: str,
     exhaustive_limit: int,
     samples: int,
     seed: int,
 ) -> Tuple[str, Optional[List[int]]]:
     """Resolve sweep mode: ``(mode, values)`` with ``values=None`` for
-    an exhaustive sweep."""
+    an exhaustive sweep over ``vectors`` lane vectors.
+
+    Raises:
+        SweepTooLargeError: when the exhaustive sweep's lane vectors
+            (``vectors x 2^input_bits`` bits) exceed
+            :func:`_memory_limit`.
+    """
     if mode == "auto":
         mode = (
             "exhaustive" if input_bits <= exhaustive_limit else "sampled"
         )
     if mode == "exhaustive":
+        need = vectors * (1 << input_bits) // 8
+        limit = _memory_limit()
+        if limit is not None and need > limit:
+            raise SweepTooLargeError(
+                f"an exhaustive sweep over {input_bits} input bits needs "
+                f"{need / 2**30:.1f} GiB of lane vectors, more than the "
+                f"{limit / 2**30:.1f} GiB this process may use"
+            )
         return "exhaustive", None
     if mode != "sampled":
         raise ValueError(
@@ -603,8 +639,8 @@ def verify_equivalent(
     qubits = tuple(qubits)
     if inputs is None:
         inputs = qubits
-    run_mode, values = _plan_lanes(
-        len(inputs), mode, exhaustive_limit, samples, seed
+    run_mode, values = _plan_lanes(  # two states, one per sequence
+        len(inputs), 2 * len(qubits), mode, exhaustive_limit, samples, seed
     )
     lanes = (1 << len(inputs)) if values is None else len(values)
     state_a = SlicedState(qubits, lanes)
@@ -657,7 +693,7 @@ def verify_reference(
     to 0 on every lane — the ancilla-restored check.
     """
     run_mode, values = _plan_lanes(
-        len(inputs), mode, exhaustive_limit, samples, seed
+        len(inputs), len(qubits), mode, exhaustive_limit, samples, seed
     )
     lanes = (1 << len(inputs)) if values is None else len(values)
     state = SlicedState(qubits, lanes)

@@ -324,7 +324,6 @@ class TestBadMachineArgs:
         ["compile", "BF", "--json"],
         ["execute", "BF"],
         ["execute", "--stream", "missing.jsonl"],
-        ["bench", "BF", "--schedulers", "rcp", "-k", "2", "-o", ""],
     )
 
     @pytest.mark.parametrize("verb", LOCAL_MEM_VERBS, ids=" ".join)
@@ -356,31 +355,3 @@ class TestBadMachineArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: rate must be positive, got 'nan'\n"
-
-    def test_bench_nan_engine_rate_exits_two(self, capsys):
-        argv = ["bench", "BF", "--schedulers", "rcp", "-k", "2",
-                "--engine", "--epr-rate", "nan", "-o", ""]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: epr_rate must be positive or 'inf'\n"
-        )
-
-    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
-    def test_bad_bench_timeout_exits_two(self, value, capsys, monkeypatch):
-        # A non-positive or NaN timeout reports every job as timed out
-        # (exit 1), so it must be refused before any job runs.
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr("repro.service.run_sweep", no_sweep)
-        argv = ["bench", "BF", "--schedulers", "rcp", "-k", "2", "-o", "",
-                f"--timeout={value}"]
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: --timeout must be a finite number > 0, "
-            f"got {float(value)}\n"
-        )

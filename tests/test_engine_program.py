@@ -1,6 +1,6 @@
 """Program-level engine tests: hierarchical execution over real
 benchmarks, the program analytic-equality invariant, trace payload
-assembly, and the metrics contract consumed by the sweep runner."""
+assembly, and the metrics contract of ``execute --json``."""
 
 import pytest
 
@@ -14,7 +14,6 @@ from repro.engine import (
     execute_result,
     validate_trace_payload,
 )
-from repro.service.sweep import _ENGINE_METRIC_FIELDS
 from repro.toolflow import SchedulerConfig, compile_and_schedule
 
 
@@ -110,9 +109,20 @@ class TestProgramOutputs:
         assert set(execution.leaves) <= pids
         assert set(execution.coarse) <= pids
 
-    def test_metrics_match_sweep_contract(self):
+    def test_metrics_match_execute_json_contract(self):
+        # The keys of the ``metrics`` block ``execute --json`` prints.
         metrics = execute_result(compiled("BF")).metrics()
-        assert set(metrics) == set(_ENGINE_METRIC_FIELDS)
+        assert set(metrics) == {
+            "engine_runtime",
+            "engine_analytic_runtime",
+            "engine_stall_cycles",
+            "engine_stall_epr",
+            "engine_stall_bandwidth",
+            "engine_stall_fault",
+            "engine_utilization",
+            "engine_teleport_rounds",
+            "engine_faults",
+        }
         assert all(
             isinstance(v, (int, float)) for v in metrics.values()
         )

@@ -153,32 +153,3 @@ class TestLintTopology:
         assert info["topology"] == "line"
         assert info["cores"] == 2
         assert info["leaves_audited"] >= 1
-
-
-class TestBenchTopologyAxis:
-    def test_sweep_payload_v3_with_topology_axis(self, tmp_path, capsys):
-        out = tmp_path / "sweep.json"
-        rc = main(
-            [
-                "bench", "BF",
-                "--topology", "none,line", "--cores", "1,2",
-                "-k", "4", "-d", "4",
-                "--serial", "--no-cache",
-                "-o", str(out),
-            ]
-        )
-        assert rc == 0
-        doc = json.loads(out.read_text())
-        assert doc["schema"] == "repro.bench-sweep/3"
-        from repro.service.sweep import validate_sweep_payload
-
-        assert validate_sweep_payload(doc) == []
-        assert all(r["status"] == "ok" for r in doc["jobs"])
-        topo = {
-            (r["job"].get("topology"), r["job"].get("cores"))
-            for r in doc["jobs"]
-        }
-        # none collapses the core axis; line expands it.
-        assert (None, None) in topo
-        assert ("line", 1) in topo
-        assert ("line", 2) in topo

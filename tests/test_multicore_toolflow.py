@@ -14,10 +14,22 @@ from repro.multicore import (
     MulticoreConfig,
     PartitionError,
     compile_and_schedule_multicore,
+    parse_topology,
 )
 from repro.toolflow import SchedulerConfig, compile_and_schedule
 
-MACHINE = MultiSIMD(k=4)
+#: ``(benchmark, topology, d)`` one-core points on Multi-SIMD(4, d):
+#: the whole registry on all-to-all at unbounded d, plus BF and CN on
+#: every topology at d=9, where per-core capacity k*d = 36 still holds
+#: CN's 35 qubits.
+ONE_CORE_POINTS = [
+    pytest.param(key, "all-to-all", None, id=key)
+    for key in benchmark_names()
+] + [
+    pytest.param(key, topology, 9, id=f"{key}-{topology}-d9")
+    for key in ("BF", "CN")
+    for topology in ("line", "mesh", "all-to-all")
+]
 
 
 def _schedule_fingerprint(sched):
@@ -33,24 +45,33 @@ def _schedule_fingerprint(sched):
 
 @pytest.fixture(scope="module")
 def single_core_results():
+    """Single-core compiles on Multi-SIMD(4, d), keyed by
+    ``(benchmark, d)`` and built on first use."""
     out = {}
-    for key in benchmark_names():
-        spec = BENCHMARKS[key]
-        out[key] = compile_and_schedule(
-            spec.build(), MACHINE, SchedulerConfig(), fth=spec.fth
-        )
-    return out
+
+    def result(key, d):
+        if (key, d) not in out:
+            spec = BENCHMARKS[key]
+            out[key, d] = compile_and_schedule(
+                spec.build(), MultiSIMD(k=4, d=d), SchedulerConfig(),
+                fth=spec.fth,
+            )
+        return out[key, d]
+
+    return result
 
 
 class TestOneCoreBitIdentity:
-    @pytest.mark.parametrize("key", benchmark_names())
-    def test_registry_equivalence(self, key, single_core_results):
+    @pytest.mark.parametrize("key, topology, d", ONE_CORE_POINTS)
+    def test_registry_equivalence(
+        self, key, topology, d, single_core_results
+    ):
         spec = BENCHMARKS[key]
-        single = single_core_results[key]
+        single = single_core_results(key, d)
         multi = compile_and_schedule_multicore(
             spec.build(),
-            MACHINE,
-            MulticoreConfig(CoreGraph.all_to_all(1)),
+            MultiSIMD(k=4, d=d),
+            MulticoreConfig(parse_topology(topology, 1, 1.0)),
             SchedulerConfig(),
             fth=spec.fth,
         )
@@ -120,19 +141,26 @@ class TestMulticoreCompile:
     def test_topology_monotonic_in_hop_distance(self):
         """The partition is topology-independent, so the same cut only
         gets more expensive as hop distances grow: all-to-all is a
-        pointwise lower bound on every other topology."""
-        spec = BENCHMARKS["BF"]
-        machine = MultiSIMD(k=4, d=2)
+        pointwise lower bound on every other topology. CN at d=5 cuts
+        across all four cores, so the shapes' makespans differ (BF's
+        cut joins only two cores, which are adjacent on every shape)."""
+        spec = BENCHMARKS["CN"]
+        machine = MultiSIMD(k=4, d=5)
 
-        def makespan(graph):
+        def compile_on(graph):
             return compile_and_schedule_multicore(
                 spec.build(), machine, MulticoreConfig(graph),
                 fth=spec.fth,
-            ).runtime
+            )
 
-        base = makespan(CoreGraph.all_to_all(4))
-        assert base <= makespan(CoreGraph.mesh(4))
-        assert base <= makespan(CoreGraph.line(4))
+        a2a = compile_on(CoreGraph.all_to_all(4))
+        mesh = compile_on(CoreGraph.mesh(4))
+        line = compile_on(CoreGraph.line(4))
+        assert a2a.runtime <= mesh.runtime
+        assert a2a.runtime <= line.runtime
+        # Line routes cross up to three links where all-to-all crosses
+        # one: billing every teleport as one hop would tie them.
+        assert line.intercore_cycles > a2a.intercore_cycles
 
     def test_metrics_columns(self):
         spec = BENCHMARKS["BF"]

@@ -86,19 +86,13 @@ class TestShortestPath:
 
 
 class TestSchema:
-    def test_round_trip(self):
-        g = CoreGraph.mesh(6, bandwidth=2.5)
-        doc = g.to_dict()
-        assert doc["schema"] == TOPOLOGY_SCHEMA
-        back = CoreGraph.from_dict(doc)
-        assert back == g
-
     def test_bandwidth_preserved(self):
         g = CoreGraph.line(3, bandwidth=2.0)
         assert g.bandwidth(0, 1) == 2.0
         assert g.bandwidth(1, 0) == 2.0
-        back = CoreGraph.from_dict(g.to_dict())
-        assert back.bandwidth(1, 2) == 2.0
+        doc = g.to_dict()
+        assert doc["schema"] == TOPOLOGY_SCHEMA
+        assert doc["edges"] == [[0, 1, 2.0], [1, 2, 2.0]]
 
 
 class TestParse:

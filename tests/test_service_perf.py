@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.service import (
     PERF_SCHEMA,
-    JobSpec,
-    SweepRun,
     build_perf_payload,
     compare_perf_payloads,
     perf_grid,
@@ -19,6 +18,9 @@ from repro.service import (
     validate_perf_payload,
 )
 from repro.service.perf import STAGE_FLOOR_S, _aggregate
+
+#: The committed perf baseline CI gates against.
+BASELINE = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
 #: A plausible ``probe_s`` (the probe is about 1 ms of work).
 PROBE_S = 0.001
@@ -38,18 +40,20 @@ def _outcome(label="BF|rcp", status="ok", compute_s=1.0, spans=None,
 
 
 def _run(outcomes, wall=1.0):
-    return SweepRun(
-        jobs=[], outcomes=outcomes, parallel=False, workers=1,
-        wall_s=wall,
-    )
+    return outcomes, wall
 
 
 class TestPerfGrid:
     def test_grid_is_pinned(self):
-        jobs = perf_grid().expand()
-        assert len(jobs) == 16  # 8 benchmarks x {rcp, lpfs}
-        assert {j.algorithm for j in jobs} == {"rcp", "lpfs"}
-        assert {(j.k, j.d, j.local_memory) for j in jobs} == {(4, 4, 4.0)}
+        grid = perf_grid()
+        # 8 benchmarks x {rcp, lpfs} at Multi-SIMD(4, 4), local 4.
+        assert len(grid["benchmarks"]) * len(grid["algorithms"]) == 16
+        assert grid["algorithms"] == ["rcp", "lpfs"]
+        assert (grid["ks"], grid["ds"], grid["local_memories"]) == (
+            [4], [4], ["4"]
+        )
+        # The committed baseline measured this very grid.
+        assert grid == json.loads(BASELINE.read_text())["grid"]
 
 
 class TestAggregate:
@@ -199,10 +203,9 @@ class TestRunPerf:
         # wiring end to end.
         from repro.service import scale_perf_jobs
 
-        jobs = [JobSpec("BF", "rcp", k=2)]
         payload = run_perf(
             repeats=1,
-            jobs=jobs,
+            jobs=[("BF", "rcp")],
             scale_jobs=scale_perf_jobs(
                 target_gates=1_500, kinds=("adder",)
             ),
@@ -212,15 +215,26 @@ class TestRunPerf:
         assert payload["grid"] is None
         assert payload["fast"]["failed_jobs"] == []
         assert 0 < payload["probe_s"] < 1
-        assert payload["fast"]["stages"], "no spans recorded"
-        assert payload["fast"]["per_job"][0]["label"].startswith("BF")
+        assert {"pass:decompose", "toolflow:schedule", "schedule:rcp"} <= (
+            set(payload["fast"]["stages"])
+        ), "stage spans missing"
+        assert payload["fast"]["per_job"][0]["label"] == (
+            "BF rcp k=4 d=4 local=4/materialized"
+        )
         rows = payload["scale"]["jobs"]
         assert [r["status"] for r in rows] == ["ok", "ok"]
         assert payload["streamed_overhead"] is not None
 
+    def test_failing_job_is_reported_not_raised(self):
+        payload = run_perf(repeats=1, jobs=[("NOPE", "rcp")],
+                           include_scale=False)
+        assert payload["fast"]["failed_jobs"] == ["NOPE rcp k=4 d=4 local=4"]
+        assert payload["fast"]["per_job"][0]["status"] == "error"
+        assert validate_perf_payload(payload) == []
+
     def test_no_scale_section(self):
-        jobs = [JobSpec("BF", "rcp", k=2)]
-        payload = run_perf(repeats=1, jobs=jobs, include_scale=False)
+        payload = run_perf(repeats=1, jobs=[("BF", "rcp")],
+                           include_scale=False)
         assert payload["scale"] is None
         assert payload["streamed_overhead"] is None
         assert validate_perf_payload(payload) == []

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.arch.machine import MultiSIMD
+from repro.benchmarks import BENCHMARKS
 from repro.core import ProgramBuilder
 from repro.service import (
     ARTIFACT_SCHEMA,
@@ -144,7 +145,6 @@ class TestCompileService:
         prog, machine = _program(), MultiSIMD(k=2)
         cold = service.lookup(prog, machine)
         assert cold.cached is None
-        assert cold.spans  # fresh compute records stage spans
         warm = service.lookup(_program(), machine)  # rebuilt program
         assert warm.cached == "memory"
         assert warm.result is cold.result
@@ -152,25 +152,38 @@ class TestCompileService:
         assert service.stats.memory_hits == 1
         assert service.stats.misses == 1
 
-    def test_disk_hit_across_service_instances(self, tmp_path):
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("algorithm", ["rcp", "lpfs"])
+    @pytest.mark.parametrize("key", ["BF", "TFP"])
+    def test_disk_hit_across_service_instances(
+        self, tmp_path, key, algorithm, k
+    ):
+        spec = BENCHMARKS[key]
+        machine, scheduler = MultiSIMD(k=k), SchedulerConfig(algorithm)
         a = CompileService(cache_dir=tmp_path)
-        prog, machine = _program(), MultiSIMD(k=2)
-        cold = a.lookup(prog, machine)
+        cold = a.lookup(spec.build(), machine, scheduler, fth=spec.fth)
 
         b = CompileService(cache_dir=tmp_path)  # fresh memory tier
-        warm = b.lookup(_program(), machine)
+        warm = b.lookup(spec.build(), machine, scheduler, fth=spec.fth)
         assert warm.cached == "disk"
         assert b.stats.disk_hits == 1
-        r, c = warm.result, cold.result
-        assert r.total_gates == c.total_gates
-        assert r.schedule_length == c.schedule_length
-        assert r.runtime == c.runtime
-        assert r.parallel_speedup == pytest.approx(c.parallel_speedup)
-        assert r.comm_aware_speedup == pytest.approx(
-            c.comm_aware_speedup
-        )
-        # Spans from the original compute travel with the artifact.
-        assert warm.spans == cold.spans
+        assert warm.fingerprint == cold.fingerprint
+        # Every headline metric round-trips exactly, floats included.
+        for name in (
+            "total_gates",
+            "critical_path",
+            "schedule_length",
+            "runtime",
+            "naive_runtime",
+            "parallel_speedup",
+            "cp_speedup",
+            "comm_aware_speedup",
+            "flattened_percent",
+        ):
+            assert getattr(warm.result, name) == getattr(
+                cold.result, name
+            ), name
+        assert len(warm.result.diagnostics) == len(cold.result.diagnostics)
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
         a = CompileService(cache_dir=tmp_path)

@@ -7,6 +7,9 @@ classical-permutation subset was located (with the offending gate)."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -201,6 +204,34 @@ class TestUsage:
         assert len(lines) == 1
         assert lines[0].startswith("error:")
         assert "--exhaustive-limit" in lines[0]
+
+    @pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_AS")
+    def test_exhaustive_sweep_too_wide_to_hold(self):
+        # scale:adder:1e4 binds 33 input bits over 34 qubits, so the
+        # exhaustive sweep's lane vectors need about 34 GiB. Under a
+        # 2 GiB address-space limit it must be refused before anything
+        # is allocated, not end in a MemoryError traceback.
+        import resource
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "scale:adder:1e4",
+             "--spec", "adder", "--exhaustive"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit_memory,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ")
+        assert "33 input bits" in lines[0]
+        assert "--samples" in lines[0]
 
     def test_unknown_source(self, capsys):
         assert main(["verify", "NOPE.qasm"]) == 2
