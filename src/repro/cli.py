@@ -1669,8 +1669,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--window", type=int, default=None, metavar="N",
         help=(
             "streaming ingestion window in ops (implies --stream; "
-            "0 = unbounded; default 65536). Schedules are identical "
-            "for every window"
+            "0 = unbounded; default 65536). It bounds boxed ops only "
+            "for caller-built streams: --stream leaves are spliced "
+            "int-coded and box none. Schedules are identical for "
+            "every window"
         ),
     )
     p_c.add_argument(

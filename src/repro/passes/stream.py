@@ -17,6 +17,18 @@ These adapters produce the *same op sequence* lazily:
   ``(gate, angle)``, so it commutes with flatten's qubit renaming —
   streaming flatten-then-decompose equals the materialized
   decompose-then-flatten order (tested in ``tests/test_opstream.py``);
+* :func:`leaf_stream` composes the two, and the :class:`LeafStream` it
+  returns also carries its hierarchical source, so the same leaf can
+  be produced int-coded (:meth:`LeafStream.int_coded`) without boxing
+  an ``Operation`` per gate. Each distinct module is decomposed and
+  inlined once into an :class:`IntCodedBody` template — gate ids,
+  operand slots into its own first-use qubit table, arities, angles.
+  A call site splices its callee's template through the frame's qubit
+  map (the renaming :func:`stream_flatten` composes: formals ->
+  actuals, locals -> ``"{callee}@{idx}$"`` with the same
+  post-decompose instance indices), and an iterated call appends the
+  spliced arrays ``iterations`` times. The result equals interning the
+  boxed stream op by op;
 * :func:`decomposed_gate_counts` computes the post-decompose expanded
   totals hierarchically (the numbers the flattening-threshold decision
   and ``total_gates`` need) without materializing anything;
@@ -27,7 +39,17 @@ These adapters produce the *same op sequence* lazily:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from array import array
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..core.module import Module, Program
 from ..core.operation import CallSite, Operation
@@ -39,6 +61,8 @@ __all__ = [
     "stream_flatten",
     "stream_decompose",
     "leaf_stream",
+    "LeafStream",
+    "IntCodedBody",
     "decomposed_gate_counts",
     "call_multiplicity",
     "FlattenPlan",
@@ -321,21 +345,239 @@ def plan_flatten(
     return FlattenPlan(program, totals, fth)
 
 
+#: Limits of the int-coded encoding: gate ids are ``array('H')``
+#: entries, op ids ``array('i')`` entries.
+_MAX_GATES = 2**16
+_MAX_OPS = 2**31 - 1
+
+
+class IntCodedBody:
+    """A fully inlined op sequence as int-coded arrays.
+
+    Gate names and qubits are interned in first-use order (program
+    order, operand order). Op ``i`` is gate ``gate_names[gate_ids[i]]``
+    on ``arity[i]`` operands, whose qubit ids are the next ``arity[i]``
+    entries of ``op_q``; ``angles`` maps op ids to rotation angles.
+    Every O(ops) buffer is an ``array``.
+    """
+
+    __slots__ = (
+        "gate_names",
+        "gate_ids",
+        "qubits",
+        "op_q",
+        "arity",
+        "angles",
+        "_gate_table",
+        "_qubit_table",
+    )
+
+    def __init__(self) -> None:
+        self.gate_names: List[str] = []
+        self.gate_ids = array("H")
+        self.qubits: List[Qubit] = []
+        self.op_q = array("i")
+        self.arity = array("B")
+        self.angles: Dict[int, float] = {}
+        self._gate_table: Dict[str, int] = {}
+        self._qubit_table: Dict[Qubit, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.gate_ids)
+
+    def gate_id(self, gate: str) -> int:
+        gid = self._gate_table.get(gate)
+        if gid is None:
+            gid = len(self.gate_names)
+            if gid >= _MAX_GATES:
+                raise OverflowError(
+                    f"more than {_MAX_GATES} distinct gate names"
+                )
+            self._gate_table[gate] = gid
+            self.gate_names.append(gate)
+        return gid
+
+    def qubit_id(self, q: Qubit) -> int:
+        qid = self._qubit_table.get(q)
+        if qid is None:
+            qid = self._qubit_table[q] = len(self.qubits)
+            self.qubits.append(q)
+        return qid
+
+    def _check_length(self, count: int) -> None:
+        if len(self) + count >= _MAX_OPS:
+            raise OverflowError("leaf exceeds 2^31-1 operations")
+
+    def extend_ops(self, ops: Sequence[Operation]) -> None:
+        """Intern and append boxed ops."""
+        self._check_length(len(ops))
+        n = len(self)
+        get_gate = self._gate_table.get
+        get_qubit = self._qubit_table.get
+        gate_ids, op_q, arity = self.gate_ids, self.op_q, self.arity
+        for op in ops:
+            gid = get_gate(op.gate)
+            gate_ids.append(self.gate_id(op.gate) if gid is None else gid)
+            qubits = op.qubits
+            for q in qubits:
+                qid = get_qubit(q)
+                op_q.append(self.qubit_id(q) if qid is None else qid)
+            arity.append(len(qubits))
+            if op.angle is not None:
+                self.angles[n] = op.angle
+            n += 1
+
+    def repeats_operand(self, qmap: Sequence[int]) -> bool:
+        """Whether some op names one qubit twice once its operand slots
+        are mapped through ``qmap``."""
+        j = 0
+        op_q = self.op_q
+        for a in self.arity:
+            if a > 1 and len({qmap[s] for s in op_q[j : j + a]}) < a:
+                return True
+            j += a
+        return False
+
+    def splice(
+        self, body: "IntCodedBody", qmap: Sequence[int], iterations: int
+    ) -> None:
+        """Append ``body`` ``iterations`` times, its qubit ``s`` mapped
+        to this body's qubit ``qmap[s]`` (already interned). The body is
+        mapped once; each iteration appends that one copy in place."""
+        if not len(body):
+            return
+        self._check_length(iterations * len(body))
+        gmap = [self.gate_id(g) for g in body.gate_names]
+        seg_q = array("i", map(qmap.__getitem__, body.op_q))
+        seg_g = array("H", map(gmap.__getitem__, body.gate_ids))
+        n0 = len(self)
+        for _ in range(iterations):
+            self.op_q.extend(seg_q)
+            self.gate_ids.extend(seg_g)
+            self.arity.extend(body.arity)
+        if body.angles:
+            m = len(body)
+            for k in range(iterations):
+                base = n0 + k * m
+                for j, angle in body.angles.items():
+                    self.angles[base + j] = angle
+
+
+class _Templates:
+    """Each reachable module's decomposed, fully inlined body, built
+    once in the module's own qubit namespace and spliced at every call
+    site — the int-coded counterpart of :class:`_Expander`.
+
+    A frame mapping two operands of one op onto one qubit raises
+    ``ValueError``, as does an arity mismatch;
+    :meth:`LeafStream.int_coded` then defers to the boxed stream,
+    which raises the boxed path's own error at the first offending op.
+    Every
+    decomposition rule touches each pair of its gate's operands in one
+    output op, so a repeated operand after decomposition is exactly a
+    repeated operand before it (``tests/test_stream_sched.py``).
+    """
+
+    def __init__(
+        self, program: Program, decompose_config: Optional[DecomposeConfig]
+    ):
+        self.program = program
+        self.synth = (
+            decompose_config.synthesizer() if decompose_config else None
+        )
+        self._bodies: Dict[str, IntCodedBody] = {}
+
+    def body(self, name: str) -> IntCodedBody:
+        out = self._bodies.get(name)
+        if out is None:
+            out = self._inline(self.program.module(name))
+            self._bodies[name] = out
+        return out
+
+    def _inline(self, module: Module) -> IntCodedBody:
+        out = IntCodedBody()
+        pos = 0  # statement index in the decomposed body: the instance tag
+        for stmt in module.body:
+            if isinstance(stmt, Operation):
+                ops = (
+                    [stmt]
+                    if self.synth is None
+                    else decompose_operation(stmt, self.synth)
+                )
+                out.extend_ops(ops)
+                pos += len(ops)
+                continue
+            callee = self.program.module(stmt.callee)
+            if len(stmt.args) != len(callee.params):
+                raise ValueError(f"arity mismatch inlining {stmt.callee!r}")
+            body = self.body(stmt.callee)
+            mapping = dict(zip(callee.params, stmt.args))
+            instance = f"{stmt.callee}@{pos}"
+            qmap = [
+                out.qubit_id(
+                    mapping[q]
+                    if q in mapping
+                    else Qubit(f"{instance}${q.register}", q.index)
+                )
+                for q in body.qubits
+            ]
+            if len(set(qmap)) < len(qmap) and body.repeats_operand(qmap):
+                raise ValueError(
+                    f"a call to {stmt.callee!r} repeats an operand"
+                )
+            out.splice(body, qmap, stmt.iterations)
+            pos += 1
+        return out
+
+
+class LeafStream(GeneratorStream):
+    """The boxed op stream of one leaf (what :func:`leaf_stream`
+    returns), carrying the hierarchical source it expands so the same
+    leaf can also be produced int-coded."""
+
+    def __init__(
+        self,
+        program: Program,
+        name: str,
+        decompose_config: Optional[DecomposeConfig],
+        length_hint: Optional[int] = None,
+    ):
+        boxed = stream_flatten(program, name, decompose_config)
+        if decompose_config is not None:
+            boxed = stream_decompose(boxed, decompose_config)
+        super().__init__(boxed.__iter__, length_hint=length_hint)
+        self.program = program
+        self.name = name
+        self.decompose_config = decompose_config
+
+    def int_coded(self) -> Optional[IntCodedBody]:
+        """The leaf as an :class:`IntCodedBody`, equal to interning
+        this stream's ops in order; ``None`` when expanding it raises,
+        so the caller ingests the boxed stream and meets that stream's
+        own error. Builds no ``Operation`` per gate, only one per
+        decomposed op of each distinct module."""
+        try:
+            return _Templates(self.program, self.decompose_config).body(
+                self.name
+            )
+        except ValueError:
+            return None
+
+
 def leaf_stream(
     program: Program,
     name: str,
     decompose: bool = True,
     decompose_config: Optional[DecomposeConfig] = None,
     length_hint: Optional[int] = None,
-) -> OpStream:
+) -> LeafStream:
     """The post-pipeline body of one (possibly flattened) leaf, lazily.
 
     Composes :func:`stream_flatten` with :func:`stream_decompose` —
     bit-identical to the materialized decompose-then-flatten body of
-    that leaf (the two orders commute; see the module docstring).
+    that leaf (the two orders commute; see the module docstring). The
+    returned stream can also produce the leaf int-coded
+    (:meth:`LeafStream.int_coded`).
     """
-    if not decompose:
-        return stream_flatten(program, name, length_hint=length_hint)
-    cfg = decompose_config or DecomposeConfig()
-    flat = stream_flatten(program, name, decompose_config=cfg)
-    return stream_decompose(flat, cfg, length_hint=length_hint)
+    cfg = (decompose_config or DecomposeConfig()) if decompose else None
+    return LeafStream(program, name, cfg, length_hint=length_hint)

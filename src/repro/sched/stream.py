@@ -9,23 +9,30 @@ paper's 10^7-gate leaves that is tens of GiB. This module runs the
 * gates are interned ids in an ``array('H')``;
 * operands are interned qubit ids in one flat ``array('i')`` plus an
   offsets array (CSR layout);
-* dependence edges are ingested op-by-op from an
-  :class:`~repro.core.opstream.OpStream` with the same per-qubit
-  last-writer map as :func:`repro.core.dag._build_edges_fast`, into a
-  CSR predecessor table that is transposed to successors by counting
-  sort and then freed;
+* a leaf arrives int-coded: a :class:`~repro.passes.stream.LeafStream`
+  (what :func:`~repro.passes.stream.leaf_stream` returns) is spliced
+  from per-module templates without boxing an ``Operation`` per gate,
+  and any other :class:`~repro.core.opstream.OpStream` is interned op
+  by op into the same arrays;
+* dependence edges — those of :func:`repro.core.dag._build_edges_fast`,
+  each op to the next op on each operand — come from one backward
+  pass over a per-qubit next-user map, straight into the CSR successor
+  table and in-degrees;
 * heights/depths/slack are ``array('i')`` passes over the CSR tables.
 
-``window`` governs the *ingestion* memory granularity: it bounds how
-many boxed ``Operation`` objects are ever alive while the columns are
-built (``None`` materializes the whole stream first — the materialized
-pipeline's ingest profile). It cannot affect the emitted schedule:
-every window produces identical columns, and the schedulers run on the
-columns alone. That is the streaming pipeline's window-invariance
-guarantee, and it is exactly why the streamed schedules are bit-for-bit
-the schedules of the materialized pipeline: there is one kernel per
-algorithm. :func:`schedule_columns` runs
-:func:`repro.sched.rcp.rcp_timesteps`,
+``window`` governs the *ingestion* memory granularity of a caller-built
+stream (a :class:`~repro.core.opstream.ListStream`, a
+:class:`~repro.core.opstream.GeneratorStream`): it bounds how many
+boxed ``Operation`` objects are ever alive while the columns are built
+(``None`` materializes the whole stream first — the materialized
+pipeline's ingest profile). A ``LeafStream`` boxes no ops, so the
+window does not change its ingest. Neither source can affect the
+emitted schedule: every window and both sources produce identical
+columns, and the schedulers run on the columns alone. That is the
+streaming pipeline's window-invariance guarantee, and it is exactly
+why the streamed schedules are bit-for-bit the schedules of the
+materialized pipeline: there is one kernel per algorithm.
+:func:`schedule_columns` runs :func:`repro.sched.rcp.rcp_timesteps`,
 :func:`repro.sched.lpfs.lpfs_timesteps` and
 :func:`repro.sched.sequential.sequential_timesteps` over the columns —
 the same kernels :func:`~repro.sched.rcp.schedule_rcp` and friends run
@@ -40,6 +47,7 @@ check the equivalence end to end.
 from __future__ import annotations
 
 from array import array
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD
@@ -48,6 +56,7 @@ from ..core.operation import Operation
 from ..core.opstream import OpStream, iter_chunks
 from ..core.qubits import Qubit
 from ..instrument import spanned
+from ..passes.stream import IntCodedBody, LeafStream
 from .comm import CommStats, movement_epochs
 from .lpfs import lpfs_timesteps
 from .rcp import RCPWeights, rcp_timesteps
@@ -65,8 +74,6 @@ __all__ = [
     "to_schedule",
 ]
 
-_MAX_NODES = 2**31 - 1
-_MAX_GATES = 2**16
 _MAX_REGIONS = 2**16
 
 
@@ -185,88 +192,111 @@ class StreamColumns:
 def build_columns(
     stream: OpStream, window: Optional[int] = None
 ) -> StreamColumns:
-    """Ingest a leaf stream into columns, ``window`` ops at a time.
+    """Ingest a leaf into columns.
 
-    The per-qubit last-writer map, inline <=3-element dedup and sort
-    mirror :func:`repro.core.dag._build_edges_fast` exactly; successor
-    lists come out in ascending node order (counting sort over the
-    predecessor table), matching the DAG's append order.
+    A :class:`~repro.passes.stream.LeafStream` (what
+    :func:`~repro.passes.stream.leaf_stream` returns) is taken
+    int-coded, spliced from per-module templates; it boxes no ops, so
+    ``window`` does not change its ingest. Any other stream is interned
+    ``window`` ops at a time. Both sources then go through one edge
+    builder (:func:`_link_columns`), and give equal columns for the
+    same op sequence.
     """
+    if window is not None and window < 1:
+        raise ValueError(f"window must be >= 1 or None, got {window}")
+    body = stream.int_coded() if isinstance(stream, LeafStream) else None
+    if body is None:
+        body = IntCodedBody()
+        for chunk in iter_chunks(stream, window):
+            body.extend_ops(chunk)
+            # Chunk ops die here; a finite window bounds the boxed ops
+            # alive at once.
+            del chunk
     cols = StreamColumns()
-    gate_table: Dict[str, int] = {}
-    qubit_table: Dict[Qubit, int] = {}
-    gate_names = cols.gate_names
-    gate_ids = cols.gate_ids
-    qubits = cols.qubits
-    op_q = cols.op_q
-    op_off = cols.op_off
-    angles = cols.angles
-    pred_flat = array("i")
-    pred_off = array("i", [0])
-    last_touch: Dict[int, int] = {}
-    get_last = last_touch.get
-    n = 0
-    for chunk in iter_chunks(stream, window):
-        for op in chunk:
-            gid = gate_table.get(op.gate)
-            if gid is None:
-                gid = gate_table[op.gate] = len(gate_names)
-                if gid >= _MAX_GATES:
-                    raise OverflowError(
-                        f"more than {_MAX_GATES} distinct gate names"
-                    )
-                gate_names.append(op.gate)
-            plist: List[int] = []
-            for q in op.qubits:
-                qid = qubit_table.get(q)
-                if qid is None:
-                    qid = qubit_table[q] = len(qubits)
-                    qubits.append(q)
-                op_q.append(qid)
-                prev = get_last(qid)
-                if prev is not None and prev not in plist:
-                    plist.append(prev)
-                last_touch[qid] = n
-            if len(plist) > 1:
-                plist.sort()
-            pred_flat.extend(plist)
-            pred_off.append(len(pred_flat))
-            gate_ids.append(gid)
-            op_off.append(len(op_q))
-            if op.angle is not None:
-                angles[n] = op.angle
-            n += 1
-            if n >= _MAX_NODES:
-                raise OverflowError("leaf exceeds 2^31-1 operations")
-        # Chunk ops die here; a finite window bounds peak boxed-op count.
-        del chunk
-    cols.n = n
-    cols.indeg_base = array(
-        "i", (pred_off[i + 1] - pred_off[i] for i in range(n))
-    )
-    # Transpose preds -> succs by counting sort. Node ids are appended
-    # in ascending order, so each successor list is ascending — the
-    # order _build_edges_fast produces.
-    n_edges = len(pred_flat)
-    succ_cnt = array("i", bytes(4 * n))
-    for p in pred_flat:
-        succ_cnt[p] += 1
-    succ_off = array("i", bytes(4 * (n + 1)))
-    run = 0
-    for i in range(n):
-        succ_off[i] = run
-        run += succ_cnt[i]
-    succ_off[n] = run
-    cursor = array("i", succ_off[:n])
-    succ_flat = array("i", bytes(4 * n_edges))
-    for i in range(n):
-        for j in range(pred_off[i], pred_off[i + 1]):
-            p = pred_flat[j]
-            succ_flat[cursor[p]] = i
-            cursor[p] += 1
-    cols.succ_flat = succ_flat
-    cols.succ_off = succ_off
+    cols.n = len(body)
+    cols.gate_names = body.gate_names
+    cols.gate_ids = body.gate_ids
+    cols.qubits = body.qubits
+    cols.op_q = body.op_q
+    cols.op_off = array("i", accumulate(body.arity, initial=0))
+    cols.angles = body.angles
+    _link_columns(cols, body.arity)
     return cols
+
+
+def _link_columns(cols: StreamColumns, arity: array) -> None:
+    """Fill ``cols``' CSR successor table and in-degrees.
+
+    The dependence edges of :func:`repro.core.dag._build_edges_fast`
+    (each op to the next op on each of its operands), found in one
+    backward pass over a per-qubit next-user map: each op's successors
+    come out deduplicated and are written descending, so reversing the
+    flat table at the end yields ascending lists in node order — the
+    DAG's append order. An in-degree is the number of distinct ops
+    that list a node. Every buffer is an ``array``.
+    """
+    n = cols.n
+    op_q = cols.op_q
+    nxt = array("i", [-1]) * len(cols.qubits)
+    succ_rev = array("i")
+    put = succ_rev.append
+    succ_cnt = array("i", bytes(4 * n))
+    indeg = array("i", bytes(4 * n))
+    j = len(op_q)
+    i = n
+    for a in reversed(arity):
+        i -= 1
+        j -= a
+        if a == 1:
+            q = op_q[j]
+            s = nxt[q]
+            nxt[q] = i
+            if s >= 0:
+                put(s)
+                succ_cnt[i] = 1
+                indeg[s] += 1
+        elif a == 2:
+            q0 = op_q[j]
+            q1 = op_q[j + 1]
+            s0 = nxt[q0]
+            s1 = nxt[q1]
+            nxt[q0] = nxt[q1] = i
+            if s0 < 0 or s0 == s1:
+                if s1 >= 0:
+                    put(s1)
+                    succ_cnt[i] = 1
+                    indeg[s1] += 1
+            elif s1 < 0:
+                put(s0)
+                succ_cnt[i] = 1
+                indeg[s0] += 1
+            else:
+                if s0 > s1:
+                    put(s0)
+                    put(s1)
+                else:
+                    put(s1)
+                    put(s0)
+                succ_cnt[i] = 2
+                indeg[s0] += 1
+                indeg[s1] += 1
+        else:
+            succs = set()
+            for k in range(j, j + a):
+                q = op_q[k]
+                s = nxt[q]
+                if s >= 0:
+                    succs.add(s)
+                nxt[q] = i
+            if succs:
+                succ_cnt[i] = len(succs)
+                for s in sorted(succs, reverse=True):
+                    put(s)
+                    indeg[s] += 1
+    succ_rev.reverse()
+    cols.succ_flat = succ_rev
+    cols.succ_off = array("i", accumulate(succ_cnt, initial=0))
+    cols.indeg_base = indeg
 
 
 class StreamedSchedule:

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import os
 import random
+import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -566,6 +567,21 @@ def _memory_limit() -> Optional[int]:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _expected_lane_bytes(bits: int) -> int:
+    """Bytes one lane of :func:`verify_reference`'s expected outputs
+    holds: its Python int (at most ``bits`` wide) and list slot, plus
+    the packed copy :func:`sliced_patterns` makes of it (an ``array``
+    slot and its ``bytes`` up to 64 bits; above, one ``bytes`` object
+    and list slot per value, then their join)."""
+    slot = struct.calcsize("P")
+    if bits <= 64:
+        packed = 2 * array("Q").itemsize
+    else:
+        stride = (bits + 7) // 8
+        packed = sys.getsizeof(bytes(stride)) + slot + stride
+    return sys.getsizeof((1 << bits) - 1) + slot + packed
+
+
 def _plan_lanes(
     input_bits: int,
     vectors: int,
@@ -573,13 +589,15 @@ def _plan_lanes(
     exhaustive_limit: int,
     samples: int,
     seed: int,
+    lane_bytes: int = 0,
 ) -> Tuple[str, Optional[List[int]]]:
     """Resolve sweep mode: ``(mode, values)`` with ``values=None`` for
-    an exhaustive sweep over ``vectors`` lane vectors.
+    an exhaustive sweep over ``vectors`` lane vectors, the caller also
+    holding ``lane_bytes`` bytes per lane.
 
     Raises:
         SweepTooLargeError: when the exhaustive sweep's lane vectors
-            (``vectors x 2^input_bits`` bits) exceed
+            (``vectors x 2^input_bits`` bits) and per-lane bytes exceed
             :func:`_memory_limit`.
     """
     if mode == "auto":
@@ -587,13 +605,15 @@ def _plan_lanes(
             "exhaustive" if input_bits <= exhaustive_limit else "sampled"
         )
     if mode == "exhaustive":
-        need = vectors * (1 << input_bits) // 8
+        lanes = 1 << input_bits
+        need = vectors * lanes // 8 + lane_bytes * lanes
         limit = _memory_limit()
         if limit is not None and need > limit:
+            held = " and expected outputs" if lane_bytes else ""
             raise SweepTooLargeError(
                 f"an exhaustive sweep over {input_bits} input bits needs "
-                f"{need / 2**30:.1f} GiB of lane vectors, more than the "
-                f"{limit / 2**30:.1f} GiB this process may use"
+                f"{need / 2**30:.1f} GiB of lane vectors{held}, more "
+                f"than the {limit / 2**30:.1f} GiB this process may use"
             )
         return "exhaustive", None
     if mode != "sampled":
@@ -693,7 +713,8 @@ def verify_reference(
     to 0 on every lane — the ancilla-restored check.
     """
     run_mode, values = _plan_lanes(
-        len(inputs), len(qubits), mode, exhaustive_limit, samples, seed
+        len(inputs), len(qubits), mode, exhaustive_limit, samples, seed,
+        lane_bytes=_expected_lane_bytes(len(outputs)),
     )
     lanes = (1 << len(inputs)) if values is None else len(values)
     state = SlicedState(qubits, lanes)

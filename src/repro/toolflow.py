@@ -487,17 +487,19 @@ def compile_and_schedule_streamed(
     Produces metric-identical results without ever materializing a
     leaf body: flattening *decisions* come from hierarchical gate
     counts (:func:`~repro.passes.stream.plan_flatten`), leaf bodies are
-    lazily expanded (:func:`~repro.passes.stream.leaf_stream`) and
-    ingested into columns ``window`` ops at a time, and the materialized
-    pipeline's own scheduler kernels run over the columns.
-    Peak memory is O(gates * ~50 bytes) for the columns instead of
-    O(gates * ~1 KiB) for boxed ops — and independent of ``window``,
-    which only bounds the boxed-op transient during ingestion.
+    spliced int-coded from per-module templates
+    (:meth:`~repro.passes.stream.LeafStream.int_coded`) into columns,
+    and the materialized pipeline's own scheduler kernels run over the
+    columns. Peak memory is O(gates * ~50 bytes) for the columns
+    instead of O(gates * ~1 KiB) for boxed ops.
 
     Args:
-        window: ingestion chunk size in ops (None = materialize each
-            leaf's op stream whole during ingestion; columns are
-            identical either way).
+        window: the ingestion window handed to
+            :func:`~repro.sched.stream.build_columns` and recorded on
+            the result. It bounds boxed ops only for caller-built
+            streams; a leaf stream boxes none, so here it changes
+            neither the columns nor the ingest (None and every
+            positive window compile identically).
         keep_schedules: retain each leaf's full-width streamed schedule
             and columns on the result (compact; needed for export and
             engine execution).

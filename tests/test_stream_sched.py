@@ -13,24 +13,36 @@ This file checks that two ways:
 * hypothesis properties over random leaf bodies asserting that the
   window never changes the schedule or the movement stats, for every
   scheduler.
+
+It also checks that the two ingest sources agree: a ``leaf_stream``
+spliced from int-coded per-module templates gives the columns of its
+own boxed ops interned one by one, over the registry, over random
+hierarchical programs and over frames that alias two qubits.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import List
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.arch.machine import MultiSIMD
 from repro.benchmarks import BENCHMARKS, benchmark_names
+from repro.benchmarks.scale import SCALE_KINDS, build_scale
 from repro.core.dag import DependenceDAG
-from repro.core.operation import Operation
+from repro.core.gates import GATES
+from repro.core.module import Module, Program
+from repro.core.operation import CallSite, Operation
 from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
 from repro.engine import EngineConfig, FaultConfig, run_schedule
 from repro.engine.executor import run_schedule_stream
+from repro.passes.decompose import DecomposeConfig, decompose_operation
+from repro.passes.resource import total_gate_counts
+from repro.passes.stream import LeafStream, decomposed_gate_counts, leaf_stream
 from repro.sched import derive_movement
 from repro.sched.comm import CommStats
 from repro.sched.report import _comm_to_dict, schedule_to_dict
@@ -249,6 +261,20 @@ def test_streamed_matches_materialized_random(ops, k, d, algorithm, local):
     assert _comm_to_dict(stats) == _comm_to_dict(mat_comm)
 
 
+@settings(max_examples=100, deadline=None)
+@given(ops=leaf_bodies(max_ops=40), window=small_windows)
+def test_columns_equal_dag_columns(ops, window):
+    """The columns' interned operands and CSR successor table are the
+    DAG's int-coded view, and in-degrees count its distinct preds."""
+    cols = build_columns(ListStream(ops), window=window)
+    dag = DependenceDAG(list(ops))
+    view = dag.columns()
+    for name in ("gate_names", "gate_ids", "qubits", "op_q", "op_off",
+                 "succ_flat", "succ_off"):
+        assert list(getattr(cols, name)) == list(getattr(view, name)), name
+    assert list(cols.indeg_base) == dag.indegrees()
+
+
 def _faulty_config(seed: int) -> EngineConfig:
     return EngineConfig(
         epr_rate=0.5,
@@ -316,3 +342,214 @@ def test_critical_path_and_release_graph():
     got = cols.operation(1)
     assert got.gate == "CNOT"
     assert tuple(str(q) for q in got.qubits) == ("q[0]", "q[1]")
+
+
+# ---------------------------------------------------------------------------
+# Ingest sources: a leaf_stream is spliced from int-coded templates, any
+# other stream is interned op by op. Both must give the same columns, or
+# the same error.
+# ---------------------------------------------------------------------------
+
+COLUMN_FIELDS = (
+    "n",
+    "gate_names",
+    "gate_ids",
+    "qubits",
+    "op_q",
+    "op_off",
+    "angles",
+    "succ_flat",
+    "succ_off",
+    "indeg_base",
+)
+
+
+def _ingest(program, name, decompose, boxed, config=None):
+    stream = leaf_stream(
+        program, name, decompose=decompose, decompose_config=config
+    )
+    try:
+        cols = build_columns(ListStream(list(stream)) if boxed else stream)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return {f: getattr(cols, f) for f in COLUMN_FIELDS}
+
+
+def assert_same_ingest(program, name, decompose, config=None):
+    """Template ingest equals boxed ingest, field for field."""
+    spliced = _ingest(program, name, decompose, False, config)
+    boxed = _ingest(program, name, decompose, True, config)
+    assert spliced == boxed, (name, decompose)
+    return spliced
+
+
+@pytest.mark.parametrize("decompose", [True, False])
+@pytest.mark.parametrize("key", REGISTRY)
+def test_template_ingest_matches_boxed_registry(key, decompose):
+    """Every reachable module of every registry benchmark up to 5x10^4
+    gates, as a leaf."""
+    prog = BENCHMARKS[key].build()
+    totals = (
+        decomposed_gate_counts(prog) if decompose
+        else total_gate_counts(prog)
+    )
+    names = [n for n in sorted(prog.reachable()) if totals[n] <= 50_000]
+    assert names
+    for name in names:
+        stream = leaf_stream(prog, name, decompose=decompose)
+        assert stream.int_coded() is not None, name
+        assert_same_ingest(prog, name, decompose)
+
+
+ANGLES = st.one_of(
+    st.integers(min_value=-8, max_value=8).map(lambda m: m * math.pi / 4),
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+)
+
+
+@st.composite
+def hierarchical_programs(draw) -> Program:
+    """Modules ``m0..m{depth-1}`` and ``main``, each calling lower ones
+    (so calls nest 2-3 deep), with 1-4 iterations, callee-local
+    registers, and rotations at pi/4-multiple and generic angles."""
+    depth = draw(st.integers(min_value=2, max_value=3))
+    modules: List[Module] = []
+    for level in range(depth + 1):
+        entry = level == depth
+        name = "main" if entry else f"m{level}"
+        params = () if entry else tuple(
+            Qubit(f"p{level}", i)
+            for i in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        width = draw(st.integers(min_value=3 - min(len(params), 2),
+                                 max_value=3))
+        pool = list(params) + [Qubit("t", i) for i in range(width)]
+        body = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            if modules and draw(st.booleans()):
+                callee = draw(st.sampled_from(modules))
+                args = draw(st.permutations(pool))[: len(callee.params)]
+                iterations = draw(st.integers(min_value=1, max_value=4))
+                body.append(CallSite(callee.name, tuple(args), iterations))
+                continue
+            gate = draw(st.sampled_from(
+                ["H", "T", "X", "Rz", "CNOT", "CZ", "CRz", "Toffoli"]
+            ))
+            qs = draw(st.permutations(pool))[: GATES[gate].arity]
+            angle = draw(ANGLES) if GATES[gate].takes_angle else None
+            body.append(Operation(gate, tuple(qs), angle))
+        modules.append(Module(name, params, body))
+    return Program(modules, "main")
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=hierarchical_programs(), decompose=st.booleans())
+def test_template_ingest_matches_boxed_hierarchical(program, decompose):
+    # A coarse rotation synthesizer keeps generic angles at 10 gates.
+    config = DecomposeConfig(epsilon=0.25)
+    totals = (
+        decomposed_gate_counts(program, config) if decompose
+        else total_gate_counts(program)
+    )
+    assume(totals["main"] <= 5_000)
+    stream = leaf_stream(
+        program, "main", decompose=decompose, decompose_config=config
+    )
+    assert stream.int_coded() is not None
+    cols = assert_same_ingest(program, "main", decompose, config)
+    assert cols["n"] == totals["main"]
+
+
+def _aliasing_program(body):
+    """``f(p)`` with local ``t`` and body ``body(p[0], t[0])``, called on
+    a caller qubit literally named ``f@0$t[0]``: the frame maps both
+    ``p[0]`` and ``t[0]`` onto it."""
+    p, t = Qubit("p", 0), Qubit("t", 0)
+    f = Module("f", (p,), body(p, t))
+    main = Module("main", (), [CallSite("f", (Qubit("f@0$t", 0),))])
+    return Program([f, main], "main")
+
+
+@pytest.mark.parametrize("decompose", [True, False])
+def test_aliasing_frame_without_repeated_operand_splices(decompose):
+    prog = _aliasing_program(
+        lambda p, t: [Operation("H", (p,)), Operation("X", (t,))]
+    )
+    assert leaf_stream(prog, "main", decompose=decompose).int_coded()
+    cols = assert_same_ingest(prog, "main", decompose)
+    assert cols["n"] == 2
+    assert cols["qubits"] == [Qubit("f@0$t", 0)]
+    assert list(cols["succ_flat"]) == [1]
+
+
+@pytest.mark.parametrize("decompose", [True, False])
+def test_aliasing_frame_repeating_an_operand_raises(decompose):
+    prog = _aliasing_program(
+        lambda p, t: [Operation("H", (p,)), Operation("CNOT", (p, t))]
+    )
+    assert assert_same_ingest(prog, "main", decompose) == (
+        ValueError,
+        "CNOT operands must be distinct, got (f@0$t[0], f@0$t[0])",
+    )
+
+
+@pytest.mark.parametrize("decompose", [True, False])
+def test_aliasing_through_nested_frames_raises(decompose):
+    # main -> g@0 -> f@1: f's local t and its formal (bound through g's
+    # formal to main's qubit named g@0$f@1$t[0]) meet only in main.
+    p, a, t, u = Qubit("p", 0), Qubit("a", 0), Qubit("t", 0), Qubit("u", 0)
+    f = Module("f", (p,), [Operation("Toffoli", (p, u, t))])
+    g = Module("g", (a,), [Operation("H", (a,)), CallSite("f", (a,))])
+    main = Module("main", (), [CallSite("g", (Qubit("g@0$f@1$t", 0),))])
+    prog = Program([f, g, main], "main")
+    assert assert_same_ingest(prog, "main", decompose) == (
+        ValueError,
+        "Toffoli operands must be distinct, got "
+        "(g@0$f@1$t[0], g@0$f@1$u[0], g@0$f@1$t[0])",
+    )
+
+
+def test_every_decomposition_pairs_each_operand_pair():
+    """A template checks repeated operands after decomposition; that
+    equals the boxed check before it because every rule puts each pair
+    of its gate's operands together in some output op."""
+    synth = DecomposeConfig().synthesizer()
+    for gate, spec in GATES.items():
+        qs = tuple(Qubit("q", i) for i in range(spec.arity))
+        op = Operation(gate, qs, 0.3 if spec.takes_angle else None)
+        out = decompose_operation(op, synth)
+        for pair in itertools.combinations(qs, 2):
+            assert any(set(pair) <= set(o.qubits) for o in out), (gate, pair)
+
+
+@pytest.mark.parametrize("kind", SCALE_KINDS)
+def test_template_ingest_builds_no_operation_per_gate(kind, monkeypatch):
+    """Ingesting a scale leaf constructs Operations per distinct source
+    op (its decomposition), not per gate: the count is the same at
+    10^4 and 10^5 gates."""
+    built = [0]
+    post_init = Operation.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Operation, "__post_init__", counting)
+    counts = []
+    for gates in (10_000, 100_000):
+        program, total = build_scale(kind, gates)
+        before = built[0]
+        cols = build_columns(leaf_stream(program, program.entry))
+        counts.append(built[0] - before)
+        assert cols.n == total
+    assert counts[0] == counts[1], counts
+
+
+def test_iterated_call_past_op_limit_overflows_at_once():
+    program, total = build_scale("adder", 2**31)
+    assert total >= 2**31 - 1
+    stream = leaf_stream(program, program.entry)
+    # A boxed ingest would run for hours before overflowing.
+    assert isinstance(stream, LeafStream)
+    with pytest.raises(OverflowError, match=r"2\^31-1 operations"):
+        build_columns(stream)

@@ -233,5 +233,36 @@ class TestUsage:
         assert "33 input bits" in lines[0]
         assert "--samples" in lines[0]
 
+    def test_exhaustive_expected_outputs_too_wide_to_hold(self):
+        # scale:adder:1e4:w12 binds 25 input bits over 26 qubits: its
+        # lane vectors need only 0.1 GiB, but the reference check also
+        # holds one expected output per lane (a Python int, its list
+        # slot and a packed copy), about 1.6 GiB more. Under a 1.5 GB
+        # address-space limit the sweep must be refused before any
+        # lane is computed, not end in a MemoryError traceback.
+        import resource
+
+        def limit_memory():
+            cap = 1_500_000 * 1024
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "scale:adder:1e4:w12",
+             "--spec", "adder", "--exhaustive", "--no-schedule"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=limit_memory,
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1, proc.stderr
+        assert lines[0].startswith("error: ")
+        assert "25 input bits" in lines[0]
+        assert "expected outputs" in lines[0]
+        assert "--samples" in lines[0]
+
     def test_unknown_source(self, capsys):
         assert main(["verify", "NOPE.qasm"]) == 2
