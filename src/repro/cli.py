@@ -47,7 +47,7 @@ import math
 import re
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .analysis import SummaryCache
@@ -1118,6 +1118,33 @@ def _engine_config(args: argparse.Namespace):
     )
 
 
+def _machine_doc(machine: MultiSIMD) -> Dict[str, Any]:
+    return {
+        "k": machine.k,
+        "d": machine.d,
+        "local_memory": machine.local_memory,
+    }
+
+
+def _write_trace(path: str, payload: Dict[str, Any]) -> int:
+    """Write a ``repro.trace/1`` payload as a Chrome trace; return the
+    number of events written."""
+    from .engine import validate_trace_payload, write_chrome_trace
+
+    for problem in validate_trace_payload(payload):
+        # Defensive; the engine emits valid docs.
+        print(f"warning: invalid trace payload: {problem}", file=sys.stderr)
+    return write_chrome_trace(path, payload)
+
+
+def _print_faults(log, width: int) -> None:
+    if log.total_events:
+        print(f"{'faults injected:':<{width}}{log.total_events:,} "
+              f"(epr regen {log.epr_regenerations:,}, region down "
+              f"{log.region_down_events:,}, gate errors "
+              f"{log.gate_errors:,})")
+
+
 def _execute_stream(args: argparse.Namespace) -> int:
     """The ``execute --stream`` path: run the engine epoch-at-a-time
     over a ``repro.schedule-stream`` export without inflating it.
@@ -1125,7 +1152,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
     Traces are sampled (``--sample-every``) so even a 10^7-gate export
     can be traced; stall and fault events are always recorded.
     """
-    from .engine import EngineError, validate_trace_payload, write_chrome_trace
+    from .engine import EngineError
     from .engine.trace import build_payload
     from .service import execute_schedule_stream
 
@@ -1162,11 +1189,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
         payload = build_payload(
             [(result.module, result.trace)],
             runtime=result.realized_runtime,
-            machine={
-                "k": machine.k,
-                "d": machine.d,
-                "local_memory": machine.local_memory,
-            },
+            machine=_machine_doc(machine),
             stats={
                 "entry": result.module,
                 "realized_runtime": result.realized_runtime,
@@ -1177,13 +1200,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
                 "sample_every": args.sample_every,
             },
         )
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
+        trace_events = _write_trace(args.trace, payload)
     if args.json:
         doc = result.to_dict()
         doc["stream"] = {
@@ -1197,11 +1214,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
         }
         if comm is not None:
             doc["stream"]["compile_runtime"] = comm.runtime
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
-        }
+        doc["machine"] = _machine_doc(machine)
         print(json.dumps(doc, indent=2))
         return 0
     stalls = result.stalls
@@ -1222,12 +1235,7 @@ def _execute_stream(args: argparse.Namespace) -> int:
           f"fault {stalls.fault:,})")
     print(f"utilization:       {100 * avg_util:.1f}%")
     print(f"teleport rounds:   {result.teleport_rounds:,}")
-    log = result.fault_log
-    if log.total_events:
-        print(f"faults injected:   {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
+    _print_faults(result.fault_log, 19)
     if comm is not None and comm.runtime != result.analytic_runtime:
         print(f"compile-time est.: {comm.runtime:,} cycles "
               "(footer CommStats)")
@@ -1241,14 +1249,57 @@ def _execute_stream(args: argparse.Namespace) -> int:
     return 0
 
 
+def _run_execution(
+    args: argparse.Namespace,
+    execute: Callable[[bool], Any],
+    machine: Dict[str, Any],
+    summary: Callable[[Any], None],
+    metrics: Optional[Dict[str, Any]] = None,
+    trace_note: str = "",
+) -> int:
+    """Run ``execute(preflight)`` and report it the way ``execute`` and
+    ``execute --topology`` share: a preflight refusal exits 4 and any
+    other engine error 2; ``--trace`` writes the Chrome trace;
+    ``--json`` prints the execution document under ``machine`` and
+    ``metrics`` (prefixed to the execution's own); otherwise
+    ``summary`` prints the text report."""
+    from .engine import EngineError, PreflightError
+
+    try:
+        execution = execute(not args.no_preflight)
+    except PreflightError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        for code, message, _t in exc.violations[:10]:
+            print(f"  {code}: {message}", file=sys.stderr)
+        if len(exc.violations) > 10:
+            print(
+                f"  ... {len(exc.violations) - 10} more",
+                file=sys.stderr,
+            )
+        return EXIT_SCHEDULE
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+    trace_events = None
+    if args.trace:
+        trace_events = _write_trace(args.trace, execution.to_trace_payload())
+    if args.json:
+        doc = execution.to_dict()
+        doc["scheduler"] = args.scheduler
+        doc["machine"] = machine
+        doc["metrics"] = {**(metrics or {}), **execution.metrics()}
+        print(json.dumps(doc, indent=2))
+        return 0
+    summary(execution)
+    if args.trace:
+        print(f"wrote {trace_events} trace events to {args.trace} "
+              f"({trace_note}load in chrome://tracing or ui.perfetto.dev)")
+    return 0
+
+
 def _cmd_execute(args: argparse.Namespace) -> int:
-    from .engine import (
-        EngineError,
-        PreflightError,
-        execute_result,
-        validate_trace_payload,
-        write_chrome_trace,
-    )
+    from .engine import execute_result
 
     if args.stream is not None:
         return _execute_stream(args)
@@ -1268,76 +1319,37 @@ def _cmd_execute(args: argparse.Namespace) -> int:
     result = compile_and_schedule(
         prog, machine, SchedulerConfig(args.scheduler), fth=fth
     )
-    try:
-        execution = execute_result(
-            result, config, preflight=not args.no_preflight
-        )
-    except PreflightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for code, message, _t in exc.violations[:10]:
-            print(f"  {code}: {message}", file=sys.stderr)
-        if len(exc.violations) > 10:
-            print(
-                f"  ... {len(exc.violations) - 10} more",
-                file=sys.stderr,
-            )
-        return EXIT_SCHEDULE
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
-    trace_events = None
-    if args.trace:
-        payload = execution.to_trace_payload()
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
-    if args.json:
-        doc = execution.to_dict()
-        doc["scheduler"] = args.scheduler
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
-        }
-        doc["metrics"] = execution.metrics()
-        print(json.dumps(doc, indent=2))
-        return 0
-    stalls = execution.stalls
-    print(f"machine:           {machine}")
-    print(f"scheduler:         {args.scheduler}")
-    print(f"entry module:      {execution.entry} "
-          f"({len(execution.leaves)} leaf, "
-          f"{len(execution.coarse)} coarse)")
-    print(f"analytic runtime:  {execution.analytic_runtime:,} cycles")
-    print(f"realized runtime:  {execution.realized_runtime:,} cycles"
-          + ("  (= analytic)" if execution.ideal_match else ""))
-    print(f"stall cycles:      {stalls.total:,} "
-          f"(epr {stalls.epr:,}, bandwidth {stalls.bandwidth:,}, "
-          f"fault {stalls.fault:,})")
-    print(f"utilization:       {100 * execution.utilization:.1f}%")
-    print(f"teleport rounds:   {execution.teleport_rounds:,}")
-    log = execution.fault_log
-    if log.total_events:
-        print(f"faults injected:   {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
-    if execution.leaves and any(
-        r.preflight_violations is not None
-        for r in execution.leaves.values()
-    ):
-        print("preflight:         passed (0 violations)")
-    elif args.no_preflight:
-        print("preflight:         skipped (--no-preflight)")
-    if args.trace:
-        print(f"wrote {trace_events} trace events to {args.trace} "
-              "(load in chrome://tracing or ui.perfetto.dev)")
-    return 0
+    def summary(execution) -> None:
+        stalls = execution.stalls
+        print(f"machine:           {machine}")
+        print(f"scheduler:         {args.scheduler}")
+        print(f"entry module:      {execution.entry} "
+              f"({len(execution.leaves)} leaf, "
+              f"{len(execution.coarse)} coarse)")
+        print(f"analytic runtime:  {execution.analytic_runtime:,} cycles")
+        print(f"realized runtime:  {execution.realized_runtime:,} cycles"
+              + ("  (= analytic)" if execution.ideal_match else ""))
+        print(f"stall cycles:      {stalls.total:,} "
+              f"(epr {stalls.epr:,}, bandwidth {stalls.bandwidth:,}, "
+              f"fault {stalls.fault:,})")
+        print(f"utilization:       {100 * execution.utilization:.1f}%")
+        print(f"teleport rounds:   {execution.teleport_rounds:,}")
+        _print_faults(execution.fault_log, 19)
+        if execution.leaves and any(
+            r.preflight_violations is not None
+            for r in execution.leaves.values()
+        ):
+            print("preflight:         passed (0 violations)")
+        elif args.no_preflight:
+            print("preflight:         skipped (--no-preflight)")
+
+    return _run_execution(
+        args,
+        lambda preflight: execute_result(result, config, preflight=preflight),
+        _machine_doc(machine),
+        summary,
+    )
 
 
 def _multicore_graph(args: argparse.Namespace):
@@ -1365,12 +1377,6 @@ def _execute_multicore(
     ``--link-epr-rate`` the interconnect links (defaulting to the
     intra rate, so one knob throttles both).
     """
-    from .engine import (
-        EngineError,
-        PreflightError,
-        validate_trace_payload,
-        write_chrome_trace,
-    )
     from .multicore import (
         MulticoreConfig,
         PartitionError,
@@ -1395,82 +1401,48 @@ def _execute_multicore(
         )
     except PartitionError as exc:
         raise CLIError(str(exc)) from None
-    try:
-        execution = execute_multicore_result(
-            result, config, preflight=not args.no_preflight
-        )
-    except PreflightError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for code, message, _t in exc.violations[:10]:
-            print(f"  {code}: {message}", file=sys.stderr)
-        if len(exc.violations) > 10:
-            print(
-                f"  ... {len(exc.violations) - 10} more",
-                file=sys.stderr,
-            )
-        return EXIT_SCHEDULE
-    except EngineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
-    trace_events = None
-    if args.trace:
-        payload = execution.to_trace_payload()
-        problems = validate_trace_payload(payload)
-        for problem in problems:  # defensive; the engine emits valid docs
-            print(
-                f"warning: invalid trace payload: {problem}",
-                file=sys.stderr,
-            )
-        trace_events = write_chrome_trace(args.trace, payload)
-    if args.json:
-        doc = execution.to_dict()
-        doc["scheduler"] = args.scheduler
-        doc["machine"] = {
-            "k": machine.k,
-            "d": machine.d,
-            "local_memory": machine.local_memory,
+    def summary(execution) -> None:
+        stalls = execution.stalls
+        print(f"machine:            {graph.cores} x {machine} "
+              f"[{graph.name}, link bw {args.link_bw:g}]")
+        print(f"scheduler:          {args.scheduler}")
+        print(f"entry module:       {execution.entry} "
+              f"({len(execution.leaves)} leaf, "
+              f"{len(execution.coarse)} coarse)")
+        print(f"analytic makespan:  {execution.analytic_runtime:,} cycles")
+        print(f"realized makespan:  {execution.realized_runtime:,} cycles"
+              + ("  (= analytic)" if execution.ideal_match else ""))
+        print(f"stall cycles:       {stalls.total:,} "
+              f"(intra-core {stalls.intra:,}, "
+              f"inter-core {stalls.intercore:,})")
+        print(f"inter-core comm:    {result.intercore_teleports:,} "
+              f"teleport(s), {result.intercore_pairs:,} EPR pair(s), "
+              f"cut weight {result.cut_weight:,}, "
+              f"max {result.max_hops} hop(s)")
+        print(f"decomposition:      "
+              + ("ok (realized == analytic + stalls per leaf)"
+                 if execution.decomposition_ok else "VIOLATED"))
+        print(f"utilization:        {100 * execution.utilization:.1f}%")
+        _print_faults(execution.fault_log, 20)
+        if args.no_preflight:
+            print("preflight:          skipped (--no-preflight)")
+
+    return _run_execution(
+        args,
+        lambda preflight: execute_multicore_result(
+            result, config, preflight=preflight
+        ),
+        {
+            **_machine_doc(machine),
             "cores": graph.cores,
             "topology": graph.name,
             "link_bw": args.link_bw,
-        }
-        doc["metrics"] = {**result.metrics(), **execution.metrics()}
-        print(json.dumps(doc, indent=2))
-        return 0
-    stalls = execution.stalls
-    print(f"machine:            {graph.cores} x {machine} "
-          f"[{graph.name}, link bw {args.link_bw:g}]")
-    print(f"scheduler:          {args.scheduler}")
-    print(f"entry module:       {execution.entry} "
-          f"({len(execution.leaves)} leaf, "
-          f"{len(execution.coarse)} coarse)")
-    print(f"analytic makespan:  {execution.analytic_runtime:,} cycles")
-    print(f"realized makespan:  {execution.realized_runtime:,} cycles"
-          + ("  (= analytic)" if execution.ideal_match else ""))
-    print(f"stall cycles:       {stalls.total:,} "
-          f"(intra-core {stalls.intra:,}, "
-          f"inter-core {stalls.intercore:,})")
-    print(f"inter-core comm:    {result.intercore_teleports:,} "
-          f"teleport(s), {result.intercore_pairs:,} EPR pair(s), "
-          f"cut weight {result.cut_weight:,}, "
-          f"max {result.max_hops} hop(s)")
-    print(f"decomposition:      "
-          + ("ok (realized == analytic + stalls per leaf)"
-             if execution.decomposition_ok else "VIOLATED"))
-    print(f"utilization:        {100 * execution.utilization:.1f}%")
-    log = execution.fault_log
-    if log.total_events:
-        print(f"faults injected:    {log.total_events:,} "
-              f"(epr regen {log.epr_regenerations:,}, region down "
-              f"{log.region_down_events:,}, gate errors "
-              f"{log.gate_errors:,})")
-    if args.no_preflight:
-        print("preflight:          skipped (--no-preflight)")
-    if args.trace:
-        print(f"wrote {trace_events} trace events to {args.trace} "
-              "(one lane per core; load in chrome://tracing or "
-              "ui.perfetto.dev)")
-    return 0
+        },
+        summary,
+        metrics=result.metrics(),
+        trace_note="one lane per core; ",
+    )
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:

@@ -31,7 +31,7 @@ and successor tables, in the layout of
 from __future__ import annotations
 
 from itertools import accumulate, chain
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .operation import Operation, Statement
 from .qubits import Qubit
@@ -171,10 +171,6 @@ class DependenceDAG:
         """Nodes with no predecessors (the paper's ``G.top()``)."""
         return [i for i, p in enumerate(self.preds) if not p]
 
-    def sinks(self) -> List[int]:
-        """Nodes with no successors."""
-        return [i for i, s in enumerate(self.succs) if not s]
-
     def columns(self) -> DAGColumns:
         """The int-coded view the scheduler and movement kernels read
         (gate statements only). Memoized until
@@ -229,48 +225,6 @@ class DependenceDAG:
         """Weighted length of the longest dependence chain."""
         return max(self.depths(), default=0)
 
-    def critical_path(self) -> List[int]:
-        """One longest dependence chain, as node indices in order.
-
-        Implements the paper's longest-path procedure: tag every node
-        with its distance from the top, find the largest depth at the
-        bottom, then trace the path back.
-        """
-        if self.n == 0:
-            return []
-        depths = self.depths()
-        node = max(range(self.n), key=depths.__getitem__)
-        path = [node]
-        while self.preds[node]:
-            node = max(self.preds[node], key=depths.__getitem__)
-            path.append(node)
-        path.reverse()
-        return path
-
-    def longest_path_from(self, start: int) -> List[int]:
-        """The longest downward path beginning at ``start``, following
-        maximum-height successors (ties broken by program order)."""
-        heights = self.heights()
-        path = [start]
-        node = start
-        while self.succs[node]:
-            node = max(
-                self.succs[node], key=lambda s: (heights[s], -s)
-            )
-            path.append(node)
-        return path
-
-    def next_longest_path(self, ready: Iterable[int]) -> List[int]:
-        """LPFS' ``getNextLongestPath``: among the ``ready`` nodes, pick
-        the one heading the longest remaining chain and return that
-        chain. Returns ``[]`` if ``ready`` is empty."""
-        ready = list(ready)
-        if not ready:
-            return []
-        heights = self.heights()
-        start = max(ready, key=lambda i: (heights[i], -i))
-        return self.longest_path_from(start)
-
     # -- misc -------------------------------------------------------------
 
     def qubit_chains(self) -> Dict[Qubit, List[int]]:
@@ -295,13 +249,3 @@ class DependenceDAG:
                 cp - (d[i] + h[i] - w[i]) for i in range(self.n)
             ]
         return self._slack
-
-    def validate_acyclic(self) -> None:
-        """Sanity check: edges only point forward in program order (the
-        construction guarantees this; kept for defensive testing)."""
-        for i, succ in enumerate(self.succs):
-            for s in succ:
-                if s <= i:
-                    raise AssertionError(
-                        f"backward edge {i} -> {s} in dependence DAG"
-                    )

@@ -25,14 +25,17 @@ stall breakdown attributes every added cycle to its cause:
 Programs execute hierarchically, mirroring the compile pipeline: each
 leaf schedule runs on the engine, realized leaf runtimes are fed back
 into the coarse scheduler as blackbox dimensions, and the entry
-module's coarse length becomes the program's realized runtime.
+module's coarse length becomes the program's realized runtime. The
+walk is shared: multi-core execution
+(:func:`repro.multicore.execute_multicore_result`) runs it with its own
+leaf runner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..arch.machine import (
     GATE_CYCLES,
@@ -520,8 +523,73 @@ def _execute_epochs(
     )
 
 
+def _busy_fraction(runs: List[EngineResult]) -> float:
+    """Aggregate busy fraction over ``runs``' region-cycles."""
+    busy = sum(sum(r.utilization.values()) * r.realized_runtime for r in runs)
+    capacity = sum(r.k * r.realized_runtime for r in runs)
+    return busy / capacity if capacity else 0.0
+
+
+class _HierarchicalExecution:
+    """What every hierarchical execution reports the same way."""
+
+    @property
+    def ideal_match(self) -> bool:
+        """Whether realized == analytic (expected under ideal config)."""
+        return self.realized_runtime == self.analytic_runtime
+
+    def _trace_payload(
+        self,
+        leaf_sections: List[Tuple[str, EventTrace]],
+        machine: MultiSIMD,
+        **machine_extra: Any,
+    ) -> Dict[str, Any]:
+        """The merged ``repro.trace/1`` document: ``leaf_sections``,
+        then each coarse replay, up to the last cycle any of them
+        reaches."""
+        sections = leaf_sections + [
+            (name, self.coarse_traces[name])
+            for name in sorted(self.coarse_traces)
+        ]
+        horizon = max(
+            [self.realized_runtime]
+            + [r.realized_runtime for r in self.leaves.values()]
+            + [c.total_length for c in self.coarse.values()]
+        )
+        return build_payload(
+            sections,
+            runtime=horizon,
+            machine={
+                "k": machine.k,
+                "d": machine.d,
+                "local_memory": machine.local_memory,
+                **machine_extra,
+            },
+            stats={
+                "entry": self.entry,
+                "realized_runtime": self.realized_runtime,
+                "analytic_runtime": self.analytic_runtime,
+                "modules": len(self.leaves) + len(self.coarse),
+                "engine_config": self.config.to_dict(),
+                "faults": self.fault_log.total_events,
+            },
+        )
+
+    def _modules_dict(self) -> Dict[str, Any]:
+        return {
+            name: self.leaves[name].to_dict()
+            if name in self.leaves
+            else {
+                "module": name,
+                "realized_runtime": self.realized[name],
+                "coarse": True,
+            }
+            for name in sorted(self.realized)
+        }
+
+
 @dataclass
-class ProgramExecution:
+class ProgramExecution(_HierarchicalExecution):
     """Hierarchical execution of a whole compile result.
 
     Attributes:
@@ -557,56 +625,23 @@ class ProgramExecution:
     machine: MultiSIMD
 
     @property
-    def ideal_match(self) -> bool:
-        """Whether realized == analytic (expected under ideal config)."""
-        return self.realized_runtime == self.analytic_runtime
-
-    @property
     def teleport_rounds(self) -> int:
         return sum(r.teleport_rounds for r in self.leaves.values())
 
     @property
     def utilization(self) -> float:
         """Aggregate busy fraction over every leaf run's region-cycles."""
-        busy = sum(
-            sum(r.utilization.values()) * r.realized_runtime
-            for r in self.leaves.values()
-        )
-        capacity = sum(
-            r.k * r.realized_runtime for r in self.leaves.values()
-        )
-        return busy / capacity if capacity else 0.0
+        return _busy_fraction(list(self.leaves.values()))
 
     def to_trace_payload(self) -> Dict[str, Any]:
         """The merged ``repro.trace/1`` document for this execution."""
-        sections: List[Tuple[str, EventTrace]] = []
-        for name in sorted(self.leaves):
-            result = self.leaves[name]
-            if result.trace is not None:
-                sections.append((name, result.trace))
-        for name in sorted(self.coarse_traces):
-            sections.append((name, self.coarse_traces[name]))
-        runtime = max(
-            [self.realized_runtime]
-            + [r.realized_runtime for r in self.leaves.values()]
-            + [c.total_length for c in self.coarse.values()]
-        )
-        return build_payload(
-            sections,
-            runtime=runtime,
-            machine={
-                "k": self.machine.k,
-                "d": self.machine.d,
-                "local_memory": self.machine.local_memory,
-            },
-            stats={
-                "entry": self.entry,
-                "realized_runtime": self.realized_runtime,
-                "analytic_runtime": self.analytic_runtime,
-                "modules": len(self.leaves) + len(self.coarse),
-                "engine_config": self.config.to_dict(),
-                "faults": self.fault_log.total_events,
-            },
+        return self._trace_payload(
+            [
+                (name, self.leaves[name].trace)
+                for name in sorted(self.leaves)
+                if self.leaves[name].trace is not None
+            ],
+            self.machine,
         )
 
     def metrics(self) -> Dict[str, Any]:
@@ -635,16 +670,7 @@ class ProgramExecution:
             "utilization": round(self.utilization, 6),
             "teleport_rounds": self.teleport_rounds,
             "engine_config": self.config.to_dict(),
-            "modules": {
-                name: self.leaves[name].to_dict()
-                if name in self.leaves
-                else {
-                    "module": name,
-                    "realized_runtime": self.realized[name],
-                    "coarse": True,
-                }
-                for name in sorted(self.realized)
-            },
+            "modules": self._modules_dict(),
             "faults": self.fault_log.to_dict(),
         }
 
@@ -683,58 +709,37 @@ def _coarse_trace(module, result: CoarseResult) -> EventTrace:
     return trace
 
 
-def execute_result(
+def _execute_hierarchy(
     result: CompileResult,
-    config: Optional[EngineConfig] = None,
-    preflight: bool = True,
-) -> ProgramExecution:
-    """Execute a whole compile result, hierarchically.
+    config: EngineConfig,
+    run_leaf: Callable[[str], Any],
+    stalls: Any,
+    coarse_span: str = "engine:coarse",
+) -> Dict[str, Any]:
+    """Execute ``result`` bottom-up, ``run_leaf(name)`` running each
+    leaf; return the fields every hierarchical execution carries.
 
-    Every retained leaf schedule runs on the engine; realized leaf
-    runtimes replace the analytic width-``k`` blackbox dimensions, and
-    non-leaf modules are re-coarse-scheduled bottom-up over the
+    Realized leaf runtimes replace the analytic width-``k`` blackbox
+    dimensions, and non-leaf modules are re-coarse-scheduled over the
     realized dimensions — so stalls in a hot leaf propagate into the
     program-level realized runtime exactly the way the compile-time
-    composition would have propagated its analytic cost.
-
-    Raises:
-        EngineError: the result carries no schedules (e.g. loaded from
-            the compile cache, which strips them) — recompile with
-            ``keep_schedules=True`` / ``use_cache=False``.
-        PreflightError: preflight replay found violations.
+    composition would have propagated its analytic cost. Leaf stalls
+    merge into ``stalls`` and leaf fault logs into one program log, in
+    topological order.
     """
-    config = config or EngineConfig()
     program = result.program
-    if not result.schedules:
-        raise EngineError(
-            "compile result has no retained schedules (cache-loaded "
-            "results strip them); recompile with keep_schedules=True"
-        )
     k = result.machine.k
-    leaves: Dict[str, EngineResult] = {}
+    leaves: Dict[str, Any] = {}
     coarse: Dict[str, CoarseResult] = {}
     coarse_traces: Dict[str, EventTrace] = {}
     realized: Dict[str, int] = {}
     realized_dims: Dict[str, Dict[int, int]] = {}
-    stalls = StallBreakdown()
     fault_log = FaultLog(seed=config.seed, scope=program.entry)
 
     for name in program.topological_order():
         mod = program.module(name)
-        profile = result.profiles[name]
         if mod.is_leaf:
-            sched = result.schedules.get(name)
-            if sched is None:
-                raise EngineError(
-                    f"no retained schedule for leaf module {name!r}"
-                )
-            run = run_schedule(
-                sched,
-                result.machine,
-                config=config,
-                scope=name,
-                preflight=preflight,
-            )
+            run = run_leaf(name)
             leaves[name] = run
             stalls.merge(run.stalls)
             fault_log.merge(run.fault_log)
@@ -742,7 +747,7 @@ def execute_result(
         else:
             callees = sorted(mod.callees())
             dims = {c: realized_dims[c] for c in callees}
-            with span("engine:coarse"):
+            with span(coarse_span):
                 replay = schedule_coarse(
                     mod,
                     dims,
@@ -757,18 +762,13 @@ def execute_result(
         # Downstream coarse schedules see the analytic dims with the
         # full-width entry replaced by the realized cost — the same
         # clamp the compile-time profiles apply.
-        dims_table = dict(profile.runtime)
+        dims_table = dict(result.profiles[name].runtime)
         dims_table[k] = realized[name]
         realized_dims[name] = dims_table
 
     entry = program.entry
-    if entry in coarse:
-        peak = coarse[entry].total_width
-    else:
-        peak = leaves[entry].k
-    return ProgramExecution(
+    return dict(
         entry=entry,
-        k=k,
         realized_runtime=realized[entry],
         analytic_runtime=result.profiles[entry].runtime[k],
         leaves=leaves,
@@ -777,7 +777,57 @@ def execute_result(
         realized=realized,
         stalls=stalls,
         fault_log=fault_log,
-        peak_width=peak,
         config=config,
+    )
+
+
+def execute_result(
+    result: CompileResult,
+    config: Optional[EngineConfig] = None,
+    preflight: bool = True,
+) -> ProgramExecution:
+    """Execute a whole compile result, hierarchically.
+
+    Every retained leaf schedule runs on the engine; the rest is
+    :func:`_execute_hierarchy`'s bottom-up coarse replay over the
+    realized leaf runtimes.
+
+    Raises:
+        EngineError: the result carries no schedules (e.g. loaded from
+            the compile cache, which strips them) — recompile with
+            ``keep_schedules=True`` / ``use_cache=False``.
+        PreflightError: preflight replay found violations.
+    """
+    config = config or EngineConfig()
+    if not result.schedules:
+        raise EngineError(
+            "compile result has no retained schedules (cache-loaded "
+            "results strip them); recompile with keep_schedules=True"
+        )
+
+    def run_leaf(name: str) -> EngineResult:
+        sched = result.schedules.get(name)
+        if sched is None:
+            raise EngineError(
+                f"no retained schedule for leaf module {name!r}"
+            )
+        return run_schedule(
+            sched,
+            result.machine,
+            config=config,
+            scope=name,
+            preflight=preflight,
+        )
+
+    walk = _execute_hierarchy(result, config, run_leaf, StallBreakdown())
+    entry = walk["entry"]
+    if entry in walk["coarse"]:
+        peak = walk["coarse"][entry].total_width
+    else:
+        peak = walk["leaves"][entry].k
+    return ProgramExecution(
+        k=result.machine.k,
+        peak_width=peak,
         machine=result.machine,
+        **walk,
     )

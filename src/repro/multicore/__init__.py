@@ -6,10 +6,10 @@ teleport interconnect (:mod:`~repro.multicore.topology`), a
 qubit-to-core partitioner minimizing the weighted interaction cut
 (:mod:`~repro.multicore.partition`), an inter-core makespan scheduler
 layered on the existing leaf schedulers
-(:mod:`~repro.multicore.makespan`), a toolflow driver mirroring
-:func:`repro.toolflow.compile_and_schedule`
-(:mod:`~repro.multicore.toolflow`), and a discrete-event executor
-extending the engine's ``realized == analytic + stalls`` invariant
+(:mod:`~repro.multicore.makespan`), a leaf step for
+:func:`repro.toolflow.compile_and_schedule`'s own hierarchy walk
+(:mod:`~repro.multicore.toolflow`), and a leaf runner for the
+engine's, extending its ``realized == analytic + stalls`` invariant
 across the interconnect (:mod:`~repro.multicore.execute`).
 
 With one core — any topology — the whole stack is bit-identical to the

@@ -19,7 +19,10 @@ holds **exactly**, with the stall breakdown split as
 * ``intercore`` — cycles spent waiting for interconnect link pools.
 
 Under an ideal config both terms are zero and the realized runtime
-equals :attr:`MulticoreSchedule.makespan` cycle for cycle.
+equals :attr:`MulticoreSchedule.makespan` cycle for cycle. A whole
+program runs on the engine's own bottom-up walk, with
+:func:`run_multicore_schedule` as its leaf runner
+(:func:`execute_multicore_result`).
 """
 
 from __future__ import annotations
@@ -28,19 +31,23 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..arch.machine import GATE_CYCLES, TELEPORT_CYCLES
 from ..engine.config import EngineConfig
 from ..engine.executor import (
     EngineError,
     EngineResult,
-    _coarse_trace,
+    _busy_fraction,
+    _execute_hierarchy,
+    _HierarchicalExecution,
     run_schedule,
 )
 from ..engine.faults import FaultLog
 from ..engine.state import InterconnectState
-from ..engine.trace import EventTrace, build_payload
+from ..engine.trace import EventTrace
 from ..instrument import span
-from ..sched.coarse import CoarseResult, schedule_coarse
+from ..sched.coarse import CoarseResult
+# schedule_coarse stays bound here as a bench/trace.py hook target (the
+# calls themselves go through repro.engine.executor).
+from ..sched.coarse import schedule_coarse  # noqa: F401
 from .toolflow import MulticoreCompileResult
 from .makespan import MulticoreSchedule
 
@@ -248,13 +255,15 @@ def run_multicore_schedule(
 
 
 @dataclass
-class MulticoreExecution:
+class MulticoreExecution(_HierarchicalExecution):
     """Hierarchical execution of a whole multi-core compile result.
 
-    Mirrors :class:`repro.engine.ProgramExecution`: leaves run on the
-    multi-core engine, realized leaf makespans replace the analytic
-    width-``k`` blackbox dimensions, and non-leaf modules are
-    re-coarse-scheduled bottom-up.
+    The same bottom-up walk as :class:`repro.engine.ProgramExecution`
+    with another leaf runner: leaves run on the multi-core engine,
+    realized leaf makespans replace the analytic width-``k`` blackbox
+    dimensions, and non-leaf modules are re-coarse-scheduled bottom-up.
+    ``ideal_match`` is expected under an ideal config and an infinite
+    link rate.
     """
 
     entry: str
@@ -269,12 +278,6 @@ class MulticoreExecution:
     fault_log: FaultLog
     config: EngineConfig
     result: MulticoreCompileResult
-
-    @property
-    def ideal_match(self) -> bool:
-        """Whether realized == analytic (expected under ideal config
-        and infinite link rate)."""
-        return self.realized_runtime == self.analytic_runtime
 
     @property
     def decomposition_ok(self) -> bool:
@@ -292,11 +295,7 @@ class MulticoreExecution:
         (``engine_stall_cycles`` is their sum). The inter-core stall
         is EPR-driven, so it doubles as ``engine_stall_epr``.
         """
-        per_core = list(
-            r
-            for leaf in self.leaves.values()
-            for r in leaf.core_results.values()
-        )
+        per_core = self._core_runs()
         return {
             "engine_runtime": self.realized_runtime,
             "engine_analytic_runtime": self.analytic_runtime,
@@ -316,15 +315,16 @@ class MulticoreExecution:
             "engine_decomposition_ok": int(self.decomposition_ok),
         }
 
+    def _core_runs(self) -> List[EngineResult]:
+        return [
+            r
+            for leaf in self.leaves.values()
+            for r in leaf.core_results.values()
+        ]
+
     @property
     def utilization(self) -> float:
-        busy = 0.0
-        capacity = 0.0
-        for leaf in self.leaves.values():
-            for r in leaf.core_results.values():
-                busy += sum(r.utilization.values()) * r.realized_runtime
-                capacity += r.k * r.realized_runtime
-        return busy / capacity if capacity else 0.0
+        return _busy_fraction(self._core_runs())
 
     def to_trace_payload(self) -> Dict[str, Any]:
         """The merged ``repro.trace/1`` document (one lane per core in
@@ -338,32 +338,11 @@ class MulticoreExecution:
                     sections.append((name, run.trace))
             if leaf.interconnect_trace is not None:
                 sections.append((name, leaf.interconnect_trace))
-        for name in sorted(self.coarse_traces):
-            sections.append((name, self.coarse_traces[name]))
-        runtime = max(
-            [self.realized_runtime]
-            + [r.realized_runtime for r in self.leaves.values()]
-            + [c.total_length for c in self.coarse.values()]
-        )
-        machine = self.result.core_machine
-        return build_payload(
+        return self._trace_payload(
             sections,
-            runtime=runtime,
-            machine={
-                "k": machine.k,
-                "d": machine.d,
-                "local_memory": machine.local_memory,
-                "cores": self.cores,
-                "topology": self.result.graph.name,
-            },
-            stats={
-                "entry": self.entry,
-                "realized_runtime": self.realized_runtime,
-                "analytic_runtime": self.analytic_runtime,
-                "modules": len(self.leaves) + len(self.coarse),
-                "engine_config": self.config.to_dict(),
-                "faults": self.fault_log.total_events,
-            },
+            self.result.machine,
+            cores=self.cores,
+            topology=self.result.graph.name,
         )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -378,16 +357,7 @@ class MulticoreExecution:
             "stalls": self.stalls.to_dict(),
             "utilization": round(self.utilization, 6),
             "engine_config": self.config.to_dict(),
-            "modules": {
-                name: self.leaves[name].to_dict()
-                if name in self.leaves
-                else {
-                    "module": name,
-                    "realized_runtime": self.realized[name],
-                    "coarse": True,
-                }
-                for name in sorted(self.realized)
-            },
+            "modules": self._modules_dict(),
             "faults": self.fault_log.to_dict(),
         }
 
@@ -397,79 +367,38 @@ def execute_multicore_result(
     config: Optional[EngineConfig] = None,
     preflight: bool = True,
 ) -> MulticoreExecution:
-    """Execute a whole multi-core compile result, hierarchically.
+    """Execute a whole multi-core compile result, hierarchically: the
+    engine's bottom-up walk, with :func:`run_multicore_schedule` as the
+    leaf runner.
 
     Raises:
         EngineError: the result carries no leaf schedules.
         PreflightError: a core schedule failed preflight replay.
     """
     config = config or EngineConfig()
-    program = result.program
     if not result.leaf_schedules:
         raise EngineError(
             "multicore compile result has no retained leaf schedules"
         )
-    k = result.core_machine.k
-    leaves: Dict[str, MulticoreEngineResult] = {}
-    coarse: Dict[str, CoarseResult] = {}
-    coarse_traces: Dict[str, EventTrace] = {}
-    realized: Dict[str, int] = {}
-    realized_dims: Dict[str, Dict[int, int]] = {}
-    stalls = MulticoreStalls()
-    fault_log = FaultLog(seed=config.seed, scope=program.entry)
 
-    for name in program.topological_order():
-        mod = program.module(name)
-        profile = result.profiles[name]
-        if mod.is_leaf:
-            msched = result.leaf_schedules.get(name)
-            if msched is None:
-                raise EngineError(
-                    f"no retained multicore schedule for leaf "
-                    f"module {name!r}"
-                )
-            run = run_multicore_schedule(
-                msched,
-                config=config,
-                link_epr_rate=result.config.link_epr_rate,
-                scope=name,
-                preflight=preflight,
+    def run_leaf(name: str) -> MulticoreEngineResult:
+        msched = result.leaf_schedules.get(name)
+        if msched is None:
+            raise EngineError(
+                f"no retained multicore schedule for leaf "
+                f"module {name!r}"
             )
-            leaves[name] = run
-            stalls.merge(run.stalls)
-            fault_log.merge(run.fault_log)
-            realized[name] = max(run.realized_runtime, 1)
-        else:
-            callees = sorted(mod.callees())
-            dims = {c: realized_dims[c] for c in callees}
-            with span("multicore:coarse"):
-                replay = schedule_coarse(
-                    mod,
-                    dims,
-                    k=k,
-                    gate_cost=GATE_CYCLES + TELEPORT_CYCLES,
-                    call_overhead=TELEPORT_CYCLES,
-                )
-            coarse[name] = replay
-            if config.collect_trace:
-                coarse_traces[name] = _coarse_trace(mod, replay)
-            realized[name] = max(replay.total_length, 1)
-        dims_table = dict(profile.runtime)
-        dims_table[k] = realized[name]
-        realized_dims[name] = dims_table
+        return run_multicore_schedule(
+            msched,
+            config=config,
+            link_epr_rate=result.config.link_epr_rate,
+            scope=name,
+            preflight=preflight,
+        )
 
-    entry = program.entry
+    walk = _execute_hierarchy(
+        result, config, run_leaf, MulticoreStalls(), "multicore:coarse"
+    )
     return MulticoreExecution(
-        entry=entry,
-        cores=result.graph.cores,
-        realized_runtime=realized[entry],
-        analytic_runtime=result.profiles[entry].runtime[k],
-        leaves=leaves,
-        coarse=coarse,
-        coarse_traces=coarse_traces,
-        realized=realized,
-        stalls=stalls,
-        fault_log=fault_log,
-        config=config,
-        result=result,
+        cores=result.graph.cores, result=result, **walk
     )

@@ -1,13 +1,14 @@
 """End-to-end multi-core toolflow: partition, schedule, compose.
 
-The multi-core driver mirrors :func:`repro.toolflow.compile_and_schedule`
-stage for stage — same front-end pass pipeline, same candidate widths,
-same coarse composition with the same cost constants — swapping only
-the per-leaf scheduling step: each leaf is partitioned over the core
-graph and scheduled by :func:`repro.multicore.makespan.schedule_multicore`,
-so a leaf's blackbox *length* is the slowest core's schedule length
-and its *runtime* is the analytic makespan (intra-core runtime +
-attributed inter-core communication).
+The multi-core driver *is* :func:`repro.toolflow.compile_and_schedule`
+with another leaf step: it runs the same front end, candidate widths,
+hierarchy walk and coarse composition (the private helpers of
+:mod:`repro.toolflow`), and only schedules each leaf differently — the
+leaf is partitioned over the core graph and scheduled by
+:func:`repro.multicore.makespan.schedule_multicore`, so its blackbox
+*length* is the slowest core's schedule length and its *runtime* is the
+analytic makespan (intra-core runtime + attributed inter-core
+communication).
 
 Guarantee (tested over the whole benchmark registry): with one core —
 any topology — every per-leaf schedule, movement list, profile entry,
@@ -19,31 +20,28 @@ generalization, not a fork.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..arch.machine import MultiSIMD
-from ..core.module import Program
-from ..instrument import span
-from ..passes.decompose import DecomposeConfig, decompose_program
-from ..passes.flatten import DEFAULT_FTH, FlattenResult, flatten_program
-from ..passes.manager import PassManager
-from ..passes.optimize import optimize_program
-from ..passes.resource import estimate_resources
-# coarse_length_profile stays bound here as a bench/trace.py hook target
-# (the calls themselves go through repro.toolflow).
-from ..sched.coarse import best_dim, coarse_length_profile  # noqa: F401
-from ..sched.comm import naive_runtime
-from ..sched.metrics import (
-    comm_speedup,
-    hierarchical_critical_path,
-    parallel_speedup,
-)
+from ..core.module import Module, Program
+from ..passes.decompose import DecomposeConfig
+from ..passes.flatten import DEFAULT_FTH
+# These stay bound here as bench/trace.py hook targets (the calls
+# themselves go through repro.toolflow).
+from ..passes.decompose import decompose_program  # noqa: F401
+from ..passes.flatten import flatten_program  # noqa: F401
+from ..passes.resource import estimate_resources  # noqa: F401
+from ..sched.coarse import coarse_length_profile  # noqa: F401
+from ..sched.metrics import hierarchical_critical_path  # noqa: F401
 from ..toolflow import (
+    CompileResult,
     ModuleProfile,
     SchedulerConfig,
     _candidate_widths,
-    _fill_coarse_profile,
+    _estimate,
+    _front_end,
+    _profile_modules,
 )
 from .makespan import MulticoreSchedule, schedule_multicore
 from .partition import PartitionReport, partition_qubits
@@ -98,47 +96,33 @@ class MulticoreConfig:
 
 
 @dataclass
-class MulticoreCompileResult:
-    """Everything a multi-core evaluation reads.
+class MulticoreCompileResult(CompileResult):
+    """A :class:`repro.toolflow.CompileResult` whose leaves were
+    scheduled over a core graph.
 
-    The shape deliberately parallels
-    :class:`repro.toolflow.CompileResult`: ``profiles`` carries the
-    same per-width blackbox dimensions (so the coarse composition and
-    ``best_dim`` selection are shared code), while ``leaf_schedules``
-    holds the full-width :class:`MulticoreSchedule` per leaf in place
-    of the single-core ``schedules`` map.
+    ``machine`` is the *per-core* machine (:attr:`core_machine` is its
+    multi-core name), so the inherited headline properties —
+    ``schedule_length``, ``runtime`` (the analytic makespan), the
+    speedups — read the profiles at the per-core width. ``schedules``
+    is empty: ``leaf_schedules`` holds the full-width
+    :class:`MulticoreSchedule` per leaf instead. ``config`` is always
+    set by :func:`compile_and_schedule_multicore`.
     """
 
-    program: Program
-    core_machine: MultiSIMD
-    config: MulticoreConfig
-    scheduler: SchedulerConfig
-    profiles: Dict[str, ModuleProfile]
-    leaf_schedules: Dict[str, MulticoreSchedule]
-    partitions: Dict[str, PartitionReport]
-    total_gates: int
-    critical_path: int
-    flattened_percent: float
+    config: Optional[MulticoreConfig] = None
+    leaf_schedules: Dict[str, MulticoreSchedule] = field(
+        default_factory=dict
+    )
+    partitions: Dict[str, PartitionReport] = field(default_factory=dict)
+
+    @property
+    def core_machine(self) -> MultiSIMD:
+        """The per-core machine (alias of ``machine``)."""
+        return self.machine
 
     @property
     def graph(self) -> CoreGraph:
         return self.config.graph
-
-    @property
-    def entry_profile(self) -> ModuleProfile:
-        return self.profiles[self.program.entry]
-
-    @property
-    def schedule_length(self) -> int:
-        """Whole-program schedule length at the per-core width."""
-        _, cost = best_dim(self.entry_profile.length, self.core_machine.k)
-        return cost
-
-    @property
-    def runtime(self) -> int:
-        """Whole-program analytic makespan at the per-core width."""
-        _, cost = best_dim(self.entry_profile.runtime, self.core_machine.k)
-        return cost
 
     @property
     def makespan(self) -> int:
@@ -174,24 +158,6 @@ class MulticoreCompileResult:
             (s.max_hops for s in self.leaf_schedules.values()), default=0
         )
 
-    # -- the paper's headline metrics, one level up -------------------
-
-    @property
-    def parallel_speedup(self) -> float:
-        return parallel_speedup(self.total_gates, self.schedule_length)
-
-    @property
-    def cp_speedup(self) -> float:
-        return parallel_speedup(self.total_gates, self.critical_path)
-
-    @property
-    def comm_aware_speedup(self) -> float:
-        return comm_speedup(self.total_gates, self.runtime)
-
-    @property
-    def naive_runtime(self) -> int:
-        return naive_runtime(self.total_gates)
-
     def metrics(self) -> Dict[str, Any]:
         """Flat multi-core columns for CLI JSON output."""
         return {
@@ -208,7 +174,7 @@ class MulticoreCompileResult:
         return (
             f"MulticoreCompileResult({self.program.entry!r}, "
             f"{self.scheduler.algorithm}, {self.graph}, "
-            f"{self.core_machine}, gates={self.total_gates}, "
+            f"{self.machine}, gates={self.total_gates}, "
             f"makespan={self.runtime})"
         )
 
@@ -241,75 +207,47 @@ def compile_and_schedule_multicore(
     """
     scheduler = scheduler or SchedulerConfig()
     graph = config.graph
-
-    flat_holder: Dict[str, FlattenResult] = {}
-
-    def _flatten(prog: Program) -> Program:
-        result = flatten_program(prog, fth=fth)
-        flat_holder["result"] = result
-        return result.program
-
-    pipeline = PassManager()
-    if optimize:
-        pipeline.add("optimize", lambda prog: optimize_program(prog)[0])
-    if decompose:
-        pipeline.add(
-            "decompose",
-            lambda prog: decompose_program(prog, decompose_config),
-        )
-    pipeline.add("flatten", _flatten)
-    program = pipeline.run(program)
-    flat = flat_holder["result"]
+    program, flat = _front_end(
+        program, fth, decompose, decompose_config, optimize
+    )
 
     k, d = core_machine.k, core_machine.d
     capacity = None if d is None else k * d
     widths = _candidate_widths(k)
-    profiles: Dict[str, ModuleProfile] = {}
     leaf_schedules: Dict[str, MulticoreSchedule] = {}
     partitions: Dict[str, PartitionReport] = {}
 
-    with span("multicore:schedule"):
-        for name in program.topological_order():
-            mod = program.module(name)
-            profile = ModuleProfile(name, mod.is_leaf)
-            if mod.is_leaf:
-                body = list(mod.body)
-                part = partition_qubits(
-                    body,
-                    graph,
-                    capacity=capacity,
-                    seed=config.seed,
-                    refine=config.refine,
-                )
-                partitions[name] = part
-                for w in widths:
-                    msched = schedule_multicore(
-                        body,
-                        graph,
-                        part,
-                        core_machine.with_k(w),
-                        scheduler,
-                    )
-                    profile.length[w] = max(msched.intra_length, 1)
-                    profile.runtime[w] = max(msched.makespan, 1)
-                    if w == k:
-                        leaf_schedules[name] = msched
-            else:
-                _fill_coarse_profile(profile, mod, profiles, widths)
-            profiles[name] = profile
+    def leaf_step(name: str, mod: Module, profile: ModuleProfile) -> None:
+        body = list(mod.body)
+        part = partition_qubits(
+            body,
+            graph,
+            capacity=capacity,
+            seed=config.seed,
+            refine=config.refine,
+        )
+        partitions[name] = part
+        for w in widths:
+            msched = schedule_multicore(
+                body, graph, part, core_machine.with_k(w), scheduler
+            )
+            profile.length[w] = max(msched.intra_length, 1)
+            profile.runtime[w] = max(msched.makespan, 1)
+            if w == k:
+                leaf_schedules[name] = msched
 
-    with span("multicore:estimate"):
-        resources = estimate_resources(program)
-        cp = hierarchical_critical_path(program)
+    profiles = _profile_modules(program, widths, leaf_step, "multicore")
+    total_gates, critical_path = _estimate(program, "multicore")
     return MulticoreCompileResult(
         program=program,
-        core_machine=core_machine,
-        config=config,
+        machine=core_machine,
         scheduler=scheduler,
         profiles=profiles,
+        schedules={},
+        total_gates=total_gates,
+        critical_path=critical_path,
+        flattened_percent=flat.percent_flattened,
+        config=config,
         leaf_schedules=leaf_schedules,
         partitions=partitions,
-        total_gates=resources.total_gates,
-        critical_path=max(cp[program.entry], 1),
-        flattened_percent=flat.percent_flattened,
     )

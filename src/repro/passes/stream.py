@@ -111,7 +111,9 @@ class _Expander:
     tags carry *post-decompose* statement indices. The expander
     precomputes that index table per module (prefix sums of decomposed
     op lengths, one shared per-``(gate, angle)`` length cache) without
-    materializing any decomposed body.
+    materializing any decomposed body. The same lengths mark the modules
+    that expand to no op at all (say a lone ``Rz(q, 0)``); a call to one
+    is skipped instead of replayed once per iteration.
     """
 
     def __init__(
@@ -123,6 +125,19 @@ class _Expander:
         )
         self._length_cache: Dict[Tuple[str, Optional[float]], int] = {}
         self._index_cache: Dict[str, List[int]] = {}
+        self._empty_cache: Dict[str, bool] = {}
+
+    def _length(self, op: Operation) -> int:
+        """Ops ``op`` lowers to (1 when not decomposing)."""
+        if self.synth is None:
+            return 1
+        key = (op.gate, op.angle)
+        n = self._length_cache.get(key)
+        if n is None:
+            n = self._length_cache[key] = len(
+                decompose_operation(op, self.synth)
+            )
+        return n
 
     def _indices(self, module: Module) -> Optional[List[int]]:
         if self.synth is None:
@@ -133,18 +148,22 @@ class _Expander:
             pos = 0
             for stmt in module.body:
                 table.append(pos)
-                if isinstance(stmt, Operation):
-                    key = (stmt.gate, stmt.angle)
-                    n = self._length_cache.get(key)
-                    if n is None:
-                        n = self._length_cache[key] = len(
-                            decompose_operation(stmt, self.synth)
-                        )
-                    pos += n
-                else:
-                    pos += 1
+                pos += self._length(stmt) if isinstance(stmt, Operation) else 1
             self._index_cache[module.name] = table
         return table
+
+    def _empty(self, module: Module) -> bool:
+        """Whether ``module`` expands to no op after decomposition."""
+        empty = self._empty_cache.get(module.name)
+        if empty is None:
+            empty = all(
+                self._length(stmt) == 0
+                if isinstance(stmt, Operation)
+                else self._empty(self.program.module(stmt.callee))
+                for stmt in module.body
+            )
+            self._empty_cache[module.name] = empty
+        return empty
 
     def expand(self, module: Module, rename: _Rename) -> Iterator[Operation]:
         indices = self._indices(module)
@@ -164,6 +183,8 @@ class _Expander:
                     raise ValueError(
                         f"arity mismatch inlining {stmt.callee!r}"
                     )
+                if self._empty(callee):
+                    continue
                 inst_idx = idx if indices is None else indices[idx]
                 instance = f"{stmt.callee}@{inst_idx}"
                 mapping = dict(zip(callee.params, stmt.args))

@@ -13,7 +13,7 @@ baselines, and the estimated critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .analysis import (
     AnalysisError,
@@ -263,6 +263,67 @@ def _fill_coarse_profile(
         profile.runtime[w] = max(runtimes[w], 1)
 
 
+def _front_end(
+    program: Program,
+    fth: int,
+    decompose: bool,
+    decompose_config: Optional[DecomposeConfig],
+    optimize: bool,
+) -> Tuple[Program, FlattenResult]:
+    """Optimize, decompose and flatten ``program`` through the
+    PassManager, so every pass gets a ``pass:*`` instrumentation span
+    and a validation step."""
+    flat_holder: Dict[str, FlattenResult] = {}
+
+    def _flatten(prog: Program) -> Program:
+        result = flatten_program(prog, fth=fth)
+        flat_holder["result"] = result
+        return result.program
+
+    pipeline = PassManager()
+    if optimize:
+        pipeline.add("optimize", lambda prog: optimize_program(prog)[0])
+    if decompose:
+        pipeline.add(
+            "decompose",
+            lambda prog: decompose_program(prog, decompose_config),
+        )
+    pipeline.add("flatten", _flatten)
+    program = pipeline.run(program)
+    return program, flat_holder["result"]
+
+
+def _profile_modules(
+    program: Program,
+    widths: List[int],
+    leaf_step: Callable[[str, Module, ModuleProfile], None],
+    stage: str,
+) -> Dict[str, ModuleProfile]:
+    """Profile every module bottom-up: ``leaf_step`` fills each leaf's
+    profile, and callers are coarse-composed over their callees'
+    (:func:`_fill_coarse_profile`)."""
+    profiles: Dict[str, ModuleProfile] = {}
+    with span(f"{stage}:schedule"):
+        for name in program.topological_order():
+            mod = program.module(name)
+            profile = ModuleProfile(name, mod.is_leaf)
+            if mod.is_leaf:
+                leaf_step(name, mod, profile)
+            else:
+                _fill_coarse_profile(profile, mod, profiles, widths)
+            profiles[name] = profile
+    return profiles
+
+
+def _estimate(program: Program, stage: str) -> Tuple[int, int]:
+    """Total gates and the (at least 1-cycle) critical path of the
+    scheduled program."""
+    with span(f"{stage}:estimate"):
+        resources = estimate_resources(program)
+        cp = hierarchical_critical_path(program)
+    return resources.total_gates, max(cp[program.entry], 1)
+
+
 def compile_and_schedule(
     program: Program,
     machine: MultiSIMD,
@@ -330,66 +391,43 @@ def compile_and_schedule(
     if strict:
         strict_gate(program, "input")
 
-    # The front-end pipeline runs through the PassManager so every pass
-    # gets a ``pass:*`` instrumentation span and a validation step.
-    flat_holder: Dict[str, FlattenResult] = {}
-
-    def _flatten(prog: Program) -> Program:
-        result = flatten_program(prog, fth=fth)
-        flat_holder["result"] = result
-        return result.program
-
-    pipeline = PassManager()
-    if optimize:
-        pipeline.add("optimize", lambda prog: optimize_program(prog)[0])
-    if decompose:
-        pipeline.add(
-            "decompose",
-            lambda prog: decompose_program(prog, decompose_config),
-        )
-    pipeline.add("flatten", _flatten)
-    program = pipeline.run(program)
-    flat = flat_holder["result"]
+    program, flat = _front_end(
+        program, fth, decompose, decompose_config, optimize
+    )
     if strict:
         strict_gate(program, "flattened")
 
     k, d = machine.k, machine.d
     widths = _candidate_widths(k)
-    profiles: Dict[str, ModuleProfile] = {}
     schedules: Dict[str, Schedule] = {}
     verified_names: List[str] = []
 
-    with span("toolflow:schedule"):
-        for name in program.topological_order():
-            mod = program.module(name)
-            profile = ModuleProfile(name, mod.is_leaf)
-            if mod.is_leaf:
-                dag = DependenceDAG(list(mod.body))
-                for w in widths:
-                    sched = scheduler.schedule(dag, k=w, d=d)
-                    stats = derive_movement(sched, machine.with_k(w))
-                    profile.length[w] = max(sched.length, 1)
-                    profile.runtime[w] = max(stats.runtime, 1)
-                    profile.comm[w] = stats
-                    if keep_schedules and w == k:
-                        schedules[name] = sched
-                    if verify and w == k:
-                        from .sim.reversible import schedule_ops
+    def leaf_step(name: str, mod: Module, profile: ModuleProfile) -> None:
+        dag = DependenceDAG(list(mod.body))
+        for w in widths:
+            sched = scheduler.schedule(dag, k=w, d=d)
+            stats = derive_movement(sched, machine.with_k(w))
+            profile.length[w] = max(sched.length, 1)
+            profile.runtime[w] = max(stats.runtime, 1)
+            profile.comm[w] = stats
+            if keep_schedules and w == k:
+                schedules[name] = sched
+            if verify and w == k:
+                from .sim.reversible import schedule_ops
 
-                        with span("toolflow:verify"):
-                            _verify_leaf(
-                                name,
-                                mod.operations(),
-                                schedule_ops(sched),
-                                mod.qubits(),
-                            )
-                        verified_names.append(name)
-                # Every width is done with the int-coded view; retained
-                # schedules keep the DAG, not the view.
-                dag.release_columns()
-            else:
-                _fill_coarse_profile(profile, mod, profiles, widths)
-            profiles[name] = profile
+                with span("toolflow:verify"):
+                    _verify_leaf(
+                        name,
+                        mod.operations(),
+                        schedule_ops(sched),
+                        mod.qubits(),
+                    )
+                verified_names.append(name)
+        # Every width is done with the int-coded view; retained
+        # schedules keep the DAG, not the view.
+        dag.release_columns()
+
+    profiles = _profile_modules(program, widths, leaf_step, "toolflow")
 
     if strict:
         with span("toolflow:analysis"):
@@ -429,17 +467,15 @@ def compile_and_schedule(
         if audit.has_errors:
             raise AnalysisError(audit, stage="schedule")
 
-    with span("toolflow:estimate"):
-        resources = estimate_resources(program)
-        cp = hierarchical_critical_path(program)
+    total_gates, critical_path = _estimate(program, "toolflow")
     return CompileResult(
         program=program,
         machine=machine,
         scheduler=scheduler,
         profiles=profiles,
         schedules=schedules,
-        total_gates=resources.total_gates,
-        critical_path=max(cp[program.entry], 1),
+        total_gates=total_gates,
+        critical_path=critical_path,
         flattened_percent=flat.percent_flattened,
         diagnostics=tuple(collected.sorted()),
         verified=tuple(verified_names),

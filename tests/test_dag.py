@@ -26,7 +26,6 @@ class TestConstruction:
         )
         assert all(not p for p in dag.preds)
         assert dag.sources() == [0, 1, 2, 3]
-        assert dag.sinks() == [0, 1, 2, 3]
 
     def test_shared_operand_creates_dependency(self):
         # Two CNOTs sharing only the control: still dependent (no-cloning
@@ -62,14 +61,12 @@ class TestConstruction:
         dag = DependenceDAG([])
         assert dag.n == 0
         assert dag.critical_path_length() == 0
-        assert dag.critical_path() == []
 
 
 class TestPaths:
     def test_chain_critical_path(self):
         dag = DependenceDAG(ops_chain(5))
         assert dag.critical_path_length() == 5
-        assert dag.critical_path() == [0, 1, 2, 3, 4]
 
     def test_weighted_critical_path(self):
         # Two independent chains; weights make the shorter chain critical.
@@ -80,7 +77,6 @@ class TestPaths:
         ]
         dag = DependenceDAG(ops, weights=[1, 1, 10])
         assert dag.critical_path_length() == 10
-        assert dag.critical_path() == [2]
 
     def test_heights_and_depths_chain(self):
         dag = DependenceDAG(ops_chain(4))
@@ -93,31 +89,6 @@ class TestPaths:
         slack = dag.slack()
         assert slack[0] == slack[1] == slack[2] == 0
         assert slack[3] == 2  # the lone H can float anywhere
-
-    def test_longest_path_from(self):
-        # Fork: 0 -> 1 (chain of 3 via Q0), 0 -> shared op path via Q1.
-        ops = [
-            Operation("CNOT", (Q[0], Q[1])),
-            Operation("T", (Q[0],)),
-            Operation("T", (Q[0],)),
-            Operation("H", (Q[1],)),
-        ]
-        dag = DependenceDAG(ops)
-        assert dag.longest_path_from(0) == [0, 1, 2]
-
-    def test_next_longest_path_empty_ready(self):
-        dag = DependenceDAG(ops_chain(3))
-        assert dag.next_longest_path([]) == []
-
-    def test_next_longest_path_picks_tallest_head(self):
-        ops = [
-            Operation("T", (Q[0],)),  # chain of 3
-            Operation("T", (Q[0],)),
-            Operation("T", (Q[0],)),
-            Operation("H", (Q[1],)),  # chain of 1
-        ]
-        dag = DependenceDAG(ops)
-        assert dag.next_longest_path([0, 3]) == [0, 1, 2]
 
 
 class TestUtilities:
@@ -136,9 +107,6 @@ class TestUtilities:
         deg = dag.indegrees()
         deg[1] = 99
         assert dag.indegrees()[1] == 1
-
-    def test_validate_acyclic(self):
-        DependenceDAG(ops_chain(10)).validate_acyclic()
 
 
 # --- property-based tests --------------------------------------------------
@@ -167,7 +135,6 @@ class TestProperties:
     @settings(max_examples=60)
     def test_edges_point_forward(self, ops):
         dag = DependenceDAG(ops)
-        dag.validate_acyclic()
         for i, preds in enumerate(dag.preds):
             for p in preds:
                 assert p < i
@@ -180,15 +147,6 @@ class TestProperties:
         for i, succs in enumerate(dag.succs):
             for s in succs:
                 assert h[i] > h[s]
-
-    @given(random_ops())
-    @settings(max_examples=60)
-    def test_critical_path_is_valid_chain(self, ops):
-        dag = DependenceDAG(ops)
-        path = dag.critical_path()
-        assert len(path) == dag.critical_path_length()
-        for a, b in zip(path, path[1:]):
-            assert b in dag.succs[a]
 
     @given(random_ops())
     @settings(max_examples=60)

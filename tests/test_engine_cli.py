@@ -138,3 +138,19 @@ class TestExecuteTrace:
         }
         assert "walk_step" in processes  # leaf schedule
         assert "main" in processes  # coarse caller
+
+    def test_constrained_faulty_run_with_trace(self, tmp_path, capsys):
+        """A throttled, faulty run stalls on EPR, never beats the
+        analytic runtime, and still writes a valid trace."""
+        out = tmp_path / "grovers.trace"
+        assert main(
+            ["execute", "Grovers", "-k", "2", "--epr-rate", "0.1",
+             "--fault-epr", "0.2", "--seed", "3", "--trace", str(out),
+             "--json"]
+        ) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["stalls"]["epr"] > 0
+        assert doc["realized_runtime"] >= doc["analytic_runtime"]
+        trace = json.loads(out.read_text())
+        assert trace["traceEvents"]
+        assert trace["otherData"]["schema"] == "repro.trace/1"

@@ -1,19 +1,21 @@
 """Tests for the multi-core toolflow driver.
 
 The headline guarantee: with one core — any topology — the multi-core
-pipeline is bit-identical to the single-core pipeline, for every
-benchmark in the registry.
+pipeline is bit-identical to the single-core pipeline, execution
+included, for every benchmark in the registry.
 """
 
 import pytest
 
 from repro.arch.machine import MultiSIMD
 from repro.benchmarks import BENCHMARKS, benchmark_names
+from repro.engine import EngineConfig, execute_result
 from repro.multicore import (
     CoreGraph,
     MulticoreConfig,
     PartitionError,
     compile_and_schedule_multicore,
+    execute_multicore_result,
     parse_topology,
 )
 from repro.toolflow import SchedulerConfig, compile_and_schedule
@@ -101,6 +103,16 @@ class TestOneCoreBitIdentity:
         # No inter-core artifacts at all.
         assert multi.intercore_teleports == 0
         assert multi.cut_weight == 0
+        # Execution, ideal and EPR-throttled, realizes the same cycles
+        # per module. Faults stay off: per-core fault streams are
+        # scoped ``name@core0``, so their draws differ by design.
+        for config in (EngineConfig(), EngineConfig(epr_rate=0.5)):
+            run_single = execute_result(single, config)
+            run_multi = execute_multicore_result(multi, config)
+            assert run_multi.realized_runtime == run_single.realized_runtime
+            assert run_multi.analytic_runtime == run_single.analytic_runtime
+            assert run_multi.realized == run_single.realized
+            assert run_multi.stalls.total == run_single.stalls.total
 
 
 class TestMulticoreCompile:

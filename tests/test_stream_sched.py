@@ -545,6 +545,40 @@ def test_template_ingest_builds_no_operation_per_gate(kind, monkeypatch):
     assert counts[0] == counts[1], counts
 
 
+def test_boxed_stream_skips_calls_that_expand_to_nothing(monkeypatch):
+    """An iterated call to a module that decomposes to no op (a lone
+    ``Rz(q, 0)``) costs the boxed stream nothing per iteration: it
+    builds as many Operations at 10^3 iterations as at 10^5, and the
+    leaf still ingests as the template path does."""
+    built = [0]
+    post_init = Operation.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Operation, "__post_init__", counting)
+    q, p = Qubit("q", 0), Qubit("p", 0)
+    counts = []
+    for iterations in (1_000, 100_000):
+        prog = Program(
+            [
+                Module("z", (p,), [Operation("Rz", (p,), 0.0)]),
+                Module("main", (), [
+                    Operation("H", (q,)),
+                    CallSite("z", (q,), iterations),
+                ]),
+            ],
+            "main",
+        )
+        before = built[0]
+        ops = list(leaf_stream(prog, "main"))
+        counts.append(built[0] - before)
+        assert ops == [Operation("H", (q,))]
+    assert counts[0] == counts[1], counts
+    assert assert_same_ingest(prog, "main", True)["n"] == 1
+
+
 def test_iterated_call_past_op_limit_overflows_at_once():
     program, total = build_scale("adder", 2**31)
     assert total >= 2**31 - 1
