@@ -19,7 +19,6 @@ import math
 import pytest
 
 from repro.arch.qecc import speedup_leverage
-from repro.benchmarks import BENCHMARKS
 
 from figdata import benchmark_names, compile_benchmark, min_qubits, print_table
 

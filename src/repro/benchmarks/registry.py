@@ -15,7 +15,7 @@ property that most modules flatten while the biggest stay hierarchical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 from ..core.module import Program

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..core.builder import ModuleBuilder, ProgramBuilder
+from ..core.builder import ProgramBuilder
 from ..core.module import Program
 from ..passes.stream import decomposed_gate_counts
 

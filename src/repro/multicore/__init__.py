@@ -28,6 +28,8 @@ from .makespan import (
     IntercoreEpoch,
     IntercoreTransfer,
     MulticoreSchedule,
+    PreparedLeaf,
+    prepare_multicore,
     schedule_multicore,
     statement_cores,
 )
@@ -63,7 +65,9 @@ __all__ = [
     "IntercoreTransfer",
     "IntercoreEpoch",
     "MulticoreSchedule",
+    "PreparedLeaf",
     "statement_cores",
+    "prepare_multicore",
     "schedule_multicore",
     "MulticoreConfig",
     "MulticoreCompileResult",

@@ -11,6 +11,14 @@ in program order with a dynamic residency map, and every statement
 whose operands are scattered triggers one *inter-core epoch* gathering
 them at its home core.
 
+The work splits in two halves. :func:`prepare_multicore` does what no
+width changes — the home cores, one dependence DAG per core, the
+inter-core epochs — once per leaf; :func:`schedule_multicore` runs the
+scheduler and movement derivation on each core at one width. The
+toolflow prepares a leaf once and schedules it at every candidate
+width, so each core DAG's memoized columns, heights and slack are
+built once per leaf, not once per width.
+
 Hop billing (Section 2.3's linear-in-distance teleport model, lifted
 to the interconnect): a transfer crossing ``h`` links consumes one EPR
 pair per link and needs ``h`` serial swap-teleport rounds; an epoch's
@@ -53,7 +61,9 @@ __all__ = [
     "IntercoreTransfer",
     "IntercoreEpoch",
     "MulticoreSchedule",
+    "PreparedLeaf",
     "statement_cores",
+    "prepare_multicore",
     "schedule_multicore",
 ]
 
@@ -311,14 +321,49 @@ def _intercore_epochs(
     return epochs
 
 
-def schedule_multicore(
+@dataclass(frozen=True)
+class PreparedLeaf:
+    """The width-independent half of one leaf's multi-core schedule,
+    built by :func:`prepare_multicore` and scheduled at any width by
+    :func:`schedule_multicore`.
+
+    Attributes:
+        statements: the leaf body, in program order (``len()`` of the
+            prepared leaf is its statement count).
+        graph: the core interconnect.
+        partition: the qubit-to-core partition used.
+        statement_core: home core per statement (program order).
+        core_dags: one dependence DAG per occupied core over that
+            core's statements in program order, in ascending core
+            order. Every width schedules the same DAGs.
+        epochs: inter-core movement epochs, in program order.
+    """
+
+    statements: Sequence[Statement]
+    graph: CoreGraph
+    partition: PartitionReport
+    statement_core: List[int]
+    core_dags: Dict[int, DependenceDAG]
+    epochs: List[IntercoreEpoch]
+
+    def __len__(self) -> int:
+        return len(self.statements)
+
+    def release_columns(self) -> None:
+        """Drop each core DAG's memoized int-coded view (schedules
+        keep their DAG, not the view)."""
+        for dag in self.core_dags.values():
+            dag.release_columns()
+
+
+def prepare_multicore(
     statements: Sequence[Statement],
     graph: CoreGraph,
     partition: PartitionReport,
-    core_machine: MultiSIMD,
-    scheduler: Any,
-) -> MulticoreSchedule:
-    """Schedule one leaf statement list over ``graph``'s cores.
+) -> PreparedLeaf:
+    """Split one leaf over ``graph``'s cores: home cores, per-core
+    dependence DAGs and inter-core epochs, none of which depends on
+    the schedule width.
 
     Args:
         statements: the leaf module body (operations only after
@@ -326,38 +371,63 @@ def schedule_multicore(
         graph: the core interconnect.
         partition: qubit-to-core assignment
             (:func:`repro.multicore.partition.partition_qubits`).
-        core_machine: the per-core Multi-SIMD(k,d) machine; per-core
-            schedules are built at its ``k`` and billed against it.
-        scheduler: a :class:`repro.toolflow.SchedulerConfig` (typed as
-            ``Any`` to keep this module importable below the toolflow).
     """
-    with span("multicore:makespan"):
+    with span("multicore:prepare"):
         homes = statement_cores(statements, partition.assignment)
         per_core: Dict[int, List[Statement]] = {}
         for stmt, core in zip(statements, homes):
             per_core.setdefault(core, []).append(stmt)
+        core_dags = {
+            core: DependenceDAG(per_core[core]) for core in sorted(per_core)
+        }
+        epochs = _intercore_epochs(
+            statements, homes, partition.assignment, graph
+        )
+    return PreparedLeaf(
+        statements=statements,
+        graph=graph,
+        partition=partition,
+        statement_core=homes,
+        core_dags=core_dags,
+        epochs=epochs,
+    )
 
+
+def schedule_multicore(
+    leaf: PreparedLeaf,
+    core_machine: MultiSIMD,
+    scheduler: Any,
+) -> MulticoreSchedule:
+    """Schedule a prepared leaf at ``core_machine``'s width.
+
+    Args:
+        leaf: the leaf's width-independent half
+            (:func:`prepare_multicore`); its ``statement_core`` and
+            ``epochs`` lists are shared with the result.
+        core_machine: the per-core Multi-SIMD(k,d) machine; per-core
+            schedules are built at its ``k`` and billed against it.
+        scheduler: a :class:`repro.toolflow.SchedulerConfig` (typed as
+            ``Any`` to keep this module importable below the toolflow).
+
+    Each core DAG's int-coded view stays memoized for the next width;
+    call :meth:`PreparedLeaf.release_columns` after the last one.
+    """
+    with span("multicore:makespan"):
         core_schedules: Dict[int, Schedule] = {}
         core_comm: Dict[int, CommStats] = {}
-        for core in sorted(per_core):
-            dag = DependenceDAG(per_core[core])
+        for core, dag in leaf.core_dags.items():
             sched = scheduler.schedule(
                 dag, k=core_machine.k, d=core_machine.d
             )
             core_schedules[core] = sched
             core_comm[core] = derive_movement(sched, core_machine)
-            dag.release_columns()
-
-        epochs = _intercore_epochs(
-            statements, homes, partition.assignment, graph
-        )
     return MulticoreSchedule(
-        graph=graph,
-        partition=partition,
+        graph=leaf.graph,
+        partition=leaf.partition,
         core_machine=core_machine,
-        statement_core=homes,
+        statement_core=leaf.statement_core,
         core_schedules=core_schedules,
         core_comm=core_comm,
-        epochs=epochs,
+        epochs=leaf.epochs,
         algorithm=getattr(scheduler, "algorithm", ""),
     )

@@ -4,7 +4,9 @@ The multi-core driver *is* :func:`repro.toolflow.compile_and_schedule`
 with another leaf step: it runs the same front end, candidate widths,
 hierarchy walk and coarse composition (the private helpers of
 :mod:`repro.toolflow`), and only schedules each leaf differently — the
-leaf is partitioned over the core graph and scheduled by
+leaf is partitioned over the core graph, split over its cores once
+(:func:`repro.multicore.makespan.prepare_multicore`) and scheduled at
+every candidate width by
 :func:`repro.multicore.makespan.schedule_multicore`, so its blackbox
 *length* is the slowest core's schedule length and its *runtime* is the
 analytic makespan (intra-core runtime + attributed inter-core
@@ -43,7 +45,11 @@ from ..toolflow import (
     _front_end,
     _profile_modules,
 )
-from .makespan import MulticoreSchedule, schedule_multicore
+from .makespan import (
+    MulticoreSchedule,
+    prepare_multicore,
+    schedule_multicore,
+)
 from .partition import PartitionReport, partition_qubits
 from .topology import CoreGraph
 
@@ -227,14 +233,18 @@ def compile_and_schedule_multicore(
             refine=config.refine,
         )
         partitions[name] = part
+        leaf = prepare_multicore(body, graph, part)
         for w in widths:
             msched = schedule_multicore(
-                body, graph, part, core_machine.with_k(w), scheduler
+                leaf, core_machine.with_k(w), scheduler
             )
             profile.length[w] = max(msched.intra_length, 1)
             profile.runtime[w] = max(msched.makespan, 1)
             if w == k:
                 leaf_schedules[name] = msched
+        # Every width is done with the int-coded views; the retained
+        # schedules keep the core DAGs, not the views.
+        leaf.release_columns()
 
     profiles = _profile_modules(program, widths, leaf_step, "multicore")
     total_gates, critical_path = _estimate(program, "multicore")

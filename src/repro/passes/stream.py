@@ -52,10 +52,10 @@ from typing import (
 )
 
 from ..core.module import Module, Program
-from ..core.operation import CallSite, Operation
+from ..core.operation import Operation
 from ..core.opstream import GeneratorStream, OpStream
 from ..core.qubits import Qubit
-from .decompose import DecomposeConfig, RotationSynthesizer, decompose_operation
+from .decompose import DecomposeConfig, decompose_operation
 
 __all__ = [
     "stream_flatten",

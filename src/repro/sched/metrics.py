@@ -10,22 +10,59 @@ baselines:
 
 The hierarchical critical path gives Figure 6's theoretical-maximum
 series: per-module dependence-DAG critical paths where a call weighs
-``iterations * CP(callee)``.
+``iterations * CP(callee)``. It needs no DAG: each module's weighted
+longest chain is one pass over its body with a per-qubit finish map,
+``finish = weight + max(finish of operands)`` — the depth recurrence
+of the DAG's adjacent-use edges, since a statement's predecessors are
+exactly the last earlier users of its operands.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Sequence
 
-from ..core.dag import DependenceDAG
 from ..core.module import Program
-from ..core.operation import Operation
+from ..core.operation import Operation, Statement
+from ..core.qubits import Qubit
 
 __all__ = [
+    "module_critical_path",
     "hierarchical_critical_path",
     "parallel_speedup",
     "comm_speedup",
 ]
+
+
+def module_critical_path(
+    body: Sequence[Statement], callee_cp: Mapping[str, int]
+) -> int:
+    """Weighted longest dependence chain of one module body.
+
+    A gate weighs 1 and a call ``iterations * callee_cp[callee]``. The
+    result equals ``DependenceDAG(body, weights).critical_path_length()``
+    without building the DAG.
+    """
+    finish: Dict[Qubit, int] = {}
+    get = finish.get
+    longest = 0
+    for stmt in body:
+        if isinstance(stmt, Operation):
+            operands = stmt.qubits
+            end = 1
+        else:
+            operands = stmt.args
+            end = stmt.iterations * callee_cp[stmt.callee]
+        start = 0
+        for q in operands:
+            f = get(q, 0)
+            if f > start:
+                start = f
+        end += start
+        for q in operands:
+            finish[q] = end
+        if end > longest:
+            longest = end
+    return longest
 
 
 def hierarchical_critical_path(program: Program) -> Dict[str, int]:
@@ -36,15 +73,7 @@ def hierarchical_critical_path(program: Program) -> Dict[str, int]:
     """
     cp: Dict[str, int] = {}
     for name in program.topological_order():
-        mod = program.module(name)
-        weights = []
-        for stmt in mod.body:
-            if isinstance(stmt, Operation):
-                weights.append(1)
-            else:
-                weights.append(stmt.iterations * cp[stmt.callee])
-        dag = DependenceDAG(mod.body, weights=weights)
-        cp[name] = dag.critical_path_length()
+        cp[name] = module_critical_path(program.module(name).body, cp)
     return cp
 
 

@@ -24,8 +24,6 @@ from ..core.canonical import (
     PIPELINE_VERSION,
     canonical_number as _num,
     canonical_program,
-    canonical_qubit as _qubit,
-    canonical_statement as _statement,
     digest as _digest,
     fingerprint_program,
 )

@@ -38,7 +38,6 @@ from ..arch.machine import MultiSIMD
 from ..core.dag import DependenceDAG
 from ..core.gates import GATES
 from ..core.operation import Operation
-from ..core.qubits import Qubit
 from ..sched.comm import CommStats
 from ..sched.report import (
     _comm_from_dict,

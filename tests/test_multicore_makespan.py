@@ -6,6 +6,7 @@ from repro.arch.machine import TELEPORT_CYCLES, MultiSIMD
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
 from repro.multicore.makespan import (
+    prepare_multicore,
     schedule_multicore,
     statement_cores,
 )
@@ -54,7 +55,8 @@ class TestMakespan:
         graph = CoreGraph.line(2)
         part = _pin({Q[0]: 0, Q[1]: 0}, 2)
         msched = schedule_multicore(
-            stmts, graph, part, MultiSIMD(k=2), SchedulerConfig()
+            prepare_multicore(stmts, graph, part),
+            MultiSIMD(k=2), SchedulerConfig(),
         )
         assert msched.intercore_cycles == 0
         assert msched.epochs == []
@@ -66,7 +68,8 @@ class TestMakespan:
         graph = CoreGraph.line(2)
         part = _pin({Q[0]: 0, Q[1]: 1}, 2)
         msched = schedule_multicore(
-            stmts, graph, part, MultiSIMD(k=2), SchedulerConfig()
+            prepare_multicore(stmts, graph, part),
+            MultiSIMD(k=2), SchedulerConfig(),
         )
         # One qubit crosses one link: one 4-cycle epoch.
         assert msched.intercore_teleports == 1
@@ -82,11 +85,11 @@ class TestMakespan:
         stmts = [Operation("CNOT", (Q[0], Q[1]))]
         pin = {Q[0]: 0, Q[1]: 2}
         far = schedule_multicore(
-            stmts, CoreGraph.line(3), _pin(pin, 3),
+            prepare_multicore(stmts, CoreGraph.line(3), _pin(pin, 3)),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         near = schedule_multicore(
-            stmts, CoreGraph.all_to_all(3), _pin(pin, 3),
+            prepare_multicore(stmts, CoreGraph.all_to_all(3), _pin(pin, 3)),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         assert far.max_hops == 2
@@ -108,11 +111,15 @@ class TestMakespan:
         stmts = [Operation("Toffoli", (Q[0], Q[1], Q[2]))]
         pin = {Q[0]: 0, Q[1]: 1, Q[2]: 2}
         narrow = schedule_multicore(
-            stmts, CoreGraph.line(3, bandwidth=0.5), _pin(pin, 3),
+            prepare_multicore(
+                stmts, CoreGraph.line(3, bandwidth=0.5), _pin(pin, 3)
+            ),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         wide = schedule_multicore(
-            stmts, CoreGraph.line(3, bandwidth=2.0), _pin(pin, 3),
+            prepare_multicore(
+                stmts, CoreGraph.line(3, bandwidth=2.0), _pin(pin, 3)
+            ),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         assert narrow.epochs[0].core == 0
@@ -133,7 +140,7 @@ class TestMakespan:
         ]
         part = _pin({Q[0]: 0, Q[1]: 1}, 2)
         msched = schedule_multicore(
-            stmts, CoreGraph.line(2), part,
+            prepare_multicore(stmts, CoreGraph.line(2), part),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         assert len(msched.epochs) == 1
@@ -147,7 +154,8 @@ class TestMakespan:
         graph = CoreGraph.line(2)
         machine = MultiSIMD(k=2)
         msched = schedule_multicore(
-            stmts, graph, part, machine, SchedulerConfig()
+            prepare_multicore(stmts, graph, part),
+            machine, SchedulerConfig(),
         )
         runtimes = {
             core: msched.core_comm[core].runtime
@@ -167,7 +175,10 @@ class TestMakespan:
         part = partition_qubits(stmts, graph)
         machine = MultiSIMD(k=2)
         config = SchedulerConfig()
-        msched = schedule_multicore(stmts, graph, part, machine, config)
+        msched = schedule_multicore(
+            prepare_multicore(stmts, graph, part),
+            machine, config,
+        )
         from repro.core.dag import DependenceDAG
 
         direct = config.schedule(
@@ -191,7 +202,7 @@ class TestMakespan:
         stmts = [Operation("CNOT", (Q[0], Q[1]))]
         part = _pin({Q[0]: 0, Q[1]: 1}, 2)
         msched = schedule_multicore(
-            stmts, CoreGraph.line(2), part,
+            prepare_multicore(stmts, CoreGraph.line(2), part),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         assert len(audit_multicore_bounds(msched, module="leaf")) == 0
@@ -204,7 +215,7 @@ class TestMakespan:
         stmts = [Operation("CNOT", (Q[0], Q[1]))]
         part = _pin({Q[0]: 0, Q[1]: 2}, 3)
         msched = schedule_multicore(
-            stmts, CoreGraph.line(3), part,
+            prepare_multicore(stmts, CoreGraph.line(3), part),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         # Zero out the epoch billing while keeping the transfers: now
@@ -224,7 +235,7 @@ class TestMakespan:
         stmts = [Operation("CNOT", (Q[0], Q[1]))]
         part = _pin({Q[0]: 0, Q[1]: 1}, 2)
         msched = schedule_multicore(
-            stmts, CoreGraph.line(2), part,
+            prepare_multicore(stmts, CoreGraph.line(2), part),
             MultiSIMD(k=2), SchedulerConfig(),
         )
         doc = msched.to_dict()

@@ -9,6 +9,7 @@ import pytest
 
 from repro.arch.machine import MultiSIMD
 from repro.benchmarks import BENCHMARKS, benchmark_names
+from repro.core import dag as dag_module
 from repro.engine import EngineConfig, execute_result
 from repro.multicore import (
     CoreGraph,
@@ -17,8 +18,14 @@ from repro.multicore import (
     compile_and_schedule_multicore,
     execute_multicore_result,
     parse_topology,
+    prepare_multicore,
+    schedule_multicore,
 )
-from repro.toolflow import SchedulerConfig, compile_and_schedule
+from repro.toolflow import (
+    SchedulerConfig,
+    _candidate_widths,
+    compile_and_schedule,
+)
 
 #: ``(benchmark, topology, d)`` one-core points on Multi-SIMD(4, d):
 #: the whole registry on all-to-all at unbounded d, plus BF and CN on
@@ -31,6 +38,22 @@ ONE_CORE_POINTS = [
     pytest.param(key, topology, 9, id=f"{key}-{topology}-d9")
     for key in ("BF", "CN")
     for topology in ("line", "mesh", "all-to-all")
+]
+
+
+#: Width-hoist points: every registry benchmark that fits the
+#: ``execute`` benchmark's multi-core configuration (a 4-core mesh of
+#: Multi-SIMD(4,4) with a 4-qubit scratchpad), and every one that fits
+#: a 2-core line of the same cores. SHA-1's leaves need more than
+#: 4 x 16 qubits; BWT's, CN's and SHA-1's more than 2 x 16.
+HOIST_POINTS = [
+    pytest.param(key, "mesh", 4, id=f"{key}-mesh4")
+    for key in benchmark_names()
+    if key != "SHA-1"
+] + [
+    pytest.param(key, "line", 2, id=f"{key}-line2")
+    for key in benchmark_names()
+    if key not in ("BWT", "CN", "SHA-1")
 ]
 
 
@@ -222,3 +245,74 @@ class TestMulticoreCompile:
                 a.partitions[name].assignment
             ) == assignment_signature(b.partitions[name].assignment)
         assert a.runtime == b.runtime
+
+
+def _assert_same_multicore_schedule(got, want):
+    """Field-by-field equality of two leaf multi-core schedules."""
+    assert got.graph == want.graph
+    assert got.partition == want.partition
+    assert got.core_machine == want.core_machine
+    assert got.algorithm == want.algorithm
+    assert got.statement_core == want.statement_core
+    assert got.epochs == want.epochs
+    assert list(got.core_schedules) == list(want.core_schedules)
+    for core, sched in got.core_schedules.items():
+        other = want.core_schedules[core]
+        assert (sched.k, sched.d, sched.algorithm) == (
+            other.k, other.d, other.algorithm
+        )
+        assert sched.dag.statements == other.dag.statements
+        assert _schedule_fingerprint(sched) == _schedule_fingerprint(other)
+    assert got.core_comm == want.core_comm
+
+
+class TestWidthHoist:
+    """The leaf step splits each leaf over the cores once and schedules
+    that split at every candidate width; every width must equal the
+    width scheduled alone from a fresh split."""
+
+    @pytest.mark.parametrize("key, topology, cores", HOIST_POINTS)
+    def test_each_width_matches_a_fresh_preparation(
+        self, key, topology, cores, monkeypatch
+    ):
+        built = []
+
+        class CountedColumns(dag_module.DAGColumns):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(None)
+
+        monkeypatch.setattr(dag_module, "DAGColumns", CountedColumns)
+        spec = BENCHMARKS[key]
+        machine = MultiSIMD(k=4, d=4, local_memory=4)
+        graph = parse_topology(topology, cores)
+        scheduler = SchedulerConfig()
+        result = compile_and_schedule_multicore(
+            spec.build(), machine, MulticoreConfig(graph), scheduler,
+            fth=spec.fth,
+        )
+        # One int-coded view per core DAG and leaf, not per width, and
+        # none still memoized once the leaf's last width is done.
+        core_dags = [
+            sched.dag
+            for msched in result.leaf_schedules.values()
+            for sched in msched.core_schedules.values()
+        ]
+        assert len(built) == len(core_dags)
+        assert all(dag._columns is None for dag in core_dags)
+
+        widths = _candidate_widths(machine.k)
+        assert len(widths) > 1
+        for name, hoisted in result.leaf_schedules.items():
+            body = result.program.module(name).body
+            part = result.partitions[name]
+            profile = result.profiles[name]
+            for w in widths:
+                alone = schedule_multicore(
+                    prepare_multicore(body, graph, part),
+                    machine.with_k(w),
+                    scheduler,
+                )
+                assert profile.length[w] == max(alone.intra_length, 1)
+                assert profile.runtime[w] == max(alone.makespan, 1)
+            _assert_same_multicore_schedule(hoisted, alone)

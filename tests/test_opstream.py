@@ -18,7 +18,6 @@ from repro.core.operation import Operation
 from repro.core.opstream import (
     GeneratorStream,
     ListStream,
-    OpStream,
     as_stream,
     iter_chunks,
     materialize,

@@ -7,7 +7,7 @@ import pytest
 
 from repro.analysis.diagnostics import Diagnostic, Severity
 from repro.arch.machine import MultiSIMD
-from repro.benchmarks import BENCHMARKS
+from repro.benchmarks import BENCHMARKS, benchmark_names
 from repro.core import ProgramBuilder
 from repro.core.source import SourceLocation
 from repro.sched.report import (
@@ -39,6 +39,88 @@ def _small_result(**kwargs):
 def _leaf_schedule(result):
     """Any retained fine-grained schedule (entry may be hierarchical)."""
     return next(iter(sorted(result.schedules.items())))[1]
+
+
+#: Metrics a rehydrated result must reproduce exactly.
+METRICS = (
+    "total_gates",
+    "critical_path",
+    "schedule_length",
+    "runtime",
+    "naive_runtime",
+    "flattened_percent",
+    "parallel_speedup",
+    "cp_speedup",
+    "comm_aware_speedup",
+)
+
+
+class TestRegistryRoundTrip:
+    """A cache-rehydrated result equals a fresh compile, field for
+    field, for every registry program — the failure class of a cached
+    BF that once came back at 299 instead of 1199 cycles."""
+
+    @pytest.mark.parametrize("key", benchmark_names())
+    def test_rehydrated_equals_fresh(self, key):
+        spec = BENCHMARKS[key]
+
+        def compile_fresh():
+            return compile_and_schedule(
+                spec.build(),
+                MultiSIMD(k=4, d=4, local_memory=4),
+                SchedulerConfig("lpfs"),
+                fth=spec.fth,
+                strict=True,
+            )
+
+        data = compile_result_to_dict(compile_fresh(), include_schedules=True)
+        back = compile_result_from_dict(json.loads(json.dumps(data)))
+        fresh = compile_fresh()
+
+        for metric in METRICS:
+            assert getattr(back, metric) == getattr(fresh, metric), metric
+        assert back.machine == fresh.machine
+        assert back.scheduler == fresh.scheduler
+        assert back.diagnostics == fresh.diagnostics
+
+        # Every profile width. CommStats equality compares the EPR
+        # channel counts as mappings: the artifact writes channels
+        # sorted, and nothing reads their order.
+        assert set(back.profiles) == set(fresh.profiles)
+        for name, want in fresh.profiles.items():
+            got = back.profiles[name]
+            assert got.is_leaf == want.is_leaf
+            assert got.length == want.length
+            assert got.runtime == want.runtime
+            assert got.comm == want.comm
+
+        # The hierarchy the engine re-composes over.
+        assert (
+            back.program.topological_order()
+            == fresh.program.topological_order()
+        )
+        for name, profile in fresh.profiles.items():
+            if profile.is_leaf:
+                continue
+            got_mod = back.program.module(name)
+            want_mod = fresh.program.module(name)
+            assert got_mod.params == want_mod.params
+            assert got_mod.body == want_mod.body
+
+        # Each retained schedule's placement and movement plan.
+        assert set(back.schedules) == set(fresh.schedules)
+        for name, want in fresh.schedules.items():
+            got = back.schedules[name]
+            assert (got.k, got.d, got.algorithm) == (
+                want.k, want.d, want.algorithm
+            )
+            assert [got.operation(n) for n in range(got.dag.n)] == [
+                want.operation(n) for n in range(want.dag.n)
+            ]
+            assert len(got.timesteps) == len(want.timesteps)
+            for ts_got, ts_want in zip(got.timesteps, want.timesteps):
+                assert ts_got.regions == ts_want.regions
+                assert ts_got.moves == ts_want.moves
 
 
 class TestScheduleRoundTrip:
