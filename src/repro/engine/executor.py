@@ -434,7 +434,6 @@ def _execute_epochs(
                 )
             stalls.bandwidth += bandwidth_wait
             state.epr.consume(teleports, wasted_attempts=extra)
-            state.apply_epoch(moves)
             state.advance(epoch_cost)
         elif nl:
             local_epochs += 1
@@ -443,7 +442,6 @@ def _execute_epochs(
                     "local-epoch", "move", state.clock,
                     base_cost, "memory", local_moves=nl,
                 )
-            state.apply_epoch(moves)
             state.advance(base_cost)
         # --- transient region downtime ----------------------------------
         if fault_config.region_failure_prob > 0:

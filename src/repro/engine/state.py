@@ -2,9 +2,7 @@
 
 Tracks, while a schedule executes:
 
-* **qubit residency** — global memory, SIMD regions, scratchpad slots
-  (the ``("global",)``, ``("region", r)`` and ``("local", r)``
-  location tuples :func:`repro.sched.comm.derive_movement` emits);
+* **the clock** — engine cycles, advanced by epochs, stalls and gates;
 * **per-channel EPR pair pools** — pairs are generated at the global
   memory at a steady rate and consumed one per teleport
   (:class:`EPRPool` reproduces the eager-generation accounting of
@@ -13,21 +11,19 @@ Tracks, while a schedule executes:
 * **per-region activity** — busy cycles and executed op counts for
   utilization reporting.
 
-State updates are *tolerant*: applying a move whose source disagrees
-with the tracked location repairs the state and keeps going. Catching
-such inconsistencies is the preflight's job
-(:func:`repro.sched.replay.replay_schedule`); the engine is an
-executor, not a validator.
+Qubit residency is not tracked here: moves are billed by kind
+(teleport or local), never by where a qubit sits. Checking residency
+is the preflight's job (:func:`repro.sched.replay.replay_schedule`);
+the engine is an executor, not a validator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD, loc_label
-from ..core.qubits import Qubit
 from ..sched.types import Move
 
 __all__ = ["EPRPool", "InterconnectState", "MachineState"]
@@ -181,9 +177,8 @@ class MachineState:
         machine: the configuration being simulated.
         k: region count of the executing schedule.
         clock: current engine cycle.
-        locations: qubit -> location (absent = global memory).
-        pads: per-region scratchpad occupant sets.
         busy_cycles / ops_executed: per-region activity tallies.
+        epr: the EPR pool teleports draw from.
     """
 
     def __init__(
@@ -196,9 +191,6 @@ class MachineState:
         self.machine = machine
         self.k = k
         self.clock = 0
-        self.locations: Dict[Qubit, tuple] = {}
-        self.pads: Dict[int, Set[Qubit]] = {r: set() for r in range(k)}
-        self.peak_pad: Dict[int, int] = {r: 0 for r in range(k)}
         self.busy_cycles: List[int] = [0] * k
         self.ops_executed: List[int] = [0] * k
         self.epr = EPRPool(rate=epr_rate, prestage=prestage)
@@ -209,27 +201,6 @@ class MachineState:
         if cycles < 0:
             raise ValueError("cannot advance time backwards")
         self.clock += cycles
-
-    # -- residency -----------------------------------------------------
-
-    def location(self, qubit: Qubit) -> tuple:
-        return self.locations.get(qubit, ("global",))
-
-    def apply_move(self, move: Move) -> None:
-        """Relocate one qubit, repairing any tracked-state drift."""
-        actual = self.location(move.qubit)
-        if actual[0] == "local" and actual[1] in self.pads:
-            self.pads[actual[1]].discard(move.qubit)
-        if move.dst[0] == "local":
-            pad = self.pads.setdefault(move.dst[1], set())
-            pad.add(move.qubit)
-            if len(pad) > self.peak_pad.get(move.dst[1], 0):
-                self.peak_pad[move.dst[1]] = len(pad)
-        self.locations[move.qubit] = move.dst
-
-    def apply_epoch(self, moves: Iterable[Move]) -> None:
-        for move in moves:
-            self.apply_move(move)
 
     # -- execution -----------------------------------------------------
 

@@ -24,17 +24,31 @@ each call boundary one teleport epoch for the active-qubit flush to
 global memory (Section 3.2). Callers select these via ``gate_cost`` /
 ``call_overhead`` and by supplying per-width callee costs measured in
 the matching metric.
+
+Each call prepares its module once (:class:`_Prepared`): dimension
+tables, each statement's direct predecessors from one per-qubit
+last-user pass, heights from one reverse pass over those lists, and
+the criticality order. No :class:`~repro.core.dag.DependenceDAG` is
+built. Placement then takes two exact shortcuts. With one region
+every statement starts when the previous one ends, so the length-only
+profile at ``k = 1`` is the sum of the width-1 costs. A parallel batch
+whose members all have one width (every direct op has one) skips the
+joint width optimisation. Every result equals the
+unshortened algorithm's, kept as ``schedule_coarse_reference`` in
+``tests/oracle``. A statement with no width within ``k`` raises a
+``ValueError`` naming the module, the statement index and the callee.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.dag import DependenceDAG
 from ..core.module import Module
 from ..core.operation import Operation
+from ..core.qubits import Qubit
 from ..instrument import spanned
 
 __all__ = [
@@ -88,11 +102,8 @@ class CoarseResult:
     @property
     def parallelized(self) -> int:
         """Statements that overlap in time with at least one other."""
-        events = sorted(
-            (p.start, p.finish, i) for i, p in enumerate(self.placements)
-        )
         count = 0
-        for i, p in enumerate(self.placements):
+        for p in self.placements:
             for q in self.placements:
                 if q is not p and q.start < p.finish and p.start < q.finish:
                     count += 1
@@ -101,20 +112,39 @@ class CoarseResult:
 
 
 class _Prepared:
-    """The k-independent half of coarse scheduling, computed once.
+    """The k-independent half of coarse scheduling, computed once per
+    call and shared by every width the call places.
 
-    Dimension tables, the min-cost-weighted dependence DAG, heights and
-    the criticality order do not depend on the region budget ``k``, so a
-    multi-width profile (the toolflow schedules every non-leaf module at
-    every candidate width, twice — once per cost metric) can share one
-    preparation across all placements. Dimension dicts are shared: one
-    ``{1: gate_cost}`` singleton for all direct ops and one scaled table
-    per distinct (callee, iterations) pair, plus each table's
-    width-sorted items and minimum width, precomputed so the placement
-    inner loops never re-derive them.
+    Per statement ``i``:
+
+    * ``dims_of[i]`` — its width->cost table: one ``{1: gate_cost}``
+      shared by all direct ops, one scaled table per distinct
+      (callee, iterations) pair;
+    * ``items_of[i]`` / ``minw_of[i]`` — that table's width-sorted
+      items and narrowest width, so placement never re-derives them;
+    * ``preds[i]`` — its direct predecessors, deduplicated: the
+      previous user of each operand. These are the edges of
+      :func:`~repro.core.dag._build_edges_fast`, taken in the same loop
+      as the tables and without its sorting and successor lists; the
+      differential tests hold every result to the DAG-based oracle.
+
+    ``order`` is the criticality order: heights descending, program
+    order among ties, where a statement's height is the longest chain
+    of minimum costs from it to a sink, its own cost included. Heights
+    come from one reverse pass over ``preds``: when statement ``i`` is
+    reached, every later statement has pushed its height into ``i``'s
+    running maximum.
     """
 
-    __slots__ = ("name", "dims_of", "items_of", "minw_of", "dag", "order")
+    __slots__ = (
+        "name",
+        "body",
+        "dims_of",
+        "items_of",
+        "minw_of",
+        "preds",
+        "order",
+    )
 
     def __init__(
         self,
@@ -123,53 +153,68 @@ class _Prepared:
         gate_cost: int,
         call_overhead: int,
     ):
-        stmts = module.body
+        stmts = self.body = module.body
         self.name = module.name
-        dims_of: List[Dims] = []
-        op_dims = {1: gate_cost}
-        call_cache: Dict[Tuple[str, int], Dims] = {}
-        for stmt in stmts:
+        n = len(stmts)
+        # One entry per distinct table: (dims, items, narrowest width,
+        # minimum cost).
+        op_entry = ({1: gate_cost}, ((1, gate_cost),), 1, gate_cost)
+        call_cache: Dict[Tuple[str, int], tuple] = {}
+        entries = []
+        preds: List[List[int]] = []
+        last_user: Dict[Qubit, int] = {}
+        get_last = last_user.get
+        for i, stmt in enumerate(stmts):
             if isinstance(stmt, Operation):
-                dims_of.append(op_dims)
-                continue
-            cache_key = (stmt.callee, stmt.iterations)
-            dims = call_cache.get(cache_key)
-            if dims is None:
-                table = callee_dims.get(stmt.callee)
-                if not table:
-                    raise KeyError(
-                        f"no dimensions for callee {stmt.callee!r}"
+                operands = stmt.qubits
+                entries.append(op_entry)
+            else:
+                operands = stmt.args
+                cache_key = (stmt.callee, stmt.iterations)
+                entry = call_cache.get(cache_key)
+                if entry is None:
+                    table = callee_dims.get(stmt.callee)
+                    if not table:
+                        raise KeyError(
+                            f"no dimensions for callee {stmt.callee!r}"
+                        )
+                    iterations = stmt.iterations
+                    dims = {
+                        w: iterations * c + call_overhead
+                        for w, c in table.items()
+                    }
+                    items = tuple(sorted(dims.items()))
+                    entry = call_cache[cache_key] = (
+                        dims,
+                        items,
+                        items[0][0],
+                        min(dims.values()),
                     )
-                iterations = stmt.iterations
-                dims = call_cache[cache_key] = {
-                    w: iterations * c + call_overhead
-                    for w, c in table.items()
-                }
-            dims_of.append(dims)
-        self.dims_of = dims_of
-        items_cache: Dict[int, Tuple[Tuple[int, int], ...]] = {}
-        minw_cache: Dict[int, int] = {}
-        items_of: List[Tuple[Tuple[int, int], ...]] = []
-        minw_of: List[int] = []
-        min_costs: List[int] = []
-        cost_cache: Dict[int, int] = {}
-        for dims in dims_of:
-            key = id(dims)
-            items = items_cache.get(key)
-            if items is None:
-                items = items_cache[key] = tuple(sorted(dims.items()))
-                minw_cache[key] = min(dims)
-                cost_cache[key] = min(dims.values())
-            items_of.append(items)
-            minw_of.append(minw_cache[key])
-            min_costs.append(cost_cache[key])
-        self.items_of = items_of
-        self.minw_of = minw_of
-        self.dag = DependenceDAG(stmts, weights=min_costs)
-        heights = self.dag.heights()
-        self.order = sorted(
-            range(len(stmts)), key=lambda i: (-heights[i], i)
-        )
+                entries.append(entry)
+            plist: List[int] = []
+            for q in operands:
+                prev = get_last(q)
+                if prev is not None and prev not in plist:
+                    plist.append(prev)
+                last_user[q] = i
+            preds.append(plist)
+        self.dims_of: List[Dims] = [e[0] for e in entries]
+        self.items_of = [e[1] for e in entries]
+        self.minw_of = [e[2] for e in entries]
+        self.preds = preds
+        # heights[i] holds the tallest successor height seen so far;
+        # every successor of i is later, so it is final when i is
+        # reached and gains i's own cost.
+        costs = [e[3] for e in entries]
+        heights = [0] * n
+        for i in range(n - 1, -1, -1):
+            height = heights[i] + costs[i]
+            heights[i] = height
+            for p in preds[i]:
+                if height > heights[p]:
+                    heights[p] = height
+        # Sorting is stable also when reversed: ties keep program order.
+        self.order = sorted(range(n), key=heights.__getitem__, reverse=True)
 
 
 def _place(prep: _Prepared, k: int, with_placements: bool = True):
@@ -184,7 +229,7 @@ def _place(prep: _Prepared, k: int, with_placements: bool = True):
     items_of = prep.items_of
     minw_of = prep.minw_of
     order = prep.order
-    preds = prep.dag.preds
+    preds = prep.preds
     n = len(order)
 
     # Region pool: free times, kept sorted ascending (regions are
@@ -206,12 +251,11 @@ def _place(prep: _Prepared, k: int, with_placements: bool = True):
         # Regions already free at te — the capacity a parallel set of
         # same-te siblings can share.
         avail = bisect_right(free, te)
-        # Gather a contiguous run of siblings with the same earliest
-        # start (their predecessors are all placed — height order
-        # guarantees it) that fit within the available regions at their
-        # narrowest widths. These get a joint width optimisation
+        # Gather a contiguous run order[idx:j] of siblings with the same
+        # earliest start (their predecessors are all placed — height
+        # order guarantees it) that fit within the available regions at
+        # their narrowest widths. These get a joint width optimisation
         # (Algorithm 3's "try all combinations of possible widths").
-        batch = [node]
         width_sum = minw_of[node]
         j = idx + 1
         while j < n and avail > 1:
@@ -230,38 +274,48 @@ def _place(prep: _Prepared, k: int, with_placements: bool = True):
             w_min = minw_of[cand]
             if width_sum + w_min > avail:
                 break
-            batch.append(cand)
             width_sum += w_min
             j += 1
 
-        if len(batch) == 1:
+        if j == idx + 1:
             # Lone statement: pick the width with the earliest finish,
             # allowing a start later than te if wider regions free up.
-            best: Optional[Tuple[int, int, int, int]] = None
-            for w, cost in items_of[node]:
-                if w > k:
-                    continue
-                start = max(te, free[w - 1])
-                fin = start + cost
-                if best is None or (fin, w) < (best[0], best[1]):
-                    best = (fin, w, start, cost)
-            assert best is not None, "dims must contain width 1"
-            fin, w, start, _ = best
-            for i in range(w):
-                if free[i] < fin:
-                    free[i] = fin
+            # Items ascend by width, so a tie keeps the narrower one.
+            fin = None
+            for width, cost in items_of[node]:
+                if width > k:
+                    break
+                at = free[width - 1]
+                if at < te:
+                    at = te
+                if fin is None or at + cost < fin:
+                    fin, w, start = at + cost, width, at
+            if fin is None:
+                raise _no_fit(prep, node, k)
+            if w == 1:  # every direct op: skip the range loop
+                if free[0] < fin:
+                    free[0] = fin
+            else:
+                for i in range(w):
+                    if free[i] < fin:
+                        free[i] = fin
             free.sort()
             finish[node] = fin
             if fin > total_length:
                 total_length = fin
             if with_placements:
                 placements.append(Placement(node, start, fin, w))
-            idx += 1
+            idx = j
             continue
 
         # Joint width optimisation over the batch within the regions
-        # free at te.
-        widths = _optimize_widths(batch, dims_of, avail)
+        # free at te. When every member has one width there is nothing
+        # to optimise: each takes its narrowest, which is minw_of's.
+        batch = order[idx:j]
+        if any(len(items_of[m]) > 1 for m in batch):
+            widths = _optimize_widths(batch, dims_of, avail)
+        else:
+            widths = minw_of
         slot = 0
         for member in batch:
             w = widths[member]
@@ -275,12 +329,43 @@ def _place(prep: _Prepared, k: int, with_placements: bool = True):
             if with_placements:
                 placements.append(Placement(member, te, fin, w))
         free.sort()
-        idx += len(batch)
+        idx = j
 
     if not with_placements:
         return total_length
     total_width = _peak_width(placements)
     return CoarseResult(prep.name, k, total_length, total_width, placements)
+
+
+def _serial_length(prep: _Prepared) -> int:
+    """Total length at ``k = 1`` in closed form.
+
+    With one region every statement starts when the one placed before
+    it ends (its predecessors all ended by then), so the length is the
+    sum of the width-1 costs. A table without width 1 raises the error
+    :func:`_place` would raise: the first such statement in
+    criticality order.
+    """
+    dims_of = prep.dims_of
+    try:
+        return sum([dims[1] for dims in dims_of])
+    except KeyError:
+        node = next(i for i in prep.order if 1 not in dims_of[i])
+        raise _no_fit(prep, node, 1) from None
+
+
+def _no_fit(prep: _Prepared, node: int, k: int) -> ValueError:
+    """The error for a statement with no width within the budget."""
+    stmt = prep.body[node]
+    what = (
+        f"gate {stmt.gate!r}"
+        if isinstance(stmt, Operation)
+        else f"call to {stmt.callee!r}"
+    )
+    return ValueError(
+        f"module {prep.name!r}, statement {node} ({what}): no blackbox "
+        f"width fits k={k} (have {sorted(prep.dims_of[node])})"
+    )
 
 
 @spanned("schedule:coarse")
@@ -319,14 +404,19 @@ def coarse_length_profile(
     """Total coarse-schedule length at each region budget in ``widths``.
 
     Equivalent to ``{w: schedule_coarse(...).total_length for w in
-    widths}``, but the k-independent preparation (dimension tables,
-    weighted DAG, criticality order) is shared across all widths and
-    placement lists are skipped.
+    widths}``, but one preparation (dimension tables, predecessors,
+    criticality order) serves every width, placement lists are
+    skipped, and width 1 is the closed form of :func:`_serial_length`.
     """
     if not module.body:
         return {w: 0 for w in widths}
     prep = _Prepared(module, callee_dims, gate_cost, call_overhead)
-    return {w: _place(prep, w, with_placements=False) for w in widths}
+    return {
+        w: _serial_length(prep)
+        if w == 1
+        else _place(prep, w, with_placements=False)
+        for w in widths
+    }
 
 
 def _optimize_widths(
@@ -361,14 +451,9 @@ def _optimize_widths(
 
 
 def _peak_width(placements: Sequence[Placement]) -> int:
-    """Maximum number of regions simultaneously occupied."""
-    events: List[Tuple[int, int]] = []
-    for p in placements:
-        events.append((p.start, p.width))
-        events.append((p.finish, -p.width))
+    """Maximum number of regions simultaneously occupied (a finish and
+    a start at the same cycle do not overlap)."""
+    events = [(p.start, p.width) for p in placements]
+    events += [(p.finish, -p.width) for p in placements]
     events.sort()
-    peak = cur = 0
-    for _, delta in events:
-        cur += delta
-        peak = max(peak, cur)
-    return peak
+    return max(accumulate([delta for _, delta in events], initial=0))

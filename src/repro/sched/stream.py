@@ -169,7 +169,9 @@ class StreamColumns:
         return self._depths
 
     def critical_path_length(self) -> int:
-        return max(self.depths(), default=0)
+        # The tallest height is the longest chain, as the deepest depth
+        # is; LPFS reads heights anyway, so no depths pass is needed.
+        return max(self.heights(), default=0)
 
     def slack(self) -> array:
         if self._slack is None:

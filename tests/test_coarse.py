@@ -1,11 +1,22 @@
 """Tests for the hierarchical coarse-grained scheduler (Algorithm 3)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core.module import Module
 from repro.core.operation import CallSite, Operation
 from repro.core.qubits import Qubit
-from repro.sched.coarse import best_dim, schedule_coarse
+from repro.sched.coarse import (
+    CoarseResult,
+    Placement,
+    best_dim,
+    coarse_length_profile,
+    schedule_coarse,
+)
 
 Q = [Qubit("q", i) for i in range(16)]
 
@@ -158,3 +169,96 @@ class TestMixedBodies:
             module_with([CallSite("box", (Q[0],))] * 2), dims, k=2
         )
         assert serial.parallelized == 0
+
+
+class TestParallelized:
+    @pytest.mark.parametrize(
+        "spans, expected",
+        [
+            ([], 0),
+            ([(0, 0), (0, 0)], 0),  # zero-length at one point
+            ([(0, 4), (2, 2)], 2),  # zero-length strictly inside
+            ([(0, 4), (4, 4)], 0),  # zero-length at a finish
+            ([(0, 4), (0, 0)], 0),  # zero-length at a start
+            ([(1, 3), (1, 3)], 2),  # identical
+            ([(0, 2), (2, 5), (5, 6)], 0),  # touching chain
+            ([(0, 10), (1, 2), (3, 4), (11, 12)], 3),
+        ],
+    )
+    def test_edge_cases(self, spans, expected):
+        placements = [Placement(i, a, b, 1) for i, (a, b) in enumerate(spans)]
+        assert CoarseResult("m", 4, 0, 0, placements).parallelized == expected
+
+
+class TestNoWidthFits:
+    """A statement whose table has no width within k raises one
+    ValueError naming the module, the statement and the callee, from
+    every placement path."""
+
+    body = [Operation("H", (Q[0],)), CallSite("box", (Q[1],))]
+
+    @pytest.mark.parametrize(
+        "table, k",
+        [
+            # One width and several: the per-width scan, and at k = 1
+            # the profile's closed form.
+            ({2: 5}, 1),
+            ({4: 7}, 2),
+            ({2: 5, 4: 3}, 1),
+            ({3: 5, 4: 3}, 2),
+        ],
+    )
+    def test_both_entry_points(self, table, k):
+        module = module_with(self.body, name="outer")
+        pattern = r"module 'outer', statement 1 \(call to 'box'\)"
+        with pytest.raises(ValueError, match=pattern):
+            schedule_coarse(module, {"box": table}, k=k)
+        with pytest.raises(ValueError, match=pattern):
+            coarse_length_profile(module, {"box": table}, [k])
+
+    def test_closed_form_names_first_in_criticality_order(self):
+        """At k = 1 the first offending statement placed is the first
+        in criticality order: the taller chain's, not program order's."""
+        body = [
+            CallSite("wide", (Q[0],)),
+            CallSite("wide", (Q[1],)),
+            Operation("T", (Q[1],)),
+        ]
+        module = module_with(body, name="outer")
+        dims = {"wide": {2: 5}}
+        pattern = r"statement 1 \(call to 'wide'\)"
+        with pytest.raises(ValueError, match=pattern):
+            coarse_length_profile(module, dims, [1])
+        with pytest.raises(ValueError, match=pattern):
+            schedule_coarse(module, dims, k=1)
+
+    def test_fits_when_k_allows(self):
+        """A width-4 box fills k = 4 and the gate waits for it; a
+        width-2 box leaves the gate a region at k = 4 only."""
+        module = module_with(self.body)
+        assert schedule_coarse(module, {"box": {4: 7}}, k=4).total_length == 8
+        assert coarse_length_profile(module, {"box": {2: 5}}, [2, 4]) == {
+            2: 6,
+            4: 5,
+        }
+
+    def test_raises_under_optimize_flag(self):
+        """Not an assert: ``python -O`` raises the same ValueError."""
+        code = (
+            "from repro.core.module import Module\n"
+            "from repro.core.operation import CallSite\n"
+            "from repro.core.qubits import Qubit\n"
+            "from repro.sched.coarse import schedule_coarse\n"
+            "m = Module('m', (), [CallSite('box', (Qubit('q', 0),))])\n"
+            "try:\n"
+            "    schedule_coarse(m, {'box': {2: 5}}, k=1)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError', exc)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert out.stdout.startswith("ValueError module 'm', statement 0")

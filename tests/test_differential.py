@@ -16,9 +16,10 @@ same entry points), checking
 * that the analytic runtime equals the engine's realized runtime under
   the ideal configuration (no stalls possible), and
 * identical coarse schedules and length profiles for hierarchical
-  modules.
+  modules, also for the engine's coarse replays of every registry
+  program over stalled (realized) leaf runtimes.
 
-The per-test ``max_examples`` settings sum to 255 generated programs
+The per-test ``max_examples`` settings sum to 365 generated programs
 per run (RCP schedules each under three weight settings), all seeded
 by hypothesis's deterministic derandomization in CI. Generated bodies stay small (at
 most 24 ops over 8 qubits), so :func:`test_registry_matches_reference`
@@ -40,7 +41,7 @@ from repro.core import ProgramBuilder
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
-from repro.engine import run_schedule
+from repro.engine import EngineConfig, execute_result, run_schedule
 from repro.sched import (
     CoarseResult,
     coarse_length_profile,
@@ -53,7 +54,11 @@ from repro.sched import (
 )
 from repro.sched.rcp import RCPWeights
 from repro.sched.report import _comm_to_dict
-from repro.toolflow import SchedulerConfig, compile_and_schedule
+from repro.toolflow import (
+    SchedulerConfig,
+    _candidate_widths,
+    compile_and_schedule,
+)
 from tests.oracle import reference_sched, reference_swapped
 
 N_QUBITS = 8
@@ -254,50 +259,79 @@ def test_engine_realizes_analytic_runtime(ops, k, d, algorithm, local):
     assert result.preflight_violations == 0
 
 
+#: Callee name -> arity for :func:`hierarchical_cases`.
+CALLEES = {"one": 1, "pair": 2, "dense": 3, "gapped": 2}
+HIER_QUBITS = 12
+
+
 @st.composite
 def hierarchical_cases(draw):
-    """A non-leaf module calling one leaf, plus a synthetic dimension
-    table for the callee (width 1 always present, widths up to 4)."""
+    """A non-leaf module calling four leaves with distinct dimension
+    tables, and a region budget ``k`` up to 16.
+
+    * ``one`` is profiled at a single width (a streamed ``"entry"``
+      profile gives such a table), which need not be width 1;
+    * ``pair`` has one width-1 entry;
+    * ``dense`` has every width from 1 to a drawn maximum;
+    * ``gapped`` has the gapped width set of ``_candidate_widths(16)``:
+      1, 2, 4, 8, 16.
+
+    The width profile is taken at ``_candidate_widths(k)`` from the
+    single-width table's width up, so that every table fits.
+    """
     pb = ProgramBuilder()
-    leaf = pb.module("leaf")
-    p = leaf.param_register("p", 3)
-    leaf.toffoli(p[0], p[1], p[2])
+    for name, arity in CALLEES.items():
+        leaf = pb.module(name)
+        p = leaf.param_register("p", arity)
+        for i in range(arity):
+            leaf.gate("H", p[i])
     main = pb.module("main")
-    q = main.register("q", N_QUBITS)
-    n = draw(st.integers(min_value=1, max_value=14))
+    q = main.register("q", HIER_QUBITS)
+    n = draw(st.integers(min_value=1, max_value=20))
     for _ in range(n):
-        if draw(st.booleans()):
-            i = draw(st.integers(min_value=0, max_value=N_QUBITS - 1))
+        choice = draw(st.sampled_from(["gate", "cnot", *CALLEES]))
+        if choice == "gate":
+            i = draw(st.integers(min_value=0, max_value=HIER_QUBITS - 1))
             main.gate(draw(st.sampled_from(["H", "T", "X"])), q[i])
-        else:
-            idxs = draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=N_QUBITS - 1),
-                    min_size=3,
-                    max_size=3,
-                    unique=True,
-                )
+            continue
+        arity = 2 if choice == "cnot" else CALLEES[choice]
+        idxs = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=HIER_QUBITS - 1),
+                min_size=arity,
+                max_size=arity,
+                unique=True,
             )
+        )
+        if choice == "cnot":
+            main.gate("CNOT", q[idxs[0]], q[idxs[1]])
+        else:
             iterations = draw(st.integers(min_value=1, max_value=3))
-            main.call("leaf", [q[i] for i in idxs], iterations)
+            main.call(choice, [q[i] for i in idxs], iterations)
     program = pb.build("main")
-    max_w = draw(st.integers(min_value=1, max_value=4))
-    dims = {
-        w: draw(st.integers(min_value=1, max_value=20))
-        for w in range(1, max_w + 1)
+    k = draw(st.integers(min_value=1, max_value=16))
+    cost = st.integers(min_value=1, max_value=20)
+    one_width = draw(st.sampled_from(_candidate_widths(k)))
+    max_w = draw(st.integers(min_value=1, max_value=16))
+    callee_dims = {
+        "one": {one_width: draw(cost)},
+        "pair": {1: draw(cost)},
+        "dense": {w: draw(cost) for w in range(1, max_w + 1)},
+        "gapped": {w: draw(cost) for w in _candidate_widths(16)},
     }
-    k = draw(st.integers(min_value=1, max_value=4))
+    widths = [w for w in _candidate_widths(k) if w >= one_width]
     gate_cost = draw(st.sampled_from([1, 5]))
     call_overhead = draw(st.sampled_from([0, 4]))
-    return program.entry_module, dims, k, gate_cost, call_overhead
+    return (
+        program.entry_module, callee_dims, k, widths, gate_cost,
+        call_overhead,
+    )
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=150, deadline=None)
 @given(case=hierarchical_cases())
 def test_coarse_differential(case):
-    module, dims, k, gate_cost, call_overhead = case
-    callee_dims = {"leaf": dims}
-    widths = list(range(1, k + 1))
+    module, callee_dims, k, widths, gate_cost, call_overhead = case
 
     def run():
         result = schedule_coarse(
@@ -352,6 +386,40 @@ def test_registry_matches_reference(key):
     for algorithm in ("rcp", "lpfs"):
         fast, ref = both_pipelines(lambda: run(algorithm))
         assert fast == ref, (key, algorithm)
+
+
+@pytest.mark.parametrize("key", benchmark_names())
+def test_engine_coarse_replay_matches_reference(key):
+    """The engine re-coarse-schedules every non-leaf module over
+    realized leaf runtimes. At 0.1 EPR pairs per cycle, stalls make
+    those differ from the analytic dimensions; the replays (placements,
+    lengths, widths) and the realized runtime must still equal the
+    oracle's."""
+    spec = BENCHMARKS[key]
+    result = compile_and_schedule(
+        spec.build(),
+        MultiSIMD(4, 4, local_memory=4),
+        SchedulerConfig("lpfs"),
+        fth=spec.fth,
+    )
+    config = EngineConfig(epr_rate=0.1)
+
+    def run():
+        execution = execute_result(result, config)
+        return (
+            execution.coarse,
+            execution.realized,
+            execution.realized_runtime,
+        )
+
+    fast, ref = both_pipelines(run)
+    assert fast == ref
+    coarse, realized, _ = fast
+    assert coarse, key
+    assert any(
+        cost != result.profiles[name].runtime[4]
+        for name, cost in realized.items()
+    ), key
 
 
 def test_oracle_is_live(monkeypatch):

@@ -277,22 +277,6 @@ class TestEPRPool:
 
 
 class TestMachineState:
-    def test_move_tracking(self):
-        state = MachineState(2, MultiSIMD(k=2, local_memory=2))
-        state.apply_move(
-            Move(Q[0], ("global",), ("region", 1), "teleport")
-        )
-        assert state.location(Q[0]) == ("region", 1)
-        state.apply_move(
-            Move(Q[0], ("region", 1), ("local", 1), "local")
-        )
-        assert Q[0] in state.pads[1]
-        assert state.peak_pad[1] == 1
-        state.apply_move(
-            Move(Q[0], ("local", 1), ("region", 1), "local")
-        )
-        assert Q[0] not in state.pads[1]
-
     def test_cannot_rewind_clock(self):
         state = MachineState(1, MultiSIMD(k=1))
         with pytest.raises(ValueError):

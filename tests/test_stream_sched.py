@@ -47,6 +47,7 @@ from repro.sched import derive_movement
 from repro.sched.comm import CommStats
 from repro.sched.report import _comm_to_dict, schedule_to_dict
 from repro.sched.stream import (
+    StreamColumns,
     build_columns,
     derive_movement_stream,
     engine_epochs,
@@ -54,6 +55,7 @@ from repro.sched.stream import (
     schedule_columns,
     to_schedule,
 )
+from repro import toolflow
 from repro.toolflow import (
     SchedulerConfig,
     compile_and_schedule,
@@ -342,6 +344,64 @@ def test_critical_path_and_release_graph():
     got = cols.operation(1)
     assert got.gate == "CNOT"
     assert tuple(str(q) for q in got.qubits) == ("q[0]", "q[1]")
+
+
+def _leaf_columns_checked(monkeypatch):
+    """Patch the toolflow's ``build_columns`` to record, for each leaf it
+    ingests, ``(critical_path_length(), max(depths()))`` before the
+    toolflow releases the graph."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        cols = build_columns(*args, **kwargs)
+        seen.append((cols.critical_path_length(), max(cols.depths(), default=0)))
+        return cols
+
+    monkeypatch.setattr(toolflow, "build_columns", recording)
+    return seen
+
+
+@pytest.mark.parametrize("key", REGISTRY)
+def test_critical_path_is_deepest_depth_registry(key, monkeypatch):
+    """Every streamed leaf of a registry program: the critical path read
+    from heights equals the deepest depth."""
+    seen = _leaf_columns_checked(monkeypatch)
+    spec = BENCHMARKS[key]
+    compile_and_schedule_streamed(
+        spec.build(), MultiSIMD(4, 4), SchedulerConfig("lpfs"), fth=spec.fth,
+        widths="entry", keep_schedules=False,
+    )
+    assert seen
+    for got, want in seen:
+        assert got == want, key
+
+
+@pytest.mark.parametrize("kind", SCALE_KINDS)
+def test_critical_path_is_deepest_depth_scale(kind):
+    program, _ = build_scale(kind, 20_000)
+    cols = build_columns(leaf_stream(program, program.entry))
+    assert cols.critical_path_length() == max(cols.depths())
+    assert build_columns(ListStream([])).critical_path_length() == 0
+
+
+def test_lpfs_streamed_compile_runs_no_depths_pass(monkeypatch):
+    """LPFS reads heights only, and the leaf's critical path comes from
+    the same heights, so a streamed LPFS compile never runs the forward
+    depths pass."""
+    calls = [0]
+    depths = StreamColumns.depths
+
+    def counting(self):
+        calls[0] += 1
+        return depths(self)
+
+    monkeypatch.setattr(StreamColumns, "depths", counting)
+    program, _ = build_scale("adder", 5_000)
+    result = compile_and_schedule_streamed(
+        program, MultiSIMD(4, 4), SchedulerConfig("lpfs"), fth=10**9,
+    )
+    assert result.critical_path > 1
+    assert calls[0] == 0
 
 
 # ---------------------------------------------------------------------------
