@@ -1,8 +1,9 @@
 """Shared infrastructure for the figure/table regeneration benches.
 
 Each ``bench_*`` file regenerates one of the paper's tables or figures.
-Compiles are cached here so that, e.g., Figure 6 and Figure 7 (which
-read different metrics off the same schedules) don't pay twice.
+Compiles are memoized here for the life of the process so that, e.g.,
+Figure 6 and Figure 7 (which read different metrics off the same
+schedules) don't pay twice.
 
 Run the whole harness with::
 
@@ -20,12 +21,14 @@ from typing import Iterable, Optional, Sequence
 from repro.arch.machine import MultiSIMD
 from repro.benchmarks import BENCHMARKS, benchmark_names
 from repro.passes.qubit_count import minimum_qubits
-from repro.service import CompileService, default_cache_dir
-from repro.toolflow import CompileResult, SchedulerConfig
+from repro.toolflow import (
+    CompileResult,
+    SchedulerConfig,
+    compile_and_schedule,
+)
 
 __all__ = [
     "ALGORITHMS",
-    "SERVICE",
     "benchmark_names",
     "compile_benchmark",
     "min_qubits",
@@ -33,11 +36,6 @@ __all__ = [
 ]
 
 ALGORITHMS = ("rcp", "lpfs")
-
-#: One shared compile service: in-memory LRU within a bench run, the
-#: on-disk artifact store across runs (set ``REPRO_CACHE_DIR`` to move
-#: it off ``./.repro-cache``).
-SERVICE = CompileService(cache_dir=default_cache_dir())
 
 
 @lru_cache(maxsize=None)
@@ -57,20 +55,24 @@ def compile_benchmark(
     k: int = 4,
     local: Optional[float] = None,
 ) -> CompileResult:
-    """Compile one benchmark through the full toolflow (cached).
+    """Compile one benchmark through the full toolflow (memoized).
 
     ``local`` is the scratchpad capacity (None disables; fractions of Q
-    are passed as plain floats). Results come from the content-addressed
-    :data:`SERVICE`, so repeated figure regenerations — and anything
-    else sharing the artifact store, like ``python -m repro lint
-    --deep`` — pay for each configuration once.
+    are passed as plain floats). Each configuration compiles once per
+    process, however the call spells its arguments.
     """
-    spec = BENCHMARKS[key]
-    return SERVICE.compile(
+    return _compile(key, algorithm, k, local)
+
+
+@lru_cache(maxsize=None)
+def _compile(
+    key: str, algorithm: str, k: int, local: Optional[float]
+) -> CompileResult:
+    return compile_and_schedule(
         _build(key),
         MultiSIMD(k=k, local_memory=local),
         SchedulerConfig(algorithm),
-        fth=spec.fth,
+        fth=BENCHMARKS[key].fth,
     )
 
 

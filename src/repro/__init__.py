@@ -95,11 +95,6 @@ from .sched import (
     schedule_sequential,
 )
 from .instrument import SpanRecorder, record_spans, span
-from .service import (
-    CompileService,
-    fingerprint_program,
-    fingerprint_request,
-)
 from .toolflow import (
     CompileResult,
     ModuleProfile,
@@ -115,7 +110,6 @@ __all__ = [
     "CallSite",
     "CommStats",
     "CompileResult",
-    "CompileService",
     "DecomposeConfig",
     "DependenceDAG",
     "Diagnostic",
@@ -159,8 +153,6 @@ __all__ = [
     "decompose_program",
     "derive_movement",
     "estimate_resources",
-    "fingerprint_program",
-    "fingerprint_request",
     "flatten_program",
     "gate_count_histogram",
     "hierarchical_critical_path",

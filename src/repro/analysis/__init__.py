@@ -13,8 +13,8 @@ resource/communication bounds with a schedule sanitizer (``QL5xx``).
 Entry points:
 
 * :func:`analyze_program` — run the registered rules on a Program;
-* :func:`analyze_deep` — run the interprocedural battery (cached
-  summaries, ``QL4xx``/``QL5xx`` rules);
+* :func:`analyze_deep` — run the interprocedural battery
+  (``QL4xx``/``QL5xx`` rules);
 * :func:`lint_scaffold_source` / :func:`lint_qasm_source` — lint
   surface text without raising;
 * :func:`audit_schedule` / :func:`audit_replay` — post-hoc schedule
@@ -30,11 +30,8 @@ from .dataflow import (
     InterproceduralAnalysis,
     Lattice,
     PowersetLattice,
-    SummaryCache,
-    SummaryCacheStats,
     TransferFunctions,
     solve_bottom_up,
-    summary_fingerprint,
 )
 from .deep import (
     DEFAULT_MACHINE,
@@ -101,8 +98,6 @@ __all__ = [
     "ResourceSummary",
     "Rule",
     "Severity",
-    "SummaryCache",
-    "SummaryCacheStats",
     "TransferFunctions",
     "analyze_deep",
     "analyze_deep_rules",
@@ -118,5 +113,4 @@ __all__ = [
     "registered_rules",
     "rule",
     "solve_bottom_up",
-    "summary_fingerprint",
 ]

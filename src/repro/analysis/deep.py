@@ -4,32 +4,28 @@ Ties the pieces together:
 
 1. run the :mod:`.dataflow` fixpoint engine bottom-up over the call
    graph for each registered interprocedural analysis (qubit lifetime,
-   resource bounds), optionally memoizing per-module summaries through
-   a :class:`~repro.analysis.dataflow.SummaryCache` so warm runs skip
-   the per-module transfer work entirely;
+   resource bounds);
 2. package the summary tables into a :class:`DeepContext`;
 3. run the registered deep-rule battery
    (:func:`~repro.analysis.registry.analyze_deep_rules`) over the
    context to produce diagnostics.
 
-The split keeps caching sound: cached artifacts are *summaries* (pure
-facts about modules), never diagnostics — emission always re-runs, so
-a warm cache can never swallow findings.
+Summaries are pure facts about modules; diagnostics are emitted only
+by the rule battery in step 3.
 
 Every stage is timed under ``analysis:*`` spans
-(:mod:`repro.instrument`), so ``lint --deep --json`` can report where
-the time went and how well the summary cache performed.
+(:mod:`repro.instrument`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from ..arch.machine import MultiSIMD
 from ..core.module import Program
 from ..instrument import span
-from .dataflow import FixpointResult, SummaryCache, solve_bottom_up
+from .dataflow import FixpointResult, solve_bottom_up
 from .diagnostics import DiagnosticSet
 from .lifetime_rules import (
     LifetimeAnalysis,
@@ -81,8 +77,8 @@ class DeepAnalysis:
     Attributes:
         diagnostics: combined findings of the deep-rule battery.
         context: the summary-laden context the rules consumed.
-        lifetime_result: fixpoint result (order, iterations, cache
-            stats) of the qubit-lifetime analysis.
+        lifetime_result: fixpoint result (order, iterations) of the
+            qubit-lifetime analysis.
         resource_result: fixpoint result of the resource-bounds
             analysis.
     """
@@ -92,21 +88,10 @@ class DeepAnalysis:
     lifetime_result: FixpointResult[LifetimeSummary]
     resource_result: FixpointResult[ResourceSummary]
 
-    def cache_stats(self) -> Dict[str, Optional[Dict[str, Any]]]:
-        """Per-analysis summary-cache statistics, JSON-shaped
-        (``None`` per analysis when no cache was used)."""
-        lt = self.lifetime_result.cache_stats
-        rs = self.resource_result.cache_stats
-        return {
-            "lifetime": lt.to_dict() if lt is not None else None,
-            "resource": rs.to_dict() if rs is not None else None,
-        }
-
 
 def analyze_deep(
     program: Program,
     machine: Optional[MultiSIMD] = None,
-    cache: Optional[SummaryCache] = None,
     codes: Optional[Iterable[str]] = None,
 ) -> DeepAnalysis:
     """Run the full interprocedural battery over ``program``.
@@ -115,26 +100,18 @@ def analyze_deep(
         program: a validated program.
         machine: target machine for the resource-fit rules (default:
             :data:`DEFAULT_MACHINE`).
-        cache: optional persistent summary cache; summaries whose
-            fingerprint (module shape + callee summaries + analysis
-            version + pipeline version) is already stored are loaded
-            instead of recomputed.
         codes: restrict emission to these deep-rule codes
             (default: all registered deep rules).
 
     Returns:
         a :class:`DeepAnalysis` with diagnostics, context and
-        fixpoint/caching metadata.
+        fixpoint metadata.
     """
     target = machine if machine is not None else DEFAULT_MACHINE
     with span("analysis:lifetime"):
-        lifetime_result = solve_bottom_up(
-            program, LifetimeAnalysis(), cache=cache
-        )
+        lifetime_result = solve_bottom_up(program, LifetimeAnalysis())
     with span("analysis:resource"):
-        resource_result = solve_bottom_up(
-            program, ResourceAnalysis(), cache=cache
-        )
+        resource_result = solve_bottom_up(program, ResourceAnalysis())
     context = DeepContext(
         program=program,
         machine=target,

@@ -135,21 +135,6 @@ class Diagnostic:
             out["rule"] = self.rule
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict` (used by the artifact store)."""
-        loc = data.get("location")
-        return cls(
-            code=data["code"],
-            severity=Severity.from_name(data["severity"]),
-            message=data["message"],
-            module=data.get("module"),
-            stmt=data.get("stmt"),
-            qubit=data.get("qubit"),
-            loc=SourceLocation.from_dict(loc) if loc else None,
-            rule=data.get("rule"),
-        )
-
 
 def _sort_key(d: Diagnostic) -> Tuple[str, int, int, int, str]:
     loc = d.loc

@@ -569,9 +569,6 @@ class LifetimeAnalysis:
     """The lifetime summary computation, engine-shaped (see
     :class:`~repro.analysis.dataflow.InterproceduralAnalysis`)."""
 
-    name = "qubit-lifetime"
-    version = "1"
-
     def summarize(
         self,
         module: Module,
@@ -580,39 +577,13 @@ class LifetimeAnalysis:
         summary, _ = walk_module(module, callees, entry=False)
         return summary
 
-    def to_payload(self, summary: LifetimeSummary) -> Dict[str, Any]:
-        return {
-            "params": [
-                [p.used, p.first, p.exit, p.tainted]
-                for p in summary.params
-            ],
-            "groups": [list(g) for g in summary.groups],
-        }
-
-    def from_payload(self, payload: Dict[str, Any]) -> LifetimeSummary:
-        return LifetimeSummary(
-            params=tuple(
-                ParamSummary(
-                    used=bool(p[0]),
-                    first=str(p[1]),
-                    exit=str(p[2]),
-                    tainted=bool(p[3]),
-                )
-                for p in payload["params"]
-            ),
-            groups=tuple(
-                tuple(int(i) for i in g) for g in payload["groups"]
-            ),
-        )
-
 
 def emit_lifetime_events(
     program: Program,
     summaries: Mapping[str, LifetimeSummary],
 ) -> List[LifetimeEvent]:
-    """Replay every reachable module against the (possibly cached)
-    summaries and collect the findings. Always runs — a summary cache
-    hit must never swallow a diagnostic."""
+    """Replay every reachable module against its callees' summaries
+    and collect the findings."""
     events: List[LifetimeEvent] = []
     for name in program.topological_order():
         module = program.modules[name]

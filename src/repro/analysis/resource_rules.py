@@ -105,9 +105,6 @@ class ResourceAnalysis:
     """The resource-bounds summary computation, engine-shaped (see
     :class:`~repro.analysis.dataflow.InterproceduralAnalysis`)."""
 
-    name = "resource-bounds"
-    version = "1"
-
     def summarize(
         self,
         module: Module,
@@ -157,34 +154,6 @@ class ResourceAnalysis:
                 counts.get(q, 0) for q in module.params
             ),
             comm_lb=max(op_footprint, callee_comm),
-        )
-
-    def to_payload(self, summary: ResourceSummary) -> Dict[str, Any]:
-        return {
-            "params": summary.params,
-            "ops": summary.ops,
-            "frame_qubits": summary.frame_qubits,
-            "op_footprint": summary.op_footprint,
-            "inline_qubits": summary.inline_qubits,
-            "width_ub": summary.width_ub,
-            "chain": summary.chain,
-            "param_chains": list(summary.param_chains),
-            "comm_lb": summary.comm_lb,
-        }
-
-    def from_payload(self, payload: Dict[str, Any]) -> ResourceSummary:
-        return ResourceSummary(
-            params=int(payload["params"]),
-            ops=int(payload["ops"]),
-            frame_qubits=int(payload["frame_qubits"]),
-            op_footprint=int(payload["op_footprint"]),
-            inline_qubits=int(payload["inline_qubits"]),
-            width_ub=int(payload["width_ub"]),
-            chain=int(payload["chain"]),
-            param_chains=tuple(
-                int(c) for c in payload["param_chains"]
-            ),
-            comm_lb=int(payload["comm_lb"]),
         )
 
 

@@ -12,7 +12,7 @@ Usage (also available as ``python -m repro``)::
     python -m repro lint all --fail-on warning
     python -m repro lint all --deep --format json
     python -m repro lint program.scd --deep --fail-on QL4
-    python -m repro lint all --deep --topology mesh --cores 4
+    python -m repro lint BF --deep --topology mesh --cores 4
     python -m repro perf --repeats 2 -o BENCH_perf.json
     python -m repro perf --baseline BENCH_perf.json -o ''
     python -m repro perf --scale-gates 1000000 --repeats 1
@@ -24,7 +24,6 @@ Usage (also available as ``python -m repro``)::
     python -m repro execute BF --fault-epr 0.1 --seed 7 --json
     python -m repro execute BF --topology line --cores 4 --link-bw 2
     python -m repro partition GSE --topology mesh --cores 4 -d 16
-    python -m repro cache-stats --format json
 
 Exit codes form a stable contract (tested in ``tests/test_cli.py``):
 
@@ -47,11 +46,7 @@ import math
 import re
 import sys
 from dataclasses import replace
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .analysis import SummaryCache
-    from .service import CompileService
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .analysis import (
     AnalysisError,
@@ -456,25 +451,20 @@ def _deep_lint_one(
     source: str,
     program: Program,
     machine: MultiSIMD,
-    service: "CompileService",
-    summary_cache: Optional["SummaryCache"],
     info_sink: dict,
     graph=None,
 ) -> DiagnosticSet:
     """The ``--deep`` battery for one program.
 
     Runs the interprocedural analyses (``QL4xx`` lifetime rules and
-    the ``QL501`` machine-fit check, summaries memoized through
-    ``summary_cache``), then compiles the program through the
-    content-addressed service and sanitizes the realized artifacts
-    against the static bounds: retained full-width schedules through
+    the ``QL501`` machine-fit check), then compiles the program and
+    sanitizes the realized artifacts against the static bounds:
+    retained full-width schedules through
     :func:`~repro.analysis.audit_schedule` (``deep=True``), and every
     module's blackbox profile through
-    :func:`~repro.analysis.audit_profile_bounds`. Disk-cached compiles
-    get their schedule bodies back from the store's sidecar, so warm
-    runs audit schedules too; a result without one (a pre-sidecar
-    store, or a corrupt sidecar) audits profiles only. The bounds are
-    recomputed either way.
+    :func:`~repro.analysis.audit_profile_bounds`. With ``graph``, the
+    multi-core pipeline's per-leaf schedules are audited too; a leaf
+    that does not fit the cores is a usage error naming ``source``.
     """
     from .analysis import (
         ResourceAnalysis,
@@ -483,32 +473,25 @@ def _deep_lint_one(
         audit_schedule,
         solve_bottom_up,
     )
-    from .passes.decompose import decompose_program
-    from .passes.flatten import DEFAULT_FTH, flatten_program
+    from .passes.flatten import DEFAULT_FTH
 
     out = DiagnosticSet()
-    deep = analyze_deep(program, machine=machine, cache=summary_cache)
+    deep = analyze_deep(program, machine=machine)
     out.extend(deep.diagnostics)
 
     fth = BENCHMARKS[source].fth if source in BENCHMARKS else DEFAULT_FTH
-    entry = service.lookup(program, machine, fth=fth)
-    result = entry.result
+    result = compile_and_schedule(program, machine, fth=fth)
     for name, sched in result.schedules.items():
         profile = result.profiles.get(name)
         comm = profile.comm.get(machine.k) if profile is not None else None
         out.extend(
             audit_schedule(sched, module=name, deep=True, comm=comm)
         )
-    # Profile bounds must be computed on the *scheduled* program (the
-    # front-end passes can rewrite module bodies — e.g. rotation
-    # synthesis may drop a near-identity rotation entirely), and a
-    # disk-cached result only carries a gate-less program skeleton.
-    # Re-running the deterministic front-end locally is cheap, and the
-    # per-module summaries memoize through the same cache.
-    flat = flatten_program(decompose_program(program), fth=fth).program
-    bounds = solve_bottom_up(
-        flat, ResourceAnalysis(), cache=summary_cache
-    ).summaries
+    # Profile bounds must be computed on the *scheduled* program: the
+    # front-end passes can rewrite module bodies (e.g. rotation
+    # synthesis may drop a near-identity rotation entirely), and
+    # ``result.program`` is that decomposed and flattened program.
+    bounds = solve_bottom_up(result.program, ResourceAnalysis()).summaries
     profiles_audited = 0
     for name, profile in result.profiles.items():
         summary = bounds.get(name)
@@ -521,23 +504,24 @@ def _deep_lint_one(
             )
         )
     info_sink[source] = {
-        "fingerprint": entry.fingerprint,
-        "compile_cached": entry.cached,
         "modules": len(deep.lifetime_result.order),
-        "summary_cache": deep.cache_stats(),
         "schedules_audited": len(result.schedules),
         "profiles_audited": profiles_audited,
     }
     if graph is not None:
         from .multicore import (
             MulticoreConfig,
+            PartitionError,
             compile_and_schedule_multicore,
         )
         from .multicore.audit import audit_multicore_bounds
 
-        mc = compile_and_schedule_multicore(
-            program, machine, MulticoreConfig(graph), fth=fth
-        )
+        try:
+            mc = compile_and_schedule_multicore(
+                program, machine, MulticoreConfig(graph), fth=fth
+            )
+        except PartitionError as exc:
+            raise CLIError(f"{source}: {exc}") from None
         for name, msched in mc.leaf_schedules.items():
             out.extend(audit_multicore_bounds(msched, module=name))
         info_sink[source]["multicore"] = {
@@ -832,29 +816,15 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         else [args.source]
     )
 
-    summary_cache = None
-    service = None
     machine = None
     graph = None
     deep_info: dict = {}
     if args.topology is not None and not args.deep:
         raise CLIError("--topology requires --deep")
     if args.deep:
-        from .analysis import SummaryCache
-        from .service import CompileService, default_cache_dir
-
         machine = _machine(args)
         if args.topology is not None:
             graph = _multicore_graph(args)
-        cache_dir = (
-            None
-            if args.no_cache
-            else (args.cache_dir or str(default_cache_dir()))
-        )
-        summary_cache = (
-            SummaryCache(cache_dir) if cache_dir is not None else None
-        )
-        service = CompileService(cache_dir=cache_dir)
 
     diags = DiagnosticSet()
     for source in sources:
@@ -862,13 +832,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         if args.deep and program is not None:
             found.extend(
                 _deep_lint_one(
-                    source,
-                    program,
-                    machine,
-                    service,
-                    summary_cache,
-                    deep_info,
-                    graph=graph,
+                    source, program, machine, deep_info, graph=graph
                 )
             )
         if args.source == "all":
@@ -886,24 +850,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             doc["deep"] = {
                 "machine": {"k": machine.k, "d": machine.d},
                 "sources": deep_info,
-                "summary_cache": (
-                    summary_cache.stats.to_dict()
-                    if summary_cache is not None
-                    else None
-                ),
-                "compile_cache": service.stats_dict(),
             }
         print(json.dumps(doc, indent=2))
     else:
         print(diags.render())
-        if args.deep and summary_cache is not None:
-            stats = summary_cache.stats
-            print(
-                f"[deep] summary cache: {stats.hits} hit(s), "
-                f"{stats.misses} miss(es); compile cache: "
-                f"{service.stats.hits} hit(s), "
-                f"{service.stats.misses} miss(es)"
-            )
     if fail_on == "never":
         return 0
     if _FAIL_ON_CODE_RE.match(fail_on):
@@ -1533,31 +1483,6 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cache_stats(args: argparse.Namespace) -> int:
-    from .service import default_cache_dir, inspect_store
-
-    cache_dir = args.cache_dir or str(default_cache_dir())
-    report = inspect_store(cache_dir)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-        return 0
-    print(f"store:             {report['root']}"
-          + ("" if report["exists"] else "  (missing)"))
-    print(f"pipeline version:  {report['pipeline_version']}")
-    print(f"artifacts:         {report['artifacts']:,} "
-          f"({report['shards']} shard(s), "
-          f"{report['total_bytes'] / 1024:.1f} KiB)")
-    if report["stale_artifacts"]:
-        print(f"stale artifacts:   {report['stale_artifacts']:,} "
-              f"({report['unreadable_artifacts']} unreadable)")
-    for version, count in report["by_pipeline_version"].items():
-        marker = (
-            "" if version == report["pipeline_version"] else "  (stale)"
-        )
-        print(f"  {version:<24} {count:,}{marker}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1788,18 +1713,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_l.add_argument(
         "-d", type=int, default=4,
         help="ops per region assumed by --deep (default 4)",
-    )
-    p_l.add_argument(
-        "--cache-dir", default=None,
-        help=(
-            "cache directory for --deep compile artifacts and "
-            "analysis summaries (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_l.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the --deep caches (fresh compute)",
     )
     p_l.add_argument(
         "--topology", default=None, metavar="NAME",
@@ -2065,22 +1978,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_pt.set_defaults(fn=_cmd_partition)
 
-    p_cs = sub.add_parser(
-        "cache-stats",
-        help="inspect the content-addressed artifact store",
-    )
-    p_cs.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help=(
-            "store directory (default $REPRO_CACHE_DIR or "
-            "./.repro-cache)"
-        ),
-    )
-    p_cs.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default text)",
-    )
-    p_cs.set_defaults(fn=_cmd_cache_stats)
     return parser
 
 

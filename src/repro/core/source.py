@@ -51,12 +51,3 @@ class SourceLocation:
         if self.file:
             out["file"] = self.file
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceLocation":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            line=data["line"],
-            column=data.get("column", 0),
-            file=data.get("file"),
-        )

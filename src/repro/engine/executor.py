@@ -791,16 +791,16 @@ def execute_result(
     realized leaf runtimes.
 
     Raises:
-        EngineError: the result carries no schedules (e.g. loaded from
-            the compile cache, which strips them) — recompile with
-            ``keep_schedules=True`` / ``use_cache=False``.
+        EngineError: the result carries no schedules (compiled with
+            ``keep_schedules=False``) — recompile with
+            ``keep_schedules=True``.
         PreflightError: preflight replay found violations.
     """
     config = config or EngineConfig()
     if not result.schedules:
         raise EngineError(
-            "compile result has no retained schedules (cache-loaded "
-            "results strip them); recompile with keep_schedules=True"
+            "compile result has no retained schedules; recompile with "
+            "keep_schedules=True"
         )
 
     def run_leaf(name: str) -> EngineResult:

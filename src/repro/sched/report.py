@@ -5,11 +5,9 @@ Rendering helpers used by the examples, the CLI, and downstream tools:
 * :func:`render_timeline` — the paper's Figure-4-style cycle-by-cycle
   listing of a fine-grained schedule (one column per SIMD region, the
   movement epoch annotated per the "0th region" convention);
-* :func:`schedule_to_dict` / :func:`schedule_from_dict` and
-  :func:`compile_result_to_dict` / :func:`compile_result_from_dict` —
-  JSON-safe exports of schedules and whole compile results, and the
-  loaders that reconstruct them (the round-trip the service-layer
-  artifact cache is built on);
+* :func:`schedule_to_dict` and :func:`compile_result_to_dict` —
+  JSON-safe exports of schedules and whole compile results (the latter
+  is the ``compile --json`` format);
 * :func:`profile_table` — per-module blackbox dimension tables.
 """
 
@@ -18,22 +16,16 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional
 
-from ..analysis.diagnostics import Diagnostic
-from ..arch.machine import MultiSIMD
-from ..core.dag import DependenceDAG
-from ..core.module import Module, Program
-from ..core.operation import CallSite, Operation
+from ..core.operation import CallSite
 from ..core.qubits import Qubit
 from .comm import CommStats
-from .types import Move, Schedule
+from .types import Schedule
 
 __all__ = [
     "render_coarse_gantt",
     "render_timeline",
     "schedule_to_dict",
-    "schedule_from_dict",
     "compile_result_to_dict",
-    "compile_result_from_dict",
     "profile_table",
 ]
 
@@ -108,10 +100,10 @@ def _parse_qubit(name: str) -> Qubit:
 def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
     """A JSON-safe dict of one fine-grained schedule.
 
-    The export is self-contained for round-tripping: ``statements``
-    lists every DAG node's operation in node order, and each placed op
-    carries its ``node`` index, so :func:`schedule_from_dict` can
-    rebuild the dependence DAG and the exact placement.
+    The export is self-contained: ``statements`` lists every DAG
+    node's operation in node order, and each placed op carries its
+    ``node`` index, so two exports compare equal exactly when their
+    operations and placements do.
     """
     return {
         "algorithm": sched.algorithm,
@@ -163,49 +155,9 @@ def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: Dict[str, Any]) -> Schedule:
-    """Reconstruct a :class:`Schedule` from :func:`schedule_to_dict`
-    output (dependence DAG included)."""
-    ops = [
-        Operation(
-            s["gate"],
-            tuple(_parse_qubit(q) for q in s["qubits"]),
-            angle=s.get("angle"),
-        )
-        for s in data["statements"]
-    ]
-    sched = Schedule(
-        DependenceDAG(ops),
-        k=data["k"],
-        d=data.get("d"),
-        algorithm=data.get("algorithm", ""),
-    )
-    for ts_data in data["timesteps"]:
-        ts = sched.append_timestep()
-        for r, entries in enumerate(ts_data["regions"]):
-            ts.regions[r] = [e["node"] for e in entries]
-        ts.moves = [
-            Move(
-                _parse_qubit(m["qubit"]),
-                tuple(m["src"]),
-                tuple(m["dst"]),
-                m["kind"],
-            )
-            for m in ts_data["moves"]
-        ]
-    return sched
-
-
 def _json_num(value: float) -> Any:
     if isinstance(value, float) and math.isinf(value):
         return "inf"
-    return value
-
-
-def _parse_num(value: Any) -> Optional[float]:
-    """Inverse of :func:`_json_num` (``"inf"`` -> ``math.inf``)."""
-    if value == "inf":
-        return math.inf
     return value
 
 
@@ -251,24 +203,21 @@ def _comm_from_dict(data: Dict[str, Any]) -> CommStats:
     )
 
 
-def compile_result_to_dict(
-    result, include_schedules: bool = False
-) -> Dict[str, Any]:
-    """A JSON-safe export of a :class:`~repro.toolflow.CompileResult`.
+def compile_result_to_dict(result) -> Dict[str, Any]:
+    """A JSON-safe export of a :class:`~repro.toolflow.CompileResult`
+    (the ``compile --json`` document).
 
-    The export carries everything :func:`compile_result_from_dict`
-    needs to rebuild a metrics-equivalent result: the full scheduler
-    configuration, per-module blackbox dimensions with communication
-    stats, the call-graph skeleton (``callees``), non-leaf module
-    bodies (``body`` — call sites with their qubit arguments and
-    iteration counts, so the engine's coarse re-scheduling composes
-    rehydrated results exactly), and all analyzer diagnostics. Leaf
-    bodies are omitted — their ops travel inside the schedule sidecar.
-    Schedule bodies are omitted unless ``include_schedules`` is set
-    (they dominate the payload size).
+    The export carries the full scheduler configuration, per-module
+    blackbox dimensions with communication stats, the call-graph
+    skeleton (``callees``), each module's formal parameters, non-leaf
+    module bodies (``body`` — call sites with their qubit arguments and
+    iteration counts, the inputs of the coarse composition), and all
+    analyzer diagnostics. Leaf bodies and schedule bodies are omitted:
+    they dominate the size, and the headline numbers and profiles
+    already summarise them.
     """
     machine = result.machine
-    out = {
+    return {
         "entry": result.program.entry,
         "scheduler": result.scheduler.algorithm,
         "scheduler_config": {
@@ -343,12 +292,6 @@ def compile_result_to_dict(
             for name, p in result.profiles.items()
         },
     }
-    if include_schedules:
-        out["schedules"] = {
-            name: schedule_to_dict(s)
-            for name, s in sorted(result.schedules.items())
-        }
-    return out
 
 
 def _body_stmt_to_dict(stmt: Any) -> Dict[str, Any]:
@@ -368,97 +311,6 @@ def _body_stmt_to_dict(stmt: Any) -> Dict[str, Any]:
         "qubits": [_qubit_name(q) for q in stmt.qubits],
         **({"angle": stmt.angle} if stmt.angle is not None else {}),
     }
-
-
-def _body_stmt_from_dict(s: Dict[str, Any]) -> Any:
-    """Inverse of :func:`_body_stmt_to_dict`."""
-    if "call" in s:
-        return CallSite(
-            s["call"],
-            tuple(_parse_qubit(q) for q in s["args"]),
-            iterations=s.get("iterations", 1),
-        )
-    return Operation(
-        s["gate"],
-        tuple(_parse_qubit(q) for q in s["qubits"]),
-        angle=s.get("angle"),
-    )
-
-
-def compile_result_from_dict(data: Dict[str, Any]):
-    """Reconstruct a :class:`~repro.toolflow.CompileResult` from
-    :func:`compile_result_to_dict` output.
-
-    Non-leaf modules get their real bodies back (call sites with qubit
-    arguments and iteration counts, plus any direct ops), so the
-    engine's coarse composition over a rehydrated result is exact. Leaf
-    modules are rebuilt as empty skeletons — their ops live in the
-    schedule sidecar, which is what the engine executes. Legacy
-    artifacts without ``body`` fall back to zero-argument call-graph
-    edges (metrics-only fidelity). Schedule bodies are restored when
-    the export included them (``include_schedules=True``), else
-    ``schedules`` is empty.
-    """
-    # Imported here: toolflow imports sched submodules, so a module-level
-    # import would be cyclic.
-    from ..toolflow import CompileResult, ModuleProfile, SchedulerConfig
-
-    modules = [
-        Module(
-            name,
-            params=tuple(
-                _parse_qubit(q) for q in spec.get("params", ())
-            ),
-            body=(
-                [_body_stmt_from_dict(s) for s in spec["body"]]
-                if "body" in spec
-                else [CallSite(c, ()) for c in spec.get("callees", ())]
-            ),
-        )
-        for name, spec in data["modules"].items()
-    ]
-    program = Program(modules, entry=data["entry"])
-    cfg = data.get("scheduler_config") or {"algorithm": data["scheduler"]}
-    scheduler = SchedulerConfig(
-        algorithm=cfg["algorithm"],
-        lpfs_l=cfg.get("lpfs_l", 1),
-        lpfs_simd=cfg.get("lpfs_simd", True),
-        lpfs_refill=cfg.get("lpfs_refill", True),
-    )
-    m = data["machine"]
-    d = _parse_num(m["d"])
-    machine = MultiSIMD(
-        k=m["k"],
-        d=None if d is None or math.isinf(d) else int(d),
-        local_memory=_parse_num(m["local_memory"]),
-    )
-    profiles = {}
-    for name, spec in data["modules"].items():
-        profile = ModuleProfile(name, spec["is_leaf"])
-        profile.length = {int(w): c for w, c in spec["length"].items()}
-        profile.runtime = {int(w): c for w, c in spec["runtime"].items()}
-        profile.comm = {
-            int(w): _comm_from_dict(s)
-            for w, s in spec.get("comm", {}).items()
-        }
-        profiles[name] = profile
-    schedules = {
-        name: schedule_from_dict(s)
-        for name, s in data.get("schedules", {}).items()
-    }
-    return CompileResult(
-        program=program,
-        machine=machine,
-        scheduler=scheduler,
-        profiles=profiles,
-        schedules=schedules,
-        total_gates=data["total_gates"],
-        critical_path=data["critical_path"],
-        flattened_percent=data["flattened_percent"],
-        diagnostics=tuple(
-            Diagnostic.from_dict(d) for d in data.get("diagnostics", ())
-        ),
-    )
 
 
 def profile_table(result, metric: str = "runtime") -> str:

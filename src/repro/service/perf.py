@@ -47,7 +47,6 @@ from ..arch.machine import MultiSIMD
 from ..benchmarks import BENCHMARKS, benchmark_names
 from ..instrument import record_spans
 from ..toolflow import SchedulerConfig, compile_and_schedule
-from .fingerprint import PIPELINE_VERSION
 
 __all__ = [
     "PERF_SCHEMA",
@@ -515,8 +514,7 @@ def run_perf(
 
     ``jobs`` replaces the grid with ``(benchmark, algorithm)`` pairs
     at the same machine point (the document's ``grid`` is then null).
-    The jobs run serially and uncached (the point is to measure
-    compute, not the artifact store), ``repeats`` times. The machine
+    The jobs run serially, ``repeats`` times. The machine
     probe is timed before every job (:func:`_measure_job`); a repeat's
     mean probe is the machine's speed during that repeat, and the
     document's ``probe_s`` is the minimum of those means — the
@@ -591,7 +589,6 @@ def build_perf_payload(
     """Assemble the versioned ``BENCH_perf.json`` document."""
     return {
         "schema": PERF_SCHEMA,
-        "pipeline_version": PIPELINE_VERSION,
         "created_unix": time.time(),
         "grid": grid,
         "repeats": repeats,
@@ -690,7 +687,6 @@ def validate_perf_payload(payload: Dict[str, Any]) -> List[str]:
         problems.append(
             f"schema: expected {PERF_SCHEMA!r}, got {schema!r}"
         )
-    need(payload, "pipeline_version", str, "$")
     need(payload, "created_unix", (int, float), "$")
     need(payload, "repeats", int, "$")
     probe_s = need(payload, "probe_s", (int, float), "$")

@@ -299,7 +299,7 @@ class TestBadMachineArgs:
         ["execute", "BF"],
         ["execute", "--stream", "missing.jsonl"],
         ["partition", "BF"],
-        ["lint", "BF", "--deep", "--no-cache"],
+        ["lint", "BF", "--deep"],
         ["verify", "scale:adder:2000", "--spec", "adder"],
     )
 

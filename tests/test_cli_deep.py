@@ -12,11 +12,8 @@ BUGGY = str(DEEP_CORPUS / "ql402_use_after_release.scd")
 CLEAN = str(DEEP_CORPUS / "clean_uncompute.scd")
 
 
-def run_lint(*argv, cache_dir=None):
-    cache = (
-        ["--cache-dir", str(cache_dir)] if cache_dir else ["--no-cache"]
-    )
-    return main(["lint", *argv, *cache])
+def run_lint(*argv):
+    return main(["lint", *argv])
 
 
 class TestDeepExitCodes:
@@ -55,58 +52,23 @@ class TestFailOnCodePrefix:
 
 
 class TestDeepJson:
-    def test_json_carries_deep_block(self, capsys, tmp_path):
-        code = run_lint(
-            CLEAN,
-            "--deep",
-            "--format",
-            "json",
-            cache_dir=tmp_path / "cache",
-        )
+    def test_json_carries_deep_block(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = run_lint(CLEAN, "--deep", "--format", "json")
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         deep = doc["deep"]
+        assert set(deep) == {"machine", "sources"}
         assert deep["machine"] == {"k": 4, "d": 4}
         info = deep["sources"][CLEAN]
+        assert set(info) == {
+            "modules", "schedules_audited", "profiles_audited",
+        }
         assert info["modules"] >= 2
         assert info["schedules_audited"] >= 1
         assert info["profiles_audited"] >= 1
-        assert deep["summary_cache"]["misses"] > 0
-
-    def test_warm_run_hits_summary_cache(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        assert (
-            run_lint(CLEAN, "--deep", "--format", "json", cache_dir=cache)
-            == 0
-        )
-        capsys.readouterr()
-        assert (
-            run_lint(CLEAN, "--deep", "--format", "json", cache_dir=cache)
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        stats = doc["deep"]["summary_cache"]
-        assert stats["hits"] > 0
-        assert stats["misses"] == 0
-        assert doc["deep"]["sources"][CLEAN]["compile_cached"]
-
-    def test_corrupt_cache_recomputes_then_hits(self, capsys, tmp_path):
-        cache = tmp_path / "cache"
-        argv = (CLEAN, "--deep", "--format", "json")
-        assert run_lint(*argv, cache_dir=cache) == 0
-        corrupted = list(cache.rglob("*.json"))
-        assert any(p.parent.parent.name == "summaries" for p in corrupted)
-        for path in corrupted:
-            path.write_text("42")
-        capsys.readouterr()
-        assert run_lint(*argv, cache_dir=cache) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["deep"]["summary_cache"]["hits"] == 0
-        assert not doc["deep"]["sources"][CLEAN]["compile_cached"]
-        assert run_lint(*argv, cache_dir=cache) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["deep"]["summary_cache"]["misses"] == 0
-        assert doc["deep"]["sources"][CLEAN]["compile_cached"]
+        # A deep lint leaves nothing behind in the working directory.
+        assert list(tmp_path.iterdir()) == []
 
     def test_machine_flags_flow_through(self, capsys):
         # A (1,4) machine can't trigger the width-overprovision rule.
@@ -119,4 +81,16 @@ class TestDeepJson:
         assert (
             run_lint(ql501, "--deep", "-k", "1", "-d", "4", "--fail-on", "QL5")
             == 0
+        )
+
+
+class TestDeepTopology:
+    def test_leaf_too_big_for_the_cores_is_a_usage_error(self, capsys):
+        argv = ["SHA-1", "--deep", "--topology", "mesh", "--cores", "4"]
+        assert run_lint(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: SHA-1: 200 qubit(s) exceed total capacity "
+            "16 x 4 core(s)\n"
         )

@@ -3,17 +3,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Mapping
+from typing import Mapping
 
 import pytest
 
-from repro.analysis.dataflow import (
-    PowersetLattice,
-    SummaryCache,
-    solve_bottom_up,
-    summary_fingerprint,
-)
-from repro.core.canonical import PIPELINE_VERSION
+from repro.analysis.dataflow import PowersetLattice, solve_bottom_up
 from repro.core.module import Module, Program
 from repro.core.operation import CallSite, Operation
 from repro.core.qubits import Qubit
@@ -26,9 +20,6 @@ from repro.core.qubits import Qubit
 
 
 class CountAnalysis:
-    name = "op-count"
-    version = "1"
-
     def __init__(self):
         self.summarize_calls = []
 
@@ -43,12 +34,6 @@ class CountAnalysis:
             else:
                 total += stmt.iterations * callees[stmt.callee]
         return total
-
-    def to_payload(self, summary: int) -> Dict[str, Any]:
-        return {"count": summary}
-
-    def from_payload(self, payload: Dict[str, Any]) -> int:
-        return int(payload["count"])
 
 
 def _q(i):
@@ -127,7 +112,12 @@ class TestSolveBottomUp:
             Program([main], entry="main"), CountAnalysis()
         )
         assert result.summaries == {"main": 1}
-        assert result.cache_stats is None
+
+    def test_cycle_raises_before_solving(self):
+        a = Module("a", body=[CallSite("b", ())])
+        b = Module("b", body=[CallSite("a", ())])
+        with pytest.raises(Exception):
+            Program([a, b], entry="a")
 
 
 class TestPowersetLattice:
@@ -143,114 +133,3 @@ class TestPowersetLattice:
         # join is idempotent, commutative, associative
         assert lat.join(a, a) == a
         assert lat.join(a, b) == lat.join(b, a)
-
-
-class TestSummaryCache:
-    def test_cold_then_warm(self, tmp_path):
-        prog = _diamond()
-        cold = SummaryCache(tmp_path)
-        r1 = solve_bottom_up(prog, CountAnalysis(), cache=cold)
-        assert r1.cache_stats.hits == 0
-        assert r1.cache_stats.misses == 4
-        assert r1.cache_stats.stores == 4
-
-        warm_analysis = CountAnalysis()
-        warm = SummaryCache(tmp_path)
-        r2 = solve_bottom_up(prog, warm_analysis, cache=warm)
-        assert r2.cache_stats.hits == 4
-        assert r2.cache_stats.misses == 0
-        assert warm_analysis.summarize_calls == []  # fully served
-        assert r2.summaries == r1.summaries
-        assert r2.fingerprints == r1.fingerprints
-
-    def test_pipeline_version_bump_invalidates(self, tmp_path):
-        prog = _diamond()
-        solve_bottom_up(
-            prog, CountAnalysis(), cache=SummaryCache(tmp_path)
-        )
-        bumped = SummaryCache(tmp_path, pipeline_version="9999.1")
-        analysis = CountAnalysis()
-        result = solve_bottom_up(prog, analysis, cache=bumped)
-        assert result.cache_stats.hits == 0
-        assert len(analysis.summarize_calls) == 4
-
-    def test_analysis_version_bump_invalidates(self, tmp_path):
-        prog = _diamond()
-        solve_bottom_up(
-            prog, CountAnalysis(), cache=SummaryCache(tmp_path)
-        )
-
-        class CountV2(CountAnalysis):
-            version = "2"
-
-        analysis = CountV2()
-        result = solve_bottom_up(
-            prog, analysis, cache=SummaryCache(tmp_path)
-        )
-        assert result.cache_stats.hits == 0
-        assert len(analysis.summarize_calls) == 4
-
-    def test_module_edit_refingerprints_callers(self, tmp_path):
-        """Editing a leaf re-keys the leaf AND every transitive
-        caller (Merkle chaining), but an untouched sibling subtree
-        still hits."""
-        prog = _diamond()
-        solve_bottom_up(
-            prog, CountAnalysis(), cache=SummaryCache(tmp_path)
-        )
-        edited_leaf = Module(
-            "leaf",
-            params=(_q(0),),
-            body=[
-                Operation("H", (_q(0),)),
-                Operation("X", (_q(0),)),
-            ],
-        )
-        edited = prog.with_modules({"leaf": edited_leaf})
-        analysis = CountAnalysis()
-        result = solve_bottom_up(
-            edited, analysis, cache=SummaryCache(tmp_path)
-        )
-        # Everything depends on leaf here, so all four recompute...
-        assert sorted(analysis.summarize_calls) == [
-            "leaf", "left", "main", "right",
-        ]
-        assert result.summaries["main"] == 11
-        # ...and a third run over the edited program is fully warm.
-        rerun = solve_bottom_up(
-            edited, CountAnalysis(), cache=SummaryCache(tmp_path)
-        )
-        assert rerun.cache_stats.hits == 4
-
-
-class TestSummaryFingerprint:
-    def test_depends_on_callee_fingerprints(self):
-        mod = Module("m", body=[CallSite("c", ())])
-        fp1 = summary_fingerprint("a", "1", mod, {"c": "x" * 8})
-        fp2 = summary_fingerprint("a", "1", mod, {"c": "y" * 8})
-        assert fp1 != fp2
-
-    def test_depends_on_analysis_identity_and_pipeline(self):
-        mod = Module("m", body=[])
-        base = summary_fingerprint("a", "1", mod, {})
-        assert summary_fingerprint("b", "1", mod, {}) != base
-        assert summary_fingerprint("a", "2", mod, {}) != base
-        assert (
-            summary_fingerprint(
-                "a", "1", mod, {}, pipeline_version="x"
-            )
-            != base
-        )
-        # Default pipeline version is the repo-wide constant.
-        assert (
-            summary_fingerprint(
-                "a", "1", mod, {}, pipeline_version=PIPELINE_VERSION
-            )
-            == base
-        )
-
-    def test_cycle_raises_before_solving(self):
-        a = Module("a", body=[CallSite("b", ())])
-        b = Module("b", body=[CallSite("a", ())])
-        with pytest.raises(Exception):
-            Program([a, b], entry="a")

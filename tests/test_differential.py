@@ -28,9 +28,10 @@ also compiles every registry program on both pipelines.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -102,6 +103,61 @@ def both_pipelines(fn: Callable[[], str]):
     with reference_swapped():
         ref = fn()
     return fast, ref
+
+
+def first_difference(a: Any, b: Any, path: str = "$") -> Optional[str]:
+    """Where ``a`` and ``b`` first differ, as a path like
+    ``$['main'].placements[3].start`` with both values, or ``None``.
+
+    Walks dicts, lists, tuples and dataclasses, so a mismatch between
+    two multi-megabyte results reports in one line rather than through
+    pytest's full diff of their reprs.
+    """
+    if type(a) is not type(b):
+        return f"{path}: {type(a).__name__} != {type(b).__name__}"
+    if isinstance(a, dict):
+        for key in a:
+            if key not in b:
+                return f"{path}[{key!r}]: missing from the second"
+            found = first_difference(a[key], b[key], f"{path}[{key!r}]")
+            if found is not None:
+                return found
+        for key in b:
+            if key not in a:
+                return f"{path}[{key!r}]: missing from the first"
+        return None
+    if isinstance(a, (list, tuple)):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(a) != len(b):
+            return f"{path}: length {len(a)} != {len(b)}"
+        return None
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            if f.compare:
+                found = first_difference(
+                    getattr(a, f.name), getattr(b, f.name),
+                    f"{path}.{f.name}",
+                )
+                if found is not None:
+                    return found
+        return None
+    if a != b:
+        return f"{path}: {a!r:.80} != {b!r:.80}"
+    return None
+
+
+def require_equal(fast: Any, ref: Any, label: str, parse=None) -> None:
+    """``fast == ref``, failing with the first differing path
+    (:func:`first_difference`, over ``parse`` of each side if given)
+    instead of a diff of the whole values."""
+    if fast != ref:
+        if parse is not None:
+            fast, ref = parse(fast), parse(ref)
+        where = first_difference(fast, ref) or "(no path found)"
+        pytest.fail(f"{label}: pipeline != oracle at {where}")
 
 
 def schedule_bytes(ops: List[Operation], schedule) -> bytes:
@@ -385,7 +441,7 @@ def test_registry_matches_reference(key):
 
     for algorithm in ("rcp", "lpfs"):
         fast, ref = both_pipelines(lambda: run(algorithm))
-        assert fast == ref, (key, algorithm)
+        require_equal(fast, ref, f"{key} {algorithm}", parse=json.loads)
 
 
 @pytest.mark.parametrize("key", benchmark_names())
@@ -413,7 +469,7 @@ def test_engine_coarse_replay_matches_reference(key):
         )
 
     fast, ref = both_pipelines(run)
-    assert fast == ref
+    require_equal(fast, ref, key)
     coarse, realized, _ = fast
     assert coarse, key
     assert any(

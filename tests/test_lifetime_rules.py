@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import List
 
 from repro.analysis.dataflow import solve_bottom_up
@@ -286,7 +285,7 @@ class TestSummaries:
         prog = Program([readout, main], entry="main")
         assert lifetime_kinds(prog) == ["use-after-release"]
 
-    def test_payload_round_trip(self):
+    def test_entangling_callee_groups_its_params(self):
         bell = Module(
             "bell",
             params=(q("x"), q("y")),
@@ -306,12 +305,7 @@ class TestSummaries:
             ],
         )
         prog = Program([bell, main], entry="main")
-        analysis = LifetimeAnalysis()
-        summaries = solve_bottom_up(prog, analysis).summaries
-        for summary in summaries.values():
-            payload = analysis.to_payload(summary)
-            json.dumps(payload)  # must be JSON-serialisable
-            assert analysis.from_payload(payload) == summary
+        summaries = solve_bottom_up(prog, LifetimeAnalysis()).summaries
         # bell entangles its two parameters with each other: recorded
         # in groups (both partners visible to the caller), not taint.
         bell_summary = summaries["bell"]

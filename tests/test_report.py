@@ -12,7 +12,6 @@ from repro.core.qubits import Qubit
 from repro.sched.comm import derive_movement
 from repro.sched.rcp import schedule_rcp
 from repro.sched.report import (
-    compile_result_from_dict,
     compile_result_to_dict,
     profile_table,
     render_timeline,
@@ -119,35 +118,6 @@ class TestResultDict:
     def test_infinite_d_encoded(self):
         d = compile_result_to_dict(small_result())
         assert d["machine"]["d"] == "inf"
-
-    def test_nonleaf_bodies_round_trip_exactly(self):
-        """Call multiplicity, qubit args, iterations and interleaved
-        direct ops must survive the artifact round-trip — the engine's
-        coarse composition over a rehydrated result depends on them."""
-        result = small_result()
-        doc = json.loads(json.dumps(compile_result_to_dict(result)))
-        back = compile_result_from_dict(doc)
-        orig_main = result.program.module("main")
-        back_main = back.program.module("main")
-        assert back_main.body == orig_main.body
-        assert back_main.params == orig_main.params
-        # Leaf modules come back as skeletons (ops live in the
-        # schedule sidecar) but keep their formal parameters so the
-        # rebuilt program still validates call arity.
-        back_sub = back.program.module("sub")
-        assert back_sub.body == []
-        assert back_sub.params == result.program.module("sub").params
-
-    def test_legacy_artifact_without_body_still_loads(self):
-        doc = json.loads(json.dumps(compile_result_to_dict(
-            small_result()
-        )))
-        for spec in doc["modules"].values():
-            spec.pop("body", None)
-            spec.pop("params", None)
-        back = compile_result_from_dict(doc)
-        assert back.total_gates == 8
-        assert back.program.module("main").callees() == {"sub"}
 
 
 class TestProfileTable:

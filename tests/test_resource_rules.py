@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 
 from repro.analysis.dataflow import solve_bottom_up
 from repro.analysis.deep import analyze_deep
@@ -114,20 +113,6 @@ class TestSummarize:
         )
         s = summaries_of(Program([kernel, main], entry="main"))
         assert s["main"].chain == 4
-
-    def test_payload_round_trip(self):
-        main = Module(
-            "main",
-            body=[
-                Operation("H", (Q[0],)),
-                Operation("CNOT", (Q[0], Q[1])),
-            ],
-        )
-        analysis = ResourceAnalysis()
-        s = summaries_of(Program([main], entry="main"))["main"]
-        payload = analysis.to_payload(s)
-        json.dumps(payload)
-        assert analysis.from_payload(payload) == s
 
 
 class TestScheduleBounds:
