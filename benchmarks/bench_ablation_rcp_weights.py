@@ -4,6 +4,8 @@ RCP's priority mixes operation-type prevalence (w_op), operand
 locality (w_dist) and slack (w_slack); the paper sets all three to 1.
 This ablation zeroes each term in turn and measures schedule length
 and — for the locality term — the teleport count it exists to reduce.
+"Locality only" is judged against "no terms", the same priority with
+w_dist zeroed too, not against "no locality": see the table's note.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ CONFIGS = [
     ("no locality", RCPWeights(1, 0, 1)),
     ("no slack", RCPWeights(1, 1, 0)),
     ("locality only", RCPWeights(0, 10, 0)),
+    ("no terms", RCPWeights(0, 0, 0)),
 ]
 KEY = "Grovers"
 K = 4
@@ -71,15 +74,21 @@ def test_ablation_rcp_weights(benchmark):
         ["weights", "sched length", "teleports"],
         rows,
         note=(
-            "w_dist exists to cut movement: dropping it should not "
-            "reduce teleports; boosting it should not increase them."
+            "w_dist exists to cut movement: dropping it from the paper's "
+            "weights should not reduce teleports, and boosting it alone "
+            "should cut them against 'no terms'. It need not beat 'no "
+            "locality': with w_op = 0 every ready op of the picked gate "
+            "joins the batch wherever its operands live, and the (gate, "
+            "region) tie-break settles most picks, so that comparison "
+            "flips with the tie-break order."
         ),
     )
     paper_len, paper_tp = data["all 1 (paper)"]
     _, no_loc_tp = data["no locality"]
     _, loc_only_tp = data["locality only"]
+    _, no_terms_tp = data["no terms"]
     assert paper_tp <= no_loc_tp * 1.02
-    assert loc_only_tp <= no_loc_tp * 1.02
+    assert loc_only_tp <= no_terms_tp * 1.02
     # Schedules stay valid and near each other in length.
     for label, (length, _) in data.items():
         assert length <= 1.5 * paper_len, label

@@ -20,17 +20,20 @@ The *naive movement model* — the baseline of Figures 7 and 8 — instead
 charges a teleport epoch around every sequential gate: runtime = 5x the
 gate count.
 
-One kernel, :func:`movement_epochs`, implements the model over interned
-qubit ids and CSR operands; :func:`derive_movement` (materialized
-schedules) and :func:`repro.sched.stream.iter_schedule_epochs`
-(columnar schedules) are its two adapters.
+One kernel, :func:`movement_epochs`, implements the model over one
+flat operand-use stream in schedule order (a qubit id and a region per
+operand, plus use offsets per timestep) and the next-use regions one
+backward pass derives from it; :func:`derive_movement` (materialized
+schedules) and :func:`repro.sched.stream.derive_movement_stream` /
+:func:`~repro.sched.stream.iter_schedule_epochs` (columnar schedules)
+are its two adapters, each building the stream from its schedule.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..arch.machine import (
     GATE_CYCLES,
@@ -45,10 +48,6 @@ from ..instrument import spanned
 from .types import Move, Schedule
 
 __all__ = ["CommStats", "derive_movement", "movement_epochs", "naive_runtime"]
-
-#: One timestep's ``(region, nodes)`` pairs, region-ascending (regions
-#: with no nodes may be listed or omitted).
-Regions = Sequence[Tuple[int, Sequence[int]]]
 
 
 @dataclass
@@ -83,47 +82,69 @@ def naive_runtime(op_count: int) -> int:
     return NAIVE_FACTOR * op_count
 
 
+#: ``(typecode, lo, hi)``, narrowest first.
+_TYPECODES = (
+    ("B", 0, 2**8 - 1),
+    ("b", -(2**7), 2**7 - 1),
+    ("H", 0, 2**16 - 1),
+    ("h", -(2**15), 2**15 - 1),
+    ("i", -(2**31), 2**31 - 1),
+)
+
+
+def narrowest_typecode(lo: int, hi: int) -> str:
+    """The narrowest ``array`` typecode holding every int in
+    ``lo..hi``."""
+    return next(
+        (code for code, a, b in _TYPECODES if a <= lo and hi <= b), "q"
+    )
+
+
 def movement_epochs(
     qubits: Sequence[Qubit],
-    op_q: Sequence[int],
-    op_off: Sequence[int],
-    n_ts: int,
-    regions_at: Callable[[int], Regions],
+    use_q: Sequence[int],
+    use_r: Sequence[int],
+    use_off: Sequence[int],
     k: int,
     machine: MultiSIMD,
     stats: CommStats,
-) -> Iterator[Tuple[int, List[Move], Regions]]:
+) -> Iterator[List[Move]]:
     """Derive movement epoch-at-a-time: the one implementation of the
     paper's movement model.
 
-    Node ``n``'s operands are ``qubits[op_q[i]]`` for ``i`` in
-    ``op_off[n]:op_off[n + 1]``; ``regions_at(t)`` lists timestep
-    ``t``'s ``(region, nodes)`` pairs. Yields ``(t, moves, regions)``
-    per timestep, where ``moves`` is the epoch preceding ``t``; once
+    The schedule arrives as one operand-use stream in schedule order:
+    use ``u`` names qubit ``qubits[use_q[u]]`` in region ``use_r[u]``,
+    and timestep ``t``'s uses are ``use_off[t]:use_off[t + 1]``,
+    region-ascending (the order ``enumerate(ts.regions)`` walks).
+    Yields the epoch preceding each timestep, in timestep order; once
     exhausted, it has billed every epoch into ``stats`` by
     :func:`~repro.arch.machine.epoch_cycles`.
+
+    One backward pass gives each use the region of its qubit's next use
+    (−1 once the qubit is dead), in an ``array`` of the narrowest type;
+    it and the stream are released with the exhausted generator.
 
     Each qubit's location is an int code: ``r`` for region ``r``,
     ``k + r`` for region ``r``'s scratchpad, ``-1`` for global memory.
     Residency is tracked per region, so each eviction scan visits only
-    the regions active at ``t``, and dead qubits (use list exhausted)
-    are dropped from it. Eviction candidates are visited in first-move
-    order — the memory map's insertion order, which the reference scan
-    in ``tests/oracle/`` iterates — so scratchpad fills, the ``Move``
-    sequence and the EPR channel order are bit-identical to the
-    reference's. ``Move`` objects are frozen and interned per
-    ``(qubit, src, dst)``.
+    the regions active at ``t``, and dead qubits are dropped from it.
+    Eviction candidates are visited in first-move order — the memory
+    map's insertion order, which the reference scan in ``tests/oracle/``
+    iterates — so scratchpad fills, the ``Move`` sequence and the EPR
+    channel order are bit-identical to the reference's. ``Move``
+    objects are frozen and interned per ``(qubit, src, dst)``.
     """
     n_q = len(qubits)
-    # Per-qubit ordered use list: the region of each use.
-    uses = [array("H") for _ in range(n_q)]
-    for t in range(n_ts):
-        for r, nodes in regions_at(t):
-            for node in nodes:
-                for qid in op_q[op_off[node] : op_off[node + 1]]:
-                    uses[qid].append(r)
-    n_uses = [len(u) for u in uses]
-    cursor = [0] * n_q  # uses consumed so far
+    n_ts = len(use_off) - 1
+    # --- next use: one backward pass --------------------------------------
+    next_r = array(narrowest_typecode(-1, k - 1))
+    put = next_r.append
+    last = [-1] * n_q
+    for qid, r in zip(reversed(use_q), reversed(use_r)):
+        put(last[qid])
+        last[qid] = r
+    next_r.reverse()
+    del last
 
     # Location code -> location tuple; code -1 (global) indexes the
     # last entry, so ``code % width`` is a dense index.
@@ -139,6 +160,7 @@ def movement_epochs(
     capacity = machine.local_memory
     has_local = machine.has_local_memory
     stamp = [-1] * n_q  # last timestep whose ops name the qubit
+    nxt = [-1] * n_q  # region of the qubit's next use, -1 if dead
     # (qid, src, dst) -> (Move, EPR channel id or -1 for a local move).
     interned: Dict[int, Tuple[Move, int]] = {}
     # Per-channel teleport counts, and channels in first-use order (the
@@ -163,83 +185,83 @@ def movement_epochs(
     local_cost = epoch_cycles(0, 1)
     teleports = local_moves = comm_cycles = 0
     teleport_epochs = local_epochs = peak = 0
+    end = 0
     for t in range(n_ts):
-        regions = regions_at(t)
+        start = end
+        end = use_off[t + 1]
+        qs = use_q[start:end]
+        rs = use_r[start:end]
         # Stamp ``t``'s operands first: they are fetched (or stay), so
         # the eviction scan before the fetches must skip them.
-        for _, nodes in regions:
-            for node in nodes:
-                for qid in op_q[op_off[node] : op_off[node + 1]]:
-                    stamp[qid] = t
+        for qid in qs:
+            stamp[qid] = t
         # --- evictions: qubits left in a region active at ``t`` ---------
         candidates: List[int] = []
-        for r, nodes in regions:
-            if not nodes:
-                continue  # idle regions store qubits passively
+        for r in set(rs):  # idle regions store qubits passively
             res_r = resident[r]
-            dead: List[int] = []
+            if not res_r:
+                continue
+            dead = None
             for qid, s in res_r.items():
                 if stamp[qid] == t:
                     continue  # stays for, or is fetched for, its op
-                if cursor[qid] >= n_uses[qid]:
+                if nxt[qid] < 0:
                     # Dead qubit: left behind and reabsorbed as ancilla
                     # or EPR feedstock (Section 4.4) — no move billed,
                     # and never reconsidered.
-                    dead.append(qid)
+                    if dead is None:
+                        dead = [qid]
+                    else:
+                        dead.append(qid)
                     continue
                 candidates.append(s)
-            for qid in dead:
-                del res_r[qid]
-        # Scratchpad space is claimed in visit order, so the visit order
-        # must match the reference scan's (first-move order).
-        candidates.sort()
+            if dead is not None:
+                for qid in dead:
+                    del res_r[qid]
         epoch: List[Move] = []
         n_tele = 0
-        for s in candidates:
-            qid = by_serial[s]
-            r = loc[qid]
-            if (
-                has_local
-                and uses[qid][cursor[qid]] == r
-                and capacity - pad[r] >= 1
-            ):
-                dst = k + r
-                pad[r] += 1
-            else:
-                dst = -1
-            key = (qid * width + r) * width + dst
-            m, channel = interned.get(key) or intern(key, qid, r, dst)
+        if candidates:
+            # Scratchpad space is claimed in visit order, so the visit
+            # order must match the reference scan's (first-move order).
+            candidates.sort()
+            for s in candidates:
+                qid = by_serial[s]
+                r = loc[qid]
+                if has_local and nxt[qid] == r and capacity - pad[r] >= 1:
+                    dst = k + r
+                    pad[r] += 1
+                else:
+                    dst = -1
+                key = (qid * width + r) * width + dst
+                m, channel = interned.get(key) or intern(key, qid, r, dst)
+                epoch.append(m)
+                if channel >= 0:
+                    channel_pairs[channel] += 1
+                    n_tele += 1
+                loc[qid] = dst
+                del resident[r][qid]
+        # --- fetch operands into their regions -------------------------
+        for qid, r, nr in zip(qs, rs, next_r[start:end]):
+            nxt[qid] = nr
+            src = loc[qid]
+            if src == r:
+                continue
+            key = (qid * width + src) * width + r
+            m, channel = interned.get(key) or intern(key, qid, src, r)
             epoch.append(m)
             if channel >= 0:
                 channel_pairs[channel] += 1
                 n_tele += 1
-            loc[qid] = dst
-            del resident[r][qid]
-        # --- fetch operands into their regions -------------------------
-        for r, nodes in regions:
-            res_r = resident[r]
-            for node in nodes:
-                for qid in op_q[op_off[node] : op_off[node + 1]]:
-                    cursor[qid] += 1
-                    src = loc[qid]
-                    if src == r:
-                        continue
-                    key = (qid * width + src) * width + r
-                    m, channel = interned.get(key) or intern(key, qid, src, r)
-                    epoch.append(m)
-                    if channel >= 0:
-                        channel_pairs[channel] += 1
-                        n_tele += 1
-                    if src >= k:
-                        pad[src - k] -= 1
-                    elif src >= 0:
-                        del resident[src][qid]
-                    loc[qid] = r
-                    s = serial[qid]
-                    if s < 0:
-                        s = serial[qid] = len(by_serial)
-                        by_serial.append(qid)
-                    res_r[qid] = s
+            if src >= k:
+                pad[src - k] -= 1
+            elif src >= 0:
+                del resident[src][qid]
+            loc[qid] = r
+            s = serial[qid]
+            if s < 0:
+                s = serial[qid] = len(by_serial)
+                by_serial.append(qid)
+            resident[r][qid] = s
         # --- bill the epoch ----------------------------------------------
         if n_tele:
             teleports += n_tele
@@ -252,7 +274,7 @@ def movement_epochs(
             local_moves += len(epoch)
             comm_cycles += local_cost
             local_epochs += 1
-        yield t, epoch, regions
+        yield epoch
 
     stats.gate_cycles += n_ts * GATE_CYCLES
     stats.comm_cycles += comm_cycles
@@ -280,21 +302,35 @@ def derive_movement(
 
     Populates each timestep's ``moves`` list in place (idempotent: any
     existing moves are replaced) and returns the communication profile.
-    :func:`movement_epochs` does the work over the DAG's int-coded
+    :func:`movement_epochs` does the work over the operand-use stream
+    read off the schedule and the DAG's int-coded
     :meth:`~repro.core.dag.DependenceDAG.columns` view.
     """
     cols = sched.dag.columns()
+    op_q, op_off = cols.op_q, cols.op_off
     timesteps = sched.timesteps
+    # The operand-use stream, one walk per node, empty timesteps kept.
+    # Lists, not narrow arrays: the leaf's DAG already holds far more
+    # per op, and array appends make this walk about 1.6x slower.
+    use_q: List[int] = []
+    use_r: List[int] = []
+    use_off = [0]
+    n_uses = 0
+    for ts in timesteps:
+        r = 0
+        for nodes in ts.regions:
+            if nodes:
+                for node in nodes:
+                    use_q += op_q[op_off[node] : op_off[node + 1]]
+                use_r += [r] * (len(use_q) - n_uses)
+                n_uses = len(use_q)
+            r += 1
+        use_off.append(n_uses)
     stats = CommStats()
-    for t, epoch, _ in movement_epochs(
-        cols.qubits,
-        cols.op_q,
-        cols.op_off,
-        len(timesteps),
-        lambda t: list(enumerate(timesteps[t].regions)),
-        sched.k,
-        machine,
-        stats,
+    for t, epoch in enumerate(
+        movement_epochs(
+            cols.qubits, use_q, use_r, use_off, sched.k, machine, stats
+        )
     ):
         timesteps[t].moves = epoch
     return stats

@@ -37,17 +37,19 @@ materialized pipeline: there is one kernel per algorithm.
 :func:`repro.sched.sequential.sequential_timesteps` over the columns —
 the same kernels :func:`~repro.sched.rcp.schedule_rcp` and friends run
 over a DAG's int-coded view. Movement derivation is one kernel, two
-adapters too: :func:`iter_schedule_epochs` runs
+adapters too: :func:`derive_movement_stream` and
+:func:`iter_schedule_epochs` run
 :func:`repro.sched.comm.movement_epochs` — the kernel
 :func:`repro.sched.comm.derive_movement` also drains — over the
-columns. ``tests/test_stream_sched.py`` and the differential battery
-check the equivalence end to end.
+operand-use stream read off the columns' operands and the schedule's
+flat arrays. ``tests/test_stream_sched.py`` and the differential
+battery check the equivalence end to end.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD
@@ -57,7 +59,7 @@ from ..core.opstream import OpStream, iter_chunks
 from ..core.qubits import Qubit
 from ..instrument import spanned
 from ..passes.stream import IntCodedBody, LeafStream
-from .comm import CommStats, movement_epochs
+from .comm import CommStats, movement_epochs, narrowest_typecode
 from .lpfs import lpfs_timesteps
 from .rcp import RCPWeights, rcp_timesteps
 from .sequential import sequential_timesteps
@@ -400,6 +402,35 @@ def schedule_columns(
 # ---------------------------------------------------------------------------
 
 
+def _epochs(
+    cols: StreamColumns,
+    ssched: StreamedSchedule,
+    machine: MultiSIMD,
+    stats: CommStats,
+) -> Iterator[List[Move]]:
+    """The movement kernel over ``ssched``'s operand-use stream, read
+    off the flat arrays in one pass: a qubit id and a region per use,
+    each in the narrowest ``array`` type (1 B while there are at most
+    256 qubits and regions), and one ``int`` per timestep."""
+    k = ssched.k
+    op_q, op_off = cols.op_q, cols.op_off
+    use_q = array(narrowest_typecode(0, len(cols.qubits) - 1))
+    use_r = array(narrowest_typecode(0, k - 1))
+    use_off = array("i", [0])
+    put_q, put_r, end_ts = use_q.append, use_r.append, use_off.append
+    entries = zip(ssched.flat_nodes, ssched.flat_regions)
+    ts_off = ssched.ts_off
+    for start, end in zip(ts_off, islice(ts_off, 1, None)):
+        for node, r in islice(entries, end - start):
+            for qid in op_q[op_off[node] : op_off[node + 1]]:
+                put_q(qid)
+                put_r(r)
+        end_ts(len(use_q))
+    return movement_epochs(
+        cols.qubits, use_q, use_r, use_off, k, machine, stats
+    )
+
+
 def iter_schedule_epochs(
     cols: StreamColumns,
     ssched: StreamedSchedule,
@@ -407,23 +438,19 @@ def iter_schedule_epochs(
     stats: CommStats,
 ) -> Iterator[Tuple[int, List[Move], List[Tuple[int, List[int]]]]]:
     """Derive movement epoch-at-a-time, yielding
-    ``(t, moves, regions)`` per timestep and accumulating into
-    ``stats``: :func:`~repro.sched.comm.movement_epochs` — the kernel
+    ``(t, moves, regions)`` per timestep (``regions`` is
+    ``ssched.regions_at(t)``) and accumulating into ``stats``:
+    :func:`~repro.sched.comm.movement_epochs` — the kernel
     :func:`~repro.sched.comm.derive_movement` also drains — run over
-    the columns' CSR operands and ``ssched.regions_at``. Peak memory is
-    the kernel's per-qubit use lists (one region id per operand slot),
-    never the epochs themselves.
+    the columns' CSR operands and the schedule's flat arrays. Peak
+    memory is the kernel's operand-use stream — 3 B per operand use
+    (qubit id, region, next-use region) while qubits and regions
+    number at most 256 and 128, and 4 B per timestep — never the
+    epochs themselves.
     """
-    return movement_epochs(
-        cols.qubits,
-        cols.op_q,
-        cols.op_off,
-        ssched.length,
-        ssched.regions_at,
-        ssched.k,
-        machine,
-        stats,
-    )
+    regions_at = ssched.regions_at
+    for t, epoch in enumerate(_epochs(cols, ssched, machine, stats)):
+        yield t, epoch, regions_at(t)
 
 
 @spanned("stream:derive_movement")
@@ -435,15 +462,19 @@ def derive_movement_stream(
         Callable[[int, List[Move], List[Tuple[int, List[int]]]], None]
     ] = None,
 ) -> CommStats:
-    """Drain :func:`iter_schedule_epochs` and return the communication
-    profile; ``sink`` (if given) observes each epoch as it retires —
-    the out-of-core export hook."""
+    """Derive the movement of ``ssched`` and return the communication
+    profile; ``sink`` (if given) observes each epoch as it retires, as
+    ``sink(t, moves, ssched.regions_at(t))`` — the out-of-core export
+    hook. Without a sink no region list is built."""
     stats = CommStats()
-    for t, epoch, regions in iter_schedule_epochs(
-        cols, ssched, machine, stats
-    ):
-        if sink is not None:
-            sink(t, epoch, regions)
+    epochs = _epochs(cols, ssched, machine, stats)
+    if sink is None:
+        for _ in epochs:
+            pass
+    else:
+        regions_at = ssched.regions_at
+        for t, epoch in enumerate(epochs):
+            sink(t, epoch, regions_at(t))
     return stats
 
 

@@ -1,17 +1,32 @@
 """Tests for movement derivation and the communication cost model."""
 
 import math
+import random
 
+import pytest
 
 from repro.arch.machine import MultiSIMD, NAIVE_FACTOR, TELEPORT_CYCLES
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
+from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
-from repro.sched.comm import derive_movement, naive_runtime
+from repro.sched.comm import (
+    CommStats,
+    derive_movement,
+    naive_runtime,
+    narrowest_typecode,
+)
 from repro.sched.lpfs import schedule_lpfs
 from repro.sched.rcp import schedule_rcp
+from repro.sched.report import _comm_to_dict
 from repro.sched.sequential import schedule_sequential
+from repro.sched.stream import (
+    build_columns,
+    iter_schedule_epochs,
+    schedule_columns,
+)
 from repro.sched.types import Schedule
+from tests.oracle import reference_sched
 
 Q = [Qubit("q", i) for i in range(8)]
 
@@ -196,3 +211,57 @@ class TestNaiveModel:
         sched = schedule_sequential(dag)
         stats = derive_movement(sched, MultiSIMD(k=1))
         assert stats.runtime <= naive_runtime(dag.n)
+
+
+class TestUseStreamWidths:
+    """The operand-use stream is stored in the narrowest array type
+    that holds its ids, so the wider types need their own coverage."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, code",
+        [
+            (0, -1, "B"),  # a leaf with no qubits
+            (0, 255, "B"),
+            (0, 256, "H"),
+            (-1, 127, "b"),
+            (-1, 128, "h"),
+            (0, 65535, "H"),
+            (0, 65536, "i"),
+            (-1, 32768, "i"),
+            (0, 2**31, "q"),
+        ],
+    )
+    def test_narrowest_typecode(self, lo, hi, code):
+        assert narrowest_typecode(lo, hi) == code
+
+    def test_wide_ids_match_materialized_and_oracle(self):
+        """300 qubits and 130 regions put qubit ids and next-use
+        regions past one byte; streamed, materialized and oracle
+        movement still agree."""
+        rng = random.Random(7)
+        qubits = [Qubit("w", i) for i in range(300)]
+        ops = [
+            Operation("CNOT", tuple(rng.sample(qubits, 2)))
+            if rng.random() < 0.5
+            else Operation("H", (rng.choice(qubits),))
+            for _ in range(900)
+        ]
+        k = 130
+        machine = MultiSIMD(k=k, d=2, local_memory=1)
+        sched = schedule_rcp(DependenceDAG(list(ops)), k, 2)
+        stats = derive_movement(sched, machine)
+        cols = build_columns(ListStream(ops))
+        ssched = schedule_columns(cols, "rcp", k, 2)
+        streamed = CommStats()
+        epochs = [
+            moves
+            for _, moves, _ in iter_schedule_epochs(
+                cols, ssched, machine, streamed
+            )
+        ]
+        assert epochs == [ts.moves for ts in sched.timesteps]
+        assert _comm_to_dict(streamed) == _comm_to_dict(stats)
+        assert stats.teleports > 0 and stats.local_moves > 0
+        ref = reference_sched.derive_movement_reference(sched, machine)
+        assert epochs == [ts.moves for ts in sched.timesteps]
+        assert _comm_to_dict(ref) == _comm_to_dict(stats)

@@ -14,12 +14,14 @@ same entry points), checking
 * the Multi-SIMD execution invariants (dependence order, region count
   within ``k``, SIMD group width within ``d``, one gate type per group),
 * that the analytic runtime equals the engine's realized runtime under
-  the ideal configuration (no stalls possible), and
+  the ideal configuration (no stalls possible),
 * identical coarse schedules and length profiles for hierarchical
   modules, also for the engine's coarse replays of every registry
-  program over stalled (realized) leaf runtimes.
+  program over stalled (realized) leaf runtimes, and
+* identical movement, materialized and streamed, on hand-built
+  schedules that no scheduler would emit.
 
-The per-test ``max_examples`` settings sum to 365 generated programs
+The per-test ``max_examples`` settings sum to 465 generated programs
 per run (RCP schedules each under three weight settings), all seeded
 by hypothesis's deterministic derandomization in CI. Generated bodies stay small (at
 most 24 ops over 8 qubits), so :func:`test_registry_matches_reference`
@@ -31,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,7 @@ from repro.benchmarks import BENCHMARKS, benchmark_names
 from repro.core import ProgramBuilder
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
+from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
 from repro.engine import EngineConfig, execute_result, run_schedule
 from repro.sched import (
@@ -53,8 +56,16 @@ from repro.sched import (
     schedule_sequential,
     schedule_to_dict,
 )
+from repro.sched.comm import CommStats
 from repro.sched.rcp import RCPWeights
 from repro.sched.report import _comm_to_dict
+from repro.sched.stream import (
+    StreamedSchedule,
+    build_columns,
+    derive_movement_stream,
+    iter_schedule_epochs,
+)
+from repro.sched.types import Schedule
 from repro.toolflow import (
     SchedulerConfig,
     _candidate_widths,
@@ -286,6 +297,89 @@ def test_movement_differential(ops, k, d, algorithm, local):
 
     fast, ref = both_pipelines(run)
     assert fast == ref
+
+
+@st.composite
+def hand_built_schedules(draw):
+    """Ops, ``k`` and a schedule no scheduler made: timesteps as
+    ``{region: nodes}`` maps placing every node once, in drawn order
+    (so dependence order may break), each qubit at most once per
+    timestep, with empty timesteps and idle regions between busy ones.
+    """
+    ops = draw(leaf_bodies())
+    k = draw(st.integers(min_value=1, max_value=4))
+    timesteps: List[Dict[int, List[int]]] = []
+    current: Dict[int, List[int]] = {}
+    busy: Set[Qubit] = set()
+    for node in draw(st.permutations(range(len(ops)))):
+        operands = set(ops[node].qubits)
+        if current and (busy & operands or draw(st.booleans())):
+            timesteps.append(current)
+            current, busy = {}, set()
+        if not current:
+            empty = draw(st.integers(min_value=0, max_value=2))
+            timesteps.extend({} for _ in range(empty))
+        region = draw(st.integers(min_value=0, max_value=k - 1))
+        current.setdefault(region, []).append(node)
+        busy |= operands
+    timesteps.append(current)
+    if draw(st.booleans()):
+        timesteps.append({})
+    return ops, k, timesteps
+
+
+def comm_fields(stats) -> tuple:
+    """Every :class:`~repro.sched.comm.CommStats` field, the EPR
+    ledger's channel order included."""
+    epr = stats.epr
+    return (
+        stats.gate_cycles,
+        stats.comm_cycles,
+        stats.teleports,
+        stats.local_moves,
+        stats.teleport_epochs,
+        stats.local_epochs,
+        list(epr.pair_counts.items()),
+        epr.total_pairs,
+        epr.peak_epoch_demand,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=hand_built_schedules(),
+    local=st.sampled_from([None, 0, 1, 2.0, math.inf]),
+)
+def test_movement_of_hand_built_schedules(case, local):
+    """``derive_movement`` and ``derive_movement_stream`` assume no
+    scheduler's shape: on any schedule that uses each qubit at most once
+    per timestep they give the oracle's epochs, ``Move`` for ``Move``,
+    and every ``CommStats`` field."""
+    ops, k, timesteps = case
+    machine = MultiSIMD(k=k, d=None, local_memory=local)
+
+    def materialized(derive):
+        sched = Schedule(DependenceDAG(list(ops)), k)
+        for regions in timesteps:
+            sched.append_timestep(regions)
+        stats = derive(sched, machine)
+        return [ts.moves for ts in sched.timesteps], comm_fields(stats)
+
+    ref = materialized(reference_sched.derive_movement_reference)
+    assert materialized(derive_movement) == ref
+
+    cols = build_columns(ListStream(ops))
+    ssched = StreamedSchedule(k, None, "hand")
+    for regions in timesteps:
+        ssched.append_timestep(regions)
+    stats = CommStats()
+    epochs = [
+        moves for _, moves, _ in iter_schedule_epochs(
+            cols, ssched, machine, stats
+        )
+    ]
+    assert (epochs, comm_fields(stats)) == ref
+    assert comm_fields(derive_movement_stream(cols, ssched, machine)) == ref[1]
 
 
 @settings(max_examples=30, deadline=None)

@@ -215,18 +215,34 @@ def test_window_never_changes_schedule_or_comm(
     ops, k, d, algorithm, window
 ):
     """Any finite window produces the same columns (hence schedule and
-    CommStats) as the unbounded one."""
+    CommStats) as the unbounded one, and an export sink changes
+    nothing: it sees every epoch once, in order, with
+    ``ssched.regions_at(t)``."""
     machine = MultiSIMD(k=k, d=d)
     fingerprints = []
     comms = []
-    for w in (window, None):
+    seen = []
+
+    def record(t, moves, regions):
+        seen.append((t, moves, regions))
+
+    for w, sink in ((window, None), (None, None), (None, record)):
         cols = build_columns(ListStream(ops), window=w)
         ssched = schedule_columns(cols, algorithm, k, d)
-        stats = derive_movement_stream(cols, ssched, machine)
+        stats = derive_movement_stream(cols, ssched, machine, sink=sink)
         fingerprints.append(schedule_fingerprint(ssched))
         comms.append(_comm_to_dict(stats))
-    assert fingerprints[0] == fingerprints[1]
-    assert comms[0] == comms[1]
+    assert fingerprints[0] == fingerprints[1] == fingerprints[2]
+    assert comms[0] == comms[1] == comms[2]
+    assert [(t, regions) for t, _, regions in seen] == [
+        (t, ssched.regions_at(t)) for t in range(ssched.length)
+    ]
+    assert [moves for _, moves, _ in seen] == [
+        moves
+        for _, moves, _ in iter_schedule_epochs(
+            cols, ssched, machine, CommStats()
+        )
+    ]
 
 
 @settings(max_examples=60, deadline=None)
