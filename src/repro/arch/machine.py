@@ -34,6 +34,7 @@ __all__ = [
     "loc_label",
     "epoch_cycles",
     "split_machine",
+    "check_shape",
 ]
 
 #: Cycles per logical gate (all gates normalised to the slowest — Sec 3.2).
@@ -44,6 +45,16 @@ TELEPORT_CYCLES = 4
 LOCAL_MOVE_CYCLES = 1
 #: Naive model: every gate cycle pays a teleport epoch (1 + 4 = 5x).
 NAIVE_FACTOR = GATE_CYCLES + TELEPORT_CYCLES
+
+
+def check_shape(k: int, d: Optional[int]) -> None:
+    """Raise :class:`ValueError` unless ``(k, d)`` is a Multi-SIMD
+    shape: ``k >= 1`` regions and ``d`` unbounded (``None``) or
+    ``>= 1``."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if d is not None and d < 1:
+        raise ValueError(f"d must be >= 1 or None, got {d}")
 
 
 @dataclass(frozen=True)
@@ -64,10 +75,7 @@ class MultiSIMD:
     local_memory: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.d is not None and self.d < 1:
-            raise ValueError(f"d must be >= 1 or None, got {self.d}")
+        check_shape(self.k, self.d)
         if self.local_memory is not None and not self.local_memory >= 0:
             raise ValueError(
                 f"local memory capacity must be >= 0, got "

@@ -26,182 +26,31 @@ LPFS, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
 or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_lpfs` and
 :func:`repro.sched.stream.schedule_columns` are its two adapters. The
 kernel replaces the single ready deque (rescanned per free-list query)
-with :class:`_FreeList`: per-gate-type buckets plus an arrival FIFO,
-with lazy deletion and incremental per-gate counts, so
-most-common-gate is a counter read, oldest-gate amortizes to O(1), and
-extraction touches only the requested bucket. Nodes become ready
-exactly once, so lazily dropped stale entries never resurface. Path
-membership and completion are byte flags, so the kernel holds no
-per-node boxed objects. The pre-optimization implementation is kept
-in ``tests/oracle/``; both produce bit-identical schedules.
+with per-gate-type buckets of free ready ops plus an arrival FIFO of
+all ready ops, with lazy deletion and a free-op count per gate, so
+most-common-gate is a scan of the per-gate counts, oldest-gate
+amortizes to O(1), and extraction touches only the requested bucket.
+Nodes become ready exactly once and a claimed node stays claimed until
+it runs, so lazily dropped stale entries never resurface. All of this
+state lives in the kernel's locals: lists indexed by gate id, and
+readiness and path membership as byte flags indexed by node, so the
+kernel holds no per-node boxed objects and makes no helper call per
+op. Name-ordered tie-breaks compare integer name ranks. The
+pre-optimization implementation is kept in ``tests/oracle/``; both
+produce bit-identical schedules.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set
+from typing import Deque, Dict, Iterator, List, Optional, Sequence
 
+from ..arch.machine import check_shape
 from ..core.dag import DependenceDAG
 from ..instrument import spanned
 from .types import Schedule
 
 __all__ = ["lpfs_timesteps", "schedule_lpfs"]
-
-
-class _FreeList:
-    """Bucketed lazy-deletion ready set for LPFS, keyed by gate id.
-
-    ``in_ready`` is the authoritative membership; ``buckets`` (per gate
-    type, arrival order) and ``fifo`` (global arrival order) may hold
-    stale entries, dropped when encountered. ``counts[g]`` is the live
-    in-ready count per gate; ``path_counts[g]`` the live in-ready count
-    claimed by a pinned path — the difference is the free-list size per
-    gate, which answers ``most_common`` without a rescan. Name-ordered
-    tie-breaks resolve through the intern table.
-    """
-
-    __slots__ = (
-        "gate_ids",
-        "gate_names",
-        "on_path",
-        "in_ready",
-        "buckets",
-        "fifo",
-        "counts",
-        "path_counts",
-    )
-
-    def __init__(self, cols, on_path: bytearray):
-        self.gate_ids = cols.gate_ids
-        self.gate_names = cols.gate_names
-        self.on_path = on_path
-        self.in_ready: Set[int] = set()
-        self.buckets: Dict[int, Deque[int]] = {}
-        self.fifo: Deque[int] = deque()
-        self.counts: Dict[int, int] = {}
-        self.path_counts: Dict[int, int] = {}
-
-    def add(self, node: int) -> None:
-        """A node's last dependency completed: it is now ready."""
-        gid = self.gate_ids[node]
-        bucket = self.buckets.get(gid)
-        if bucket is None:
-            bucket = self.buckets[gid] = deque()
-        bucket.append(node)
-        self.fifo.append(node)
-        self.in_ready.add(node)
-        self.counts[gid] = self.counts.get(gid, 0) + 1
-        if self.on_path[node]:
-            # A claimed path head just became ready.
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def claim_mark(self, node: int) -> None:
-        """A path claim just set ``on_path[node]``."""
-        if node in self.in_ready:
-            gid = self.gate_ids[node]
-            self.path_counts[gid] = self.path_counts.get(gid, 0) + 1
-
-    def remove_scheduled(self, node: int) -> None:
-        """``node`` was scheduled outside extraction (path head or
-        progress-guard fallback); its bucket/FIFO entries go stale."""
-        if node in self.in_ready:
-            self.in_ready.discard(node)
-            gid = self.gate_ids[node]
-            self.counts[gid] -= 1
-            if self.on_path[node]:
-                self.path_counts[gid] -= 1
-
-    def extract(self, gid: int, cap: Optional[int]) -> List[int]:
-        """Pull up to ``cap`` live, non-path ops of gate ``gid`` in
-        arrival order (all of them when ``cap`` is None)."""
-        bucket = self.buckets.get(gid)
-        if not bucket:
-            return []
-        limit = len(bucket) if cap is None else cap
-        if limit <= 0:
-            return []
-        in_ready = self.in_ready
-        on_path = self.on_path
-        batch: List[int] = []
-        stash: List[int] = []
-        while bucket and len(batch) < limit:
-            node = bucket.popleft()
-            if node not in in_ready:
-                continue  # stale entry: dropped for good
-            if on_path[node]:
-                stash.append(node)  # path-claimed: keep, in order
-                continue
-            batch.append(node)
-            in_ready.discard(node)
-        if stash:
-            bucket.extendleft(reversed(stash))
-        if not bucket:
-            del self.buckets[gid]
-        if batch:
-            self.counts[gid] -= len(batch)
-        return batch
-
-    def most_common(self) -> Optional[int]:
-        """Gate id with the most free (live, non-path) ready ops; ties
-        go to the lexicographically largest name."""
-        path_counts = self.path_counts
-        gate_names = self.gate_names
-        best_gid: Optional[int] = None
-        best_name: Optional[str] = None
-        best_free = 0
-        for gid, count in self.counts.items():
-            free = count - path_counts.get(gid, 0)
-            if free <= 0:
-                continue
-            name = gate_names[gid]
-            if free > best_free or (free == best_free and name > best_name):
-                best_free = free
-                best_gid = gid
-                best_name = name
-        return best_gid
-
-    def oldest(self) -> Optional[int]:
-        """Gate id of the oldest free ready op (FIFO order)."""
-        fifo = self.fifo
-        in_ready = self.in_ready
-        on_path = self.on_path
-        # Fast path: pop stale heads in place; a live, non-path head
-        # answers without any reordering.
-        while fifo:
-            node = fifo[0]
-            if node not in in_ready:
-                fifo.popleft()
-                continue  # stale entry: dropped for good
-            if not on_path[node]:
-                return self.gate_ids[node]
-            break
-        else:
-            return None
-        # A live path head blocks the front: scan past it with a stash.
-        stash: List[int] = []
-        gid: Optional[int] = None
-        while fifo:
-            node = fifo.popleft()
-            if node not in in_ready:
-                continue
-            stash.append(node)
-            if not on_path[node]:
-                gid = self.gate_ids[node]
-                break
-        if stash:
-            fifo.extendleft(reversed(stash))
-        return gid
-
-    def fallback_pop(self) -> Optional[int]:
-        """Pop the oldest live ready op (path-claimed or not) for the
-        progress guard. Removes it from the ready set."""
-        fifo = self.fifo
-        while fifo:
-            node = fifo.popleft()
-            if node in self.in_ready:
-                self.remove_scheduled(node)
-                return node
-        return None
 
 
 @spanned("schedule:lpfs")
@@ -222,6 +71,7 @@ def schedule_lpfs(
         simd: enable opportunistic SIMD fill in path regions.
         refill: re-seed a path region when its path completes.
     """
+    check_shape(k, d)
     if not 1 <= l <= k:
         raise ValueError(f"need 1 <= l <= k, got l={l}, k={k}")
     sched = Schedule(dag, k=k, d=d, algorithm="lpfs")
@@ -249,82 +99,141 @@ def lpfs_timesteps(
     view or a :class:`~repro.sched.stream.StreamColumns`; ``indeg`` is
     a fresh in-degree array (consumed) and ``heights`` the per-node
     heights. Yields each timestep's ``{region: nodes}`` map; every node
-    list is non-empty. ``1 <= l <= k`` is the caller's to check.
+    list is non-empty. The caller checks the machine shape
+    (:func:`~repro.arch.machine.check_shape`) and ``1 <= l <= k``.
     """
     n = cols.n
     gate_ids = cols.gate_ids
     succ_flat, succ_off = cols.succ_flat, cols.succ_off
+    gate_names = cols.gate_names
+    n_gates = len(gate_names)
+    # Free-list ties go to the largest gate name: compare name ranks.
+    by_name = {name: r for r, name in enumerate(sorted(gate_names))}
+    rank = [by_name[name] for name in gate_names]
+    ready = bytearray(n)
     on_path = bytearray(n)
-    done = bytearray(n)
-    free_list = _FreeList(cols, on_path)
-    for node in [i for i in range(n) if not indeg[i]]:
-        free_list.add(node)
+    # The ready set. ``buckets[g]`` holds gate g's free (unclaimed)
+    # ready nodes and ``fifo`` every ready node, both in arrival order.
+    # Both hold stale entries, dropped for good when met: scheduled
+    # nodes, and in a bucket also nodes claimed by a path after they
+    # arrived. ``free[g]`` counts gate g's live bucket entries, the
+    # free-list size per gate.
+    buckets: List[Deque[int]] = [deque() for _ in range(n_gates)]
+    fifo: Deque[int] = deque()
+    free = [0] * n_gates
+    for node in range(n):
+        if not indeg[node]:
+            ready[node] = 1
+            gid = gate_ids[node]
+            free[gid] += 1
+            buckets[gid].append(node)
+            fifo.append(node)
     paths: List[Deque[int]] = [
-        _claim_longest_path(cols, heights, free_list, done)
+        _claim_longest_path(cols, heights, buckets, ready, on_path, free)
         for _ in range(l)
     ]
+    head_cap = None if d is None else d - 1
 
     scheduled = 0
     while scheduled < n:
         regions: Dict[int, List[int]] = {}
         placed: List[int] = []
-        # --- allocated (path-pinned) regions -----------------------------
-        for i in range(l):
-            if refill and not paths[i]:
-                paths[i] = _claim_longest_path(
-                    cols, heights, free_list, done
-                )
-            path = paths[i]
-            if path and path[0] in free_list.in_ready:
-                head = path.popleft()
-                free_list.remove_scheduled(head)
-                on_path[head] = 0
-                group = regions[i] = [head]
-                placed.append(head)
-                if simd:
-                    cap = None if d is None else d - 1
-                    batch = free_list.extract(gate_ids[head], cap)
-                    group.extend(batch)
-                    placed.extend(batch)
-            elif simd:
-                # Path empty or stalled: execute free-list ops instead.
-                gid = free_list.most_common()
-                if gid is not None:
-                    batch = free_list.extract(gid, d)
-                    if batch:
-                        regions[i] = batch
-                        placed.extend(batch)
-        # --- unallocated regions: drain the free list --------------------
-        for i in range(l, k):
-            gid = free_list.oldest()
-            if gid is None:
-                break
-            batch = free_list.extract(gid, d)
+        for i in range(k):
+            group: Optional[List[int]] = None
+            cap = d
+            if i < l:
+                # Allocated region: its path's head, with SIMD fill.
+                path = paths[i]
+                if refill and not path:
+                    path = paths[i] = _claim_longest_path(
+                        cols, heights, buckets, ready, on_path, free
+                    )
+                if path and ready[path[0]]:
+                    head = path.popleft()
+                    ready[head] = on_path[head] = 0
+                    gid = gate_ids[head]
+                    group = regions[i] = [head]
+                    placed.append(head)
+                    if not simd:
+                        continue
+                    cap = head_cap
+                elif simd:
+                    # Path empty or stalled: run the most common free
+                    # gate, ties to the largest name (free count, then
+                    # rank, as one key).
+                    gid = -1
+                    best = n_gates - 1
+                    for g in range(n_gates):
+                        key = free[g] * n_gates + rank[g]
+                        if key > best:
+                            best = key
+                            gid = g
+                    if gid < 0:
+                        continue
+                else:
+                    continue
+            else:
+                # Unallocated region: drain the free list, oldest gate
+                # first. Every ready path head was placed in its own
+                # region, so each live FIFO entry here is free.
+                while fifo and not ready[fifo[0]]:
+                    fifo.popleft()
+                if not fifo:
+                    break
+                gid = gate_ids[fifo[0]]
+            # Up to ``cap`` free ready nodes of ``gid``, in arrival order.
+            bucket = buckets[gid]
+            if not bucket:
+                continue
+            if cap is None or cap >= len(bucket):
+                batch = [x for x in bucket if ready[x] and not on_path[x]]
+                bucket.clear()
+            else:
+                batch = []
+                while bucket and len(batch) < cap:
+                    x = bucket.popleft()
+                    if ready[x] and not on_path[x]:
+                        batch.append(x)
             if batch:
-                regions[i] = batch
-                placed.extend(batch)
+                for x in batch:
+                    ready[x] = 0
+                free[gid] -= len(batch)
+                placed += batch
+                if group is None:
+                    regions[i] = batch
+                else:
+                    group += batch
         # --- progress guard ----------------------------------------------
         # With k == l and SIMD off, free-list ops have no region to run
         # in; fall back to executing the oldest ready op in region 0 so
         # the schedule always completes (deviation noted in DESIGN.md).
         if not placed:
-            node = free_list.fallback_pop()
-            if node is None:  # pragma: no cover - defensive
+            while fifo and not ready[fifo[0]]:
+                fifo.popleft()
+            if not fifo:  # pragma: no cover - defensive
                 raise RuntimeError("LPFS deadlock (scheduler bug)")
-            on_path[node] = 0
-            for i in range(l):
-                if paths[i] and paths[i][0] == node:
-                    paths[i].popleft()
+            node = fifo.popleft()
+            ready[node] = 0
+            if on_path[node]:
+                on_path[node] = 0
+                for path in paths:
+                    if path and path[0] == node:
+                        path.popleft()
+            else:
+                free[gate_ids[node]] -= 1
             regions[0] = [node]
             placed.append(node)
         # --- ready-list update -------------------------------------------
         for node in placed:
-            done[node] = 1
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
+            for child in succ_flat[succ_off[node] : succ_off[node + 1]]:
                 indeg[child] -= 1
-                if indeg[child] == 0 and child not in free_list.in_ready:
-                    free_list.add(child)
+                if not indeg[child]:
+                    ready[child] = 1
+                    fifo.append(child)
+                    if not on_path[child]:
+                        gid = gate_ids[child]
+                        free[gid] += 1
+                        buckets[gid].append(child)
         scheduled += len(placed)
         yield regions
 
@@ -332,26 +241,38 @@ def lpfs_timesteps(
 def _claim_longest_path(
     cols,
     heights: Sequence[int],
-    free_list: _FreeList,
-    done: bytearray,
+    buckets: List[Deque[int]],
+    ready: bytearray,
+    on_path: bytearray,
+    free: List[int],
 ) -> Deque[int]:
     """``getNextLongestPath``: the longest chain rooted in the current
     ready list, truncated if it runs into a node already claimed by
-    another path or already scheduled. Claims its nodes in
-    ``on_path``. The strict-max key ``(height, -node)`` makes the
-    claim independent of the ready set's iteration order."""
-    on_path = free_list.on_path
-    candidates = [n for n in free_list.in_ready if not on_path[n]]
+    another path. (It cannot run into a scheduled node: every node
+    after the first waits on the one before it.) Claims its nodes in
+    ``on_path``. The candidates are the free ready nodes, read off the
+    buckets, whose stale entries this drops for good; the strict-max
+    key ``(height, -node)`` makes the claim independent of their
+    order."""
+    candidates: List[int] = []
+    for g, bucket in enumerate(buckets):
+        if bucket:
+            live = [x for x in bucket if ready[x] and not on_path[x]]
+            if len(live) < len(bucket):
+                buckets[g] = deque(live)
+            candidates += live
     if not candidates:
         return deque()
-    start = max(candidates, key=lambda n: (heights[n], -n))
+    start = max(candidates, key=lambda x: (heights[x], -x))
+    # The start is ready; its successors wait on it, so no other path
+    # node is, and only the start leaves the free list.
+    free[cols.gate_ids[start]] -= 1
     path: Deque[int] = deque()
     succ_flat, succ_off = cols.succ_flat, cols.succ_off
     node: Optional[int] = start
-    while node is not None and not on_path[node] and not done[node]:
+    while node is not None and not on_path[node]:
         path.append(node)
         on_path[node] = 1
-        free_list.claim_mark(node)
         lo, hi = succ_off[node], succ_off[node + 1]
         node = (
             max(succ_flat[lo:hi], key=lambda s: (heights[s], -s))

@@ -25,12 +25,15 @@ One kernel per algorithm: :func:`rcp_timesteps` is the package's only
 RCP, over an int-coded view — :meth:`repro.core.dag.DependenceDAG.columns`
 or :class:`repro.sched.stream.StreamColumns`. :func:`schedule_rcp` and
 :func:`repro.sched.stream.schedule_columns` are its two adapters. The
-kernel keeps the ready set *bucketed by gate type* (arrival order
-preserved within each bucket), so type prevalence is an O(1) counter
-read and batch extraction pops one bucket instead of rescanning the
-whole ready deque; the (region, gate) selection enumerates each ready
-op's resident regions (at most its operand count) plus one
-zero-residency representative instead of every available region. The
+kernel keeps the ready set *bucketed by gate type* in a list indexed
+by gate id (arrival order preserved within each bucket), so type
+prevalence is a bucket length and batch extraction pops one bucket
+instead of rescanning the whole ready deque. The (region, gate)
+selection runs inline, with no helper call per op: it enumerates each ready
+op's resident regions (at most its operand count; a one-operand op
+reads its one location) plus one zero-residency representative
+instead of every available region, and breaks weight ties on one
+integer key built from precomputed gate-name ranks. The
 pre-optimization implementation is kept in ``tests/oracle/``; both
 produce bit-identical schedules.
 """
@@ -40,6 +43,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ..arch.machine import check_shape
 from ..core.dag import DependenceDAG
 from ..instrument import spanned
 from .types import Schedule
@@ -66,6 +70,7 @@ def schedule_rcp(
     weights: Optional[RCPWeights] = None,
 ) -> Schedule:
     """Schedule ``dag`` on a Multi-SIMD(k,d) machine with RCP."""
+    check_shape(k, d)
     sched = Schedule(dag, k=k, d=d, algorithm="rcp")
     for regions in rcp_timesteps(
         dag.columns(), dag.indegrees(), dag.slack(), k, d, weights
@@ -88,133 +93,138 @@ def rcp_timesteps(
     view or a :class:`~repro.sched.stream.StreamColumns`; ``indeg`` is
     a fresh in-degree array (consumed) and ``slack`` the per-node
     slack. Yields each timestep's ``{region: nodes}`` map; every node
-    list is non-empty.
+    list is non-empty. The caller checks the machine shape
+    (:func:`~repro.arch.machine.check_shape`).
     """
     w = weights or RCPWeights()
+    w_op, w_dist, w_slack = w.w_op, w.w_dist, w.w_slack
+    n = cols.n
     gate_ids = cols.gate_ids
     op_q, op_off = cols.op_q, cols.op_off
     succ_flat, succ_off = cols.succ_flat, cols.succ_off
+    gate_names = cols.gate_names
+    n_gates = len(gate_names)
+    # Weight ties go to the smallest (gate name, region): one int key,
+    # name rank * k + region.
+    by_name = {name: r for r, name in enumerate(sorted(gate_names))}
+    tie_base = [by_name[name] * k for name in gate_names]
     # Ready set, bucketed by gate id. Within a bucket nodes keep arrival
     # order, which is all batch extraction needs; the bucket length
     # doubles as the type-prevalence count. Each entry carries the
-    # node's operand qubit ids, sliced once on arrival rather than on
-    # every priority scan.
-    buckets: Dict[int, Deque[Tuple[int, Sequence[int]]]] = {}
+    # node's operand qubit ids and its slack term, computed once on
+    # arrival rather than on every priority scan.
+    buckets: List[Deque[Tuple[int, Sequence[int], float]]] = [
+        deque() for _ in range(n_gates)
+    ]
     n_ready = 0
-    for node in [i for i in range(cols.n) if not indeg[i]]:
-        gid = gate_ids[node]
-        bucket = buckets.get(gid)
-        if bucket is None:
-            bucket = buckets[gid] = deque()
-        bucket.append((node, op_q[op_off[node] : op_off[node + 1]]))
-        n_ready += 1
-    # Region of last activity per qubit id; absent = memory (Section
-    # 3.2: all qubits start in global memory).
-    location: Dict[int, int] = {}
+    for node in range(n):
+        if not indeg[node]:
+            buckets[gate_ids[node]].append(
+                (
+                    node,
+                    op_q[op_off[node] : op_off[node + 1]],
+                    w_slack * slack[node],
+                )
+            )
+            n_ready += 1
+    # Region of last activity per qubit id; ``k`` = global memory
+    # (Section 3.2: all qubits start there), a slot ``avail`` never
+    # offers.
+    location = [k] * len(cols.qubits)
+    inf = float("inf")
     scheduled = 0
 
-    while scheduled < cols.n:
+    while scheduled < n:
         regions: Dict[int, List[int]] = {}
         available = list(range(k))
-        placed_this_ts: List[int] = []
+        avail = bytearray(b"\x01") * k + b"\x00"
+        placed: List[int] = []
         while available and n_ready:
-            region, gid = _pick_max_weight(
-                cols.gate_names, buckets, available, location, slack, w
-            )
-            bucket = buckets[gid]
-            cap = len(bucket) if d is None else d
-            batch: List[int] = []
-            while bucket and len(batch) < cap:
-                node, qids = bucket.popleft()
-                batch.append(node)
-                for q in qids:
-                    location[q] = region
-            if not bucket:
-                del buckets[gid]
-            n_ready -= len(batch)
-            regions[region] = batch
-            placed_this_ts.extend(batch)
-            available.remove(region)
-        # Ready-list update: children whose last dependency completed
-        # this timestep become ready for the *next* timestep.
-        for node in placed_this_ts:
-            for j in range(succ_off[node], succ_off[node + 1]):
-                child = succ_flat[j]
-                indeg[child] -= 1
-                if indeg[child] == 0:
-                    gid = gate_ids[child]
-                    bucket = buckets.get(gid)
-                    if bucket is None:
-                        bucket = buckets[gid] = deque()
-                    bucket.append(
-                        (child, op_q[op_off[child] : op_off[child + 1]])
-                    )
-                    n_ready += 1
-        scheduled += len(placed_this_ts)
-        if not placed_this_ts:  # pragma: no cover - defensive
-            raise RuntimeError("RCP made no progress (scheduler bug)")
-        yield regions
-
-
-def _pick_max_weight(
-    gate_names: Sequence[str],
-    buckets: Dict[int, Deque[Tuple[int, Sequence[int]]]],
-    available: List[int],
-    location: Dict[int, int],
-    slack: Sequence[int],
-    w: RCPWeights,
-) -> Tuple[int, int]:
-    """The paper's ``getMaxWeightSimdOpType`` over the bucketed ready
-    set: the (region, gate id) pair maximising the scheduling priority,
-    ties broken by (gate name, region index).
-
-    For each ready op the candidate regions are the op's resident
-    regions (at most its operand count) plus the lowest-index available
-    region with zero residency — every other region yields the same
-    weight as the zero-residency representative but a larger index, so
-    the tie-break can never prefer it.
-    """
-    w_op, w_dist, w_slack = w.w_op, w.w_dist, w.w_slack
-    loc_get = location.get
-    avail_set = set(available)
-    best_weight = float("-inf")
-    best_gate: Optional[str] = None
-    best_gid = -1
-    best_region = -1
-    for gid, bucket in buckets.items():
-        gate = gate_names[gid]
-        type_term = w_op * len(bucket)
-        for node, qids in bucket:
-            base = type_term - w_slack * slack[node]
-            resident: Dict[int, int] = {}
-            for q in qids:
-                r = loc_get(q)
-                if r is not None:
-                    resident[r] = resident.get(r, 0) + 1
-            for r, count in resident.items():
-                if r not in avail_set:
+            # getMaxWeightSimdOpType: each ready op scores its resident
+            # available regions, plus the lowest-index available region
+            # without its operands; every other region scores the same
+            # as that one with a larger index, so it never wins a tie.
+            best_weight = -inf
+            best_tie = -1
+            best_gid = best_region = -1
+            a0 = available[0]
+            a1 = available[1] if len(available) > 1 else -1
+            for gid in range(n_gates):
+                bucket = buckets[gid]
+                if not bucket:
                     continue
-                weight = base + w_dist * count
-                if weight > best_weight or (
-                    weight == best_weight
-                    and (gate, r) < (best_gate, best_region)
-                ):
-                    best_weight = weight
-                    best_gate = gate
-                    best_gid = gid
-                    best_region = r
-            for r in available:
-                if r not in resident:
-                    # Lowest-index zero-residency region; all others
-                    # score the same weight with a larger index.
-                    if base > best_weight or (
-                        base == best_weight
-                        and (gate, r) < (best_gate, best_region)
+                type_term = w_op * len(bucket)
+                tie0 = tie_base[gid]
+                for node, qids, slack_term in bucket:
+                    base = type_term - slack_term
+                    if len(qids) == 1:
+                        r = location[qids[0]]
+                        if avail[r]:
+                            weight = base + w_dist
+                            if weight > best_weight or (
+                                weight == best_weight and tie0 + r < best_tie
+                            ):
+                                best_weight = weight
+                                best_tie = tie0 + r
+                                best_gid = gid
+                                best_region = r
+                        z = a1 if r == a0 else a0
+                    else:
+                        # A region named twice scores twice, equally.
+                        regs = [location[q] for q in qids]
+                        for r in regs:
+                            if avail[r]:
+                                weight = base + w_dist * regs.count(r)
+                                if weight > best_weight or (
+                                    weight == best_weight
+                                    and tie0 + r < best_tie
+                                ):
+                                    best_weight = weight
+                                    best_tie = tie0 + r
+                                    best_gid = gid
+                                    best_region = r
+                        z = -1
+                        for r in available:
+                            if r not in regs:
+                                z = r
+                                break
+                    if z >= 0 and (
+                        base > best_weight
+                        or (base == best_weight and tie0 + z < best_tie)
                     ):
                         best_weight = base
-                        best_gate = gate
+                        best_tie = tie0 + z
                         best_gid = gid
-                        best_region = r
-                    break
-    assert best_gate is not None
-    return best_region, best_gid
+                        best_region = z
+            assert best_gid >= 0
+            bucket = buckets[best_gid]
+            take = len(bucket) if d is None else min(d, len(bucket))
+            batch = []
+            for _ in range(take):
+                node, qids, _ = bucket.popleft()
+                batch.append(node)
+                for q in qids:
+                    location[q] = best_region
+            n_ready -= take
+            regions[best_region] = batch
+            placed += batch
+            available.remove(best_region)
+            avail[best_region] = 0
+        # Ready-list update: children whose last dependency completed
+        # this timestep become ready for the *next* timestep.
+        for node in placed:
+            for child in succ_flat[succ_off[node] : succ_off[node + 1]]:
+                indeg[child] -= 1
+                if not indeg[child]:
+                    buckets[gate_ids[child]].append(
+                        (
+                            child,
+                            op_q[op_off[child] : op_off[child + 1]],
+                            w_slack * slack[child],
+                        )
+                    )
+                    n_ready += 1
+        scheduled += len(placed)
+        if not placed:  # pragma: no cover - defensive
+            raise RuntimeError("RCP made no progress (scheduler bug)")
+        yield regions

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional
 
+from ..arch.machine import check_shape
 from ..core.dag import DependenceDAG
 from ..instrument import spanned
 from .types import Schedule
@@ -26,6 +27,7 @@ def schedule_sequential(
     dag: DependenceDAG, k: int = 1, d: Optional[int] = None
 ) -> Schedule:
     """Schedule one op per timestep in region 0."""
+    check_shape(k, d)
     sched = Schedule(dag, k=k, d=d, algorithm="sequential")
     for regions in sequential_timesteps(dag.n):
         sched.append_timestep(regions)

@@ -52,7 +52,7 @@ from array import array
 from itertools import accumulate, islice
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..arch.machine import MultiSIMD
+from ..arch.machine import MultiSIMD, check_shape
 from ..core.dag import DependenceDAG
 from ..core.operation import Operation
 from ..core.opstream import OpStream, iter_chunks
@@ -373,6 +373,7 @@ def schedule_columns(
     """Schedule columns with the named algorithm's kernel (same option
     surface as :class:`repro.toolflow.SchedulerConfig`, including the
     l <= k clamp)."""
+    check_shape(k, d)
     if algorithm == "sequential":
         timesteps = sequential_timesteps(cols.n)
     elif algorithm == "rcp":

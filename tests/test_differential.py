@@ -21,11 +21,14 @@ same entry points), checking
 * identical movement, materialized and streamed, on hand-built
   schedules that no scheduler would emit.
 
-The per-test ``max_examples`` settings sum to 465 generated programs
+The per-test ``max_examples`` settings sum to 1,065 generated programs
 per run (RCP schedules each under three weight settings), all seeded
-by hypothesis's deterministic derandomization in CI. Generated bodies stay small (at
-most 24 ops over 8 qubits), so :func:`test_registry_matches_reference`
-also compiles every registry program on both pipelines.
+by hypothesis's deterministic derandomization in CI. Generated bodies
+stay small (at most 24 ops over 8 qubits at k <= 4; in the wide
+battery, where more gate types are ready than four regions can take,
+at most 64 ops over 16 qubits at k <= 16), so
+:func:`test_registry_matches_reference` also compiles every registry
+program on both pipelines.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,29 +84,48 @@ GATES_BY_ARITY = {
     3: ("Toffoli", "Fredkin"),
 }
 
+#: The wide battery's machines have up to 16 regions, and a region runs
+#: one gate type per timestep, so its bodies draw from 16 qubits and
+#: 15 gate types (these eight one-qubit types among them).
+ONE_QUBIT_TYPES = ("H", "T", "X", "S", "Z", "Y", "Tdag", "Sdag")
+WIDE_QUBITS = [Qubit("q", i) for i in range(16)]
+WIDE_GATES_BY_ARITY = {
+    **GATES_BY_ARITY,
+    1: ONE_QUBIT_TYPES + ("PrepZ", "MeasZ"),
+}
+
 
 @st.composite
-def leaf_bodies(draw, max_ops: int = 24) -> List[Operation]:
-    """A random leaf-module body over eight qubits."""
+def leaf_bodies(
+    draw,
+    max_ops: int = 24,
+    qubits: List[Qubit] = QUBITS,
+    gates_by_arity: Dict[int, Tuple[str, ...]] = GATES_BY_ARITY,
+) -> List[Operation]:
+    """A random leaf-module body (by default over eight qubits)."""
     n = draw(st.integers(min_value=1, max_value=max_ops))
     ops: List[Operation] = []
     for _ in range(n):
         arity = draw(st.integers(min_value=1, max_value=3))
-        gate = draw(st.sampled_from(GATES_BY_ARITY[arity]))
+        gate = draw(st.sampled_from(gates_by_arity[arity]))
         idxs = draw(
             st.lists(
-                st.integers(min_value=0, max_value=N_QUBITS - 1),
+                st.integers(min_value=0, max_value=len(qubits) - 1),
                 min_size=arity,
                 max_size=arity,
                 unique=True,
             )
         )
-        ops.append(Operation(gate, tuple(QUBITS[i] for i in idxs)))
+        ops.append(Operation(gate, tuple(qubits[i] for i in idxs)))
     return ops
 
 
 ds = st.sampled_from([None, 1, 2, 4])
 ks = st.integers(min_value=1, max_value=4)
+wide_bodies = leaf_bodies(
+    max_ops=64, qubits=WIDE_QUBITS, gates_by_arity=WIDE_GATES_BY_ARITY
+)
+wide_ks = st.integers(min_value=1, max_value=16)
 
 
 def both_pipelines(fn: Callable[[], str]):
@@ -221,10 +243,13 @@ def test_sequential_differential(ops):
 #: arithmetic, so its tie-breaks must agree beyond w = 1/1/1 too.
 RCP_WEIGHTS = (None, RCPWeights(0, 10, 0), RCPWeights(2, 0.5, 1))
 
+#: Generated programs per wide-battery test.
+WIDE_EXAMPLES = 300
 
-@settings(max_examples=60, deadline=None)
-@given(ops=leaf_bodies(), k=ks, d=ds)
-def test_rcp_differential(ops, k, d):
+
+def check_rcp(ops: List[Operation], k: int, d: Optional[int]) -> None:
+    """RCP under every :data:`RCP_WEIGHTS` setting: the oracle's
+    schedule, and the execution invariants."""
     for weights in RCP_WEIGHTS:
         fast, ref = both_pipelines(
             lambda: schedule_bytes(
@@ -234,6 +259,35 @@ def test_rcp_differential(ops, k, d):
         assert fast == ref, weights and vars(weights)
         dag = DependenceDAG(list(ops))
         check_invariants(schedule_rcp(dag, k, d, weights), dag, k, d)
+
+
+def check_lpfs(
+    ops: List[Operation],
+    k: int,
+    d: Optional[int],
+    l_frac: float,
+    simd: bool,
+    refill: bool,
+) -> None:
+    """LPFS with ``1 + int(l_frac * (k - 1))`` paths: the oracle's
+    schedule, and the execution invariants."""
+    n_paths = 1 + int(l_frac * (k - 1))
+    fast, ref = both_pipelines(
+        lambda: schedule_bytes(
+            ops, lambda dag: schedule_lpfs(dag, k, d, n_paths, simd, refill)
+        )
+    )
+    assert fast == ref
+    dag = DependenceDAG(list(ops))
+    check_invariants(
+        schedule_lpfs(dag, k, d, n_paths, simd, refill), dag, k, d
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=leaf_bodies(), k=ks, d=ds)
+def test_rcp_differential(ops, k, d):
+    check_rcp(ops, k, d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,17 +300,56 @@ def test_rcp_differential(ops, k, d):
     refill=st.booleans(),
 )
 def test_lpfs_differential(ops, k, d, l_frac, simd, refill):
-    n_paths = 1 + int(l_frac * (k - 1))
-    fast, ref = both_pipelines(
-        lambda: schedule_bytes(
-            ops, lambda dag: schedule_lpfs(dag, k, d, n_paths, simd, refill)
-        )
+    check_lpfs(ops, k, d, l_frac, simd, refill)
+
+
+@settings(max_examples=WIDE_EXAMPLES, deadline=None)
+@given(ops=wide_bodies, k=wide_ks, d=ds)
+def test_rcp_differential_wide(ops, k, d):
+    """Machines of up to 16 regions, where bodies of up to 64 ops keep
+    more gate types ready than four regions can take."""
+    check_rcp(ops, k, d)
+
+
+@settings(max_examples=WIDE_EXAMPLES, deadline=None)
+@given(
+    ops=wide_bodies,
+    k=wide_ks,
+    d=ds,
+    l_frac=st.floats(min_value=0.0, max_value=1.0),
+    simd=st.booleans(),
+    refill=st.booleans(),
+)
+def test_lpfs_differential_wide(ops, k, d, l_frac, simd, refill):
+    check_lpfs(ops, k, d, l_frac, simd, refill)
+
+
+@pytest.mark.parametrize("algorithm", ["rcp", "lpfs"])
+def test_eight_gate_types_fill_eight_regions(algorithm):
+    """Eight one-qubit gate types, two ops each on distinct qubits: at
+    k = 8, d = 4 the schedule is one timestep of eight regions, one
+    type per region, on both pipelines."""
+    ops = [
+        Operation(gate, (WIDE_QUBITS[2 * i + j],))
+        for i, gate in enumerate(ONE_QUBIT_TYPES)
+        for j in range(2)
+    ]
+
+    def schedule(dag):
+        run = schedule_rcp if algorithm == "rcp" else schedule_lpfs
+        return run(dag, 8, 4)
+
+    dag = DependenceDAG(ops)
+    sched = schedule(dag)
+    check_invariants(sched, dag, 8, 4)
+    assert sched.length == 1
+    regions = sched.timesteps[0].regions
+    assert [len(region) for region in regions] == [2] * 8
+    assert sorted(dag.statements[region[0]].gate for region in regions) == (
+        sorted(ONE_QUBIT_TYPES)
     )
+    fast, ref = both_pipelines(lambda: schedule_bytes(ops, schedule))
     assert fast == ref
-    dag = DependenceDAG(list(ops))
-    check_invariants(
-        schedule_lpfs(dag, k, d, n_paths, simd, refill), dag, k, d
-    )
 
 
 @settings(max_examples=40, deadline=None)

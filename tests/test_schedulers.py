@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
+from repro.core.opstream import ListStream
 from repro.core.qubits import Qubit
 from repro.sched.lpfs import schedule_lpfs
 from repro.sched.rcp import RCPWeights, schedule_rcp
 from repro.sched.sequential import schedule_sequential
+from repro.sched.stream import build_columns, schedule_columns
 
 Q = [Qubit("q", i) for i in range(12)]
 
@@ -184,6 +186,51 @@ class TestLPFS:
 
     def test_label(self):
         assert schedule_lpfs(chain_dag(2), k=1).algorithm == "lpfs"
+
+
+# --- degenerate machine shapes --------------------------------------------
+
+#: Each scheduler entry point, as a call on a DAG's ops and a shape.
+ENTRY_POINTS = {
+    "schedule_rcp": lambda ops, k, d: schedule_rcp(DependenceDAG(ops), k, d),
+    "schedule_lpfs": lambda ops, k, d: schedule_lpfs(DependenceDAG(ops), k, d),
+    "schedule_sequential": lambda ops, k, d: schedule_sequential(
+        DependenceDAG(ops), k, d
+    ),
+    **{
+        f"schedule_columns-{alg}": (
+            lambda ops, k, d, alg=alg: schedule_columns(
+                build_columns(ListStream(ops)), alg, k, d
+            )
+        )
+        for alg in ("rcp", "lpfs", "sequential")
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "k, d, message",
+    [
+        (0, None, "k must be >= 1, got 0"),
+        (2, 0, "d must be >= 1 or None, got 0"),
+    ],
+    ids=["k0", "d0"],
+)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_degenerate_shape_rejected(entry, k, d, message, monkeypatch):
+    """A zero width is refused with MultiSIMD's wording before any
+    kernel runs: no kernel can place an op on such a machine."""
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran")
+
+    for alg in ("rcp", "lpfs", "sequential"):
+        kernel = f"{alg}_timesteps"
+        monkeypatch.setattr(f"repro.sched.{alg}.{kernel}", no_kernel)
+        monkeypatch.setattr(f"repro.sched.stream.{kernel}", no_kernel)
+    ops = [Operation(g, (Q[i],)) for i, g in enumerate(("H", "T", "H"))]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ENTRY_POINTS[entry](ops, k, d)
 
 
 # --- property-based: random DAGs ------------------------------------------
