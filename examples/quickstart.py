@@ -4,6 +4,8 @@ for a Multi-SIMD machine, and inspect the schedule.
 Run:  python examples/quickstart.py
 """
 
+from itertools import islice
+
 from repro import (
     MultiSIMD,
     ProgramBuilder,
@@ -53,16 +55,17 @@ def main() -> None:
     sched = result.schedules[result.program.entry]
     print(f"\nfirst 8 timesteps of '{result.program.entry}' "
           f"({sched.algorithm}, k={sched.k}):")
-    for t, ts in enumerate(sched.timesteps[:8]):
-        regions = [
+    for t, (moves, regions) in enumerate(
+        islice(sched.iter_timesteps(), 8)
+    ):
+        cells = [
             f"r{r}:[" + " ".join(
                 sched.operation(n).gate for n in nodes
             ) + "]"
-            for r, nodes in enumerate(ts.regions)
-            if nodes
+            for r, nodes in regions
         ]
-        moves = f" +{len(ts.moves)} moves" if ts.moves else ""
-        print(f"  t={t:<3d} {' '.join(regions)}{moves}")
+        moved = f" +{len(moves)} moves" if moves else ""
+        print(f"  t={t:<3d} {' '.join(cells)}{moved}")
 
 
 if __name__ == "__main__":

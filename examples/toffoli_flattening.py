@@ -56,15 +56,15 @@ def main() -> None:
     )
     sched = result.schedules["main"]
     print(f"\nflattened LPFS schedule ({sched.length} cycles):")
-    for t, ts in enumerate(sched.timesteps):
-        cells = []
-        for r, nodes in enumerate(ts.regions):
+    for t, (_, regions) in enumerate(sched.iter_timesteps()):
+        cells = ["".ljust(26)] * sched.k
+        for r, nodes in regions:
             ops = " ".join(
                 f"{sched.operation(n).gate}"
                 f"({','.join(q.register + str(q.index) for q in sched.operation(n).qubits)})"
                 for n in nodes
             )
-            cells.append(ops.ljust(26))
+            cells[r] = ops.ljust(26)
         print(f"  {t + 1:>2}  " + " | ".join(cells))
 
 

@@ -247,14 +247,18 @@ def audit_schedule_bounds(
 
     Raises:
         ValueError: ``hop_floor`` < 1.
+        TypeError: ``sched`` is columnar (``dag`` is ``None``).
     """
     if hop_floor < 1:
         raise ValueError(f"hop_floor must be >= 1, got {hop_floor}")
     diags = DiagnosticSet()
-    ops = sched.dag.n
+    dag = sched.dag
+    if dag is None:
+        raise TypeError("the bounds audit needs a schedule's DAG")
+    ops = dag.n
     if ops == 0:
         return diags
-    chains = sched.dag.qubit_chains()
+    chains = dag.qubit_chains()
     footprint = len(chains)
     chain = max((len(c) for c in chains.values()), default=0)
 

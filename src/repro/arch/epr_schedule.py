@@ -90,8 +90,8 @@ def epr_demand_timeline(sched: Schedule) -> Tuple[List[EPRDemand], int]:
     starts at."""
     demands: List[EPRDemand] = []
     cycle = 0
-    for ts in sched.timesteps:
-        teleports, locals_ = split_epoch(ts.moves)
+    for moves, _ in sched.iter_timesteps():
+        teleports, locals_ = split_epoch(moves)
         if teleports:
             channels: Dict[Tuple[str, str], int] = {}
             for m in teleports:

@@ -47,12 +47,18 @@ LOCAL_MOVE_CYCLES = 1
 NAIVE_FACTOR = GATE_CYCLES + TELEPORT_CYCLES
 
 
+#: Region ids are ``array('H')`` entries in a flat schedule.
+_REGION_LIMIT = 2**16
+
+
 def check_shape(k: int, d: Optional[int]) -> None:
     """Raise :class:`ValueError` unless ``(k, d)`` is a Multi-SIMD
-    shape: ``k >= 1`` regions and ``d`` unbounded (``None``) or
+    shape: ``1 <= k < 65536`` regions and ``d`` unbounded (``None``) or
     ``>= 1``."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k >= _REGION_LIMIT:
+        raise ValueError(f"k must be < {_REGION_LIMIT}, got {k}")
     if d is not None and d < 1:
         raise ValueError(f"d must be >= 1 or None, got {d}")
 

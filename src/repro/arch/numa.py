@@ -115,14 +115,12 @@ def assign_banks(
     """Map every qubit the schedule touches to a memory bank."""
     usage: Dict[Qubit, Dict[int, int]] = {}
     order: List[Qubit] = []
-    for ts in sched.timesteps:
-        for r, nodes in enumerate(ts.regions):
-            for n in nodes:
-                for q in sched.operation(n).qubits:
-                    if q not in usage:
-                        usage[q] = {}
-                        order.append(q)
-                    usage[q][r] = usage[q].get(r, 0) + 1
+    for r, n in zip(sched.flat_regions, sched.flat_nodes):
+        for q in sched.operation(n).qubits:
+            if q not in usage:
+                usage[q] = {}
+                order.append(q)
+            usage[q][r] = usage[q].get(r, 0) + 1
     bank_of: Dict[Qubit, int] = {}
     for i, q in enumerate(order):
         if config.placement == "round_robin":
@@ -210,8 +208,8 @@ def numa_runtime(
     peak = 0.0
     bank_loads: Dict[int, float] = {b: 0.0 for b in range(config.banks)}
 
-    for ts in sched.timesteps:
-        teleports, locals_ = split_epoch(ts.moves)
+    for moves, _ in sched.iter_timesteps():
+        teleports, locals_ = split_epoch(moves)
         epoch_rounds = 1
         if teleports:
             channel_load, epoch_bank_load = epoch_teleport_loads(

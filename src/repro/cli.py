@@ -389,18 +389,18 @@ def _compile_streamed(
         print("\nblackbox dimensions (comm-aware runtime):")
         print(profile_table(result, metric="runtime"))
     if args.timeline and result.stream_schedules:
-        from .sched.stream import to_schedule
-
         leaves = sorted(result.stream_schedules)
         entry = result.program.entry
         name = entry if entry in result.stream_schedules else leaves[0]
         if name != entry:
             print(f"\n(entry {entry!r} is hierarchical; showing leaf "
                   f"{name!r})")
-        sched = to_schedule(result.columns[name],
-                            result.stream_schedules[name])
         print()
-        print(render_timeline(sched, max_timesteps=args.timeline))
+        print(render_timeline(
+            result.stream_schedules[name],
+            max_timesteps=args.timeline,
+            operation=result.columns[name].operation,
+        ))
     return 0
 
 

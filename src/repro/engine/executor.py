@@ -251,14 +251,13 @@ def run_schedule(
     statements = sched.dag.statements
     epochs = (
         (
-            ts.moves,
+            moves,
             [
                 (r, statements[nodes[0]].gate, len(nodes))
-                for r, nodes in enumerate(ts.regions)
-                if nodes
+                for r, nodes in regions
             ],
         )
-        for ts in sched.timesteps
+        for moves, regions in sched.iter_timesteps()
     )
     with span("engine:execute"):
         result = _execute_epochs(
@@ -278,8 +277,8 @@ def run_schedule_stream(
 ) -> EngineResult:
     """Execute a schedule delivered epoch-at-a-time.
 
-    The streamed entry point for paper-scale schedules that never exist
-    as one :class:`Schedule` object: ``epochs`` is an iterable of
+    The streamed entry point for paper-scale schedules whose movement
+    is never held whole: ``epochs`` is an iterable of
     ``(moves, active)`` pairs — one per timestep, movement epoch first
     — where ``active`` lists ``(region, gate_name, op_count)`` per busy
     region. Both :func:`repro.service.stream_io.read_schedule_stream`

@@ -27,15 +27,13 @@ from .report import (
 from .sequential import schedule_sequential
 from .stream import (
     StreamColumns,
-    StreamedSchedule,
     build_columns,
     derive_movement_stream,
     engine_epochs,
     iter_schedule_epochs,
     schedule_columns,
-    to_schedule,
 )
-from .types import Move, Schedule, ScheduleError, Timestep
+from .types import Move, Schedule, ScheduleError
 
 __all__ = [
     "CoarseResult",
@@ -47,9 +45,7 @@ __all__ = [
     "ReplayReport",
     "Schedule",
     "StreamColumns",
-    "StreamedSchedule",
     "ScheduleError",
-    "Timestep",
     "best_dim",
     "comm_speedup",
     "derive_movement",
@@ -72,5 +68,4 @@ __all__ = [
     "engine_epochs",
     "iter_schedule_epochs",
     "schedule_columns",
-    "to_schedule",
 ]

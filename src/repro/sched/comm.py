@@ -23,16 +23,21 @@ gate count.
 One kernel, :func:`movement_epochs`, implements the model over one
 flat operand-use stream in schedule order (a qubit id and a region per
 operand, plus use offsets per timestep) and the next-use regions one
-backward pass derives from it; :func:`derive_movement` (materialized
-schedules) and :func:`repro.sched.stream.derive_movement_stream` /
-:func:`~repro.sched.stream.iter_schedule_epochs` (columnar schedules)
-are its two adapters, each building the stream from its schedule.
+backward pass derives from it. One builder, :func:`schedule_epochs`,
+reads that stream off a :class:`~repro.sched.types.Schedule`'s flat
+arrays and an int-coded view of its ops — a DAG's
+:meth:`~repro.core.dag.DependenceDAG.columns` for
+:func:`derive_movement`, a leaf's
+:class:`~repro.sched.stream.StreamColumns` for
+:func:`repro.sched.stream.derive_movement_stream` and
+:func:`~repro.sched.stream.iter_schedule_epochs`.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..arch.machine import (
@@ -47,7 +52,13 @@ from ..core.qubits import Qubit
 from ..instrument import spanned
 from .types import Move, Schedule
 
-__all__ = ["CommStats", "derive_movement", "movement_epochs", "naive_runtime"]
+__all__ = [
+    "CommStats",
+    "derive_movement",
+    "movement_epochs",
+    "naive_runtime",
+    "schedule_epochs",
+]
 
 
 @dataclass
@@ -115,7 +126,7 @@ def movement_epochs(
     The schedule arrives as one operand-use stream in schedule order:
     use ``u`` names qubit ``qubits[use_q[u]]`` in region ``use_r[u]``,
     and timestep ``t``'s uses are ``use_off[t]:use_off[t + 1]``,
-    region-ascending (the order ``enumerate(ts.regions)`` walks).
+    region-ascending (the order of a schedule's flat arrays).
     Yields the epoch preceding each timestep, in timestep order; once
     exhausted, it has billed every epoch into ``stats`` by
     :func:`~repro.arch.machine.epoch_cycles`.
@@ -161,12 +172,13 @@ def movement_epochs(
     has_local = machine.has_local_memory
     stamp = [-1] * n_q  # last timestep whose ops name the qubit
     nxt = [-1] * n_q  # region of the qubit's next use, -1 if dead
-    # (qid, src, dst) -> (Move, EPR channel id or -1 for a local move).
+    # (qid, src, dst) -> (Move, EPR channel index or -1 for a local
+    # move).
     interned: Dict[int, Tuple[Move, int]] = {}
-    # Per-channel teleport counts, and channels in first-use order (the
-    # EPR ledger's insertion order).
-    channel_pairs = [0] * (width * width)
-    channels: List[int] = []
+    # EPR channel (src, dst) -> dense index in first-use order (the EPR
+    # ledger's insertion order), and each channel's teleport count.
+    channel_of: Dict[Tuple[int, int], int] = {}
+    channel_pairs: List[int] = []
 
     def intern(key: int, qid: int, src: int, dst: int) -> Tuple[Move, int]:
         # Local iff between region r and its own scratchpad.
@@ -175,9 +187,12 @@ def movement_epochs(
             qubits[qid], codes[src], codes[dst],
             "local" if local else "teleport",
         )
-        channel = -1 if local else (src % width) * width + dst % width
-        if channel >= 0 and channel not in channels:
-            channels.append(channel)
+        channel = -1
+        if not local:
+            channel = channel_of.get((src, dst), -1)
+            if channel < 0:
+                channel = channel_of[src, dst] = len(channel_pairs)
+                channel_pairs.append(0)
         entry = interned[key] = (m, channel)
         return entry
 
@@ -286,12 +301,46 @@ def movement_epochs(
     epr.total_pairs += teleports
     epr.peak_epoch_demand = max(epr.peak_epoch_demand, peak)
     pair_counts = epr.pair_counts
-    for channel in channels:
-        label = (
-            loc_label(codes[channel // width]),
-            loc_label(codes[channel % width]),
+    for (src, dst), channel in channel_of.items():
+        label = (loc_label(codes[src]), loc_label(codes[dst]))
+        pair_counts[label] = (
+            pair_counts.get(label, 0) + channel_pairs[channel]
         )
-        pair_counts[label] = pair_counts.get(label, 0) + channel_pairs[channel]
+
+
+def schedule_epochs(
+    cols,
+    sched: Schedule,
+    machine: MultiSIMD,
+    stats: CommStats,
+) -> Iterator[List[Move]]:
+    """:func:`movement_epochs` over ``sched``'s operand-use stream.
+
+    ``cols`` is the int-coded view ``sched``'s nodes index: a DAG's
+    :meth:`~repro.core.dag.DependenceDAG.columns` or a
+    :class:`~repro.sched.stream.StreamColumns`; both carry ``qubits``
+    and the CSR operands ``op_q``/``op_off``. The stream is read off
+    the flat arrays in one pass: a qubit id and a region per use, each
+    in the narrowest ``array`` type (1 B while there are at most 256
+    qubits and regions), and one ``int`` per timestep.
+    """
+    k = sched.k
+    op_q, op_off = cols.op_q, cols.op_off
+    use_q = array(narrowest_typecode(0, len(cols.qubits) - 1))
+    use_r = array(narrowest_typecode(0, k - 1))
+    use_off = array("i", [0])
+    put_q, put_r, end_ts = use_q.append, use_r.append, use_off.append
+    entries = zip(sched.flat_nodes, sched.flat_regions)
+    ts_off = sched.ts_off
+    for start, end in zip(ts_off, islice(ts_off, 1, None)):
+        for node, r in islice(entries, end - start):
+            for qid in op_q[op_off[node] : op_off[node + 1]]:
+                put_q(qid)
+                put_r(r)
+        end_ts(len(use_q))
+    return movement_epochs(
+        cols.qubits, use_q, use_r, use_off, k, machine, stats
+    )
 
 
 @spanned("comm:derive_movement")
@@ -300,37 +349,13 @@ def derive_movement(
 ) -> CommStats:
     """Derive the movement epochs for ``sched`` on ``machine``.
 
-    Populates each timestep's ``moves`` list in place (idempotent: any
-    existing moves are replaced) and returns the communication profile.
-    :func:`movement_epochs` does the work over the operand-use stream
-    read off the schedule and the DAG's int-coded
+    Attaches them as ``sched.moves``, one list per timestep (replacing
+    any attached before), and returns the communication profile.
+    :func:`schedule_epochs` does the work over the DAG's int-coded
     :meth:`~repro.core.dag.DependenceDAG.columns` view.
     """
-    cols = sched.dag.columns()
-    op_q, op_off = cols.op_q, cols.op_off
-    timesteps = sched.timesteps
-    # The operand-use stream, one walk per node, empty timesteps kept.
-    # Lists, not narrow arrays: the leaf's DAG already holds far more
-    # per op, and array appends make this walk about 1.6x slower.
-    use_q: List[int] = []
-    use_r: List[int] = []
-    use_off = [0]
-    n_uses = 0
-    for ts in timesteps:
-        r = 0
-        for nodes in ts.regions:
-            if nodes:
-                for node in nodes:
-                    use_q += op_q[op_off[node] : op_off[node + 1]]
-                use_r += [r] * (len(use_q) - n_uses)
-                n_uses = len(use_q)
-            r += 1
-        use_off.append(n_uses)
     stats = CommStats()
-    for t, epoch in enumerate(
-        movement_epochs(
-            cols.qubits, use_q, use_r, use_off, sched.k, machine, stats
-        )
-    ):
-        timesteps[t].moves = epoch
+    sched.moves = list(
+        schedule_epochs(sched.dag.columns(), sched, machine, stats)
+    )
     return stats

@@ -78,15 +78,9 @@ __all__ = [
 class ReplayError(Exception):
     """A schedule's movement plan is physically unrealisable.
 
-    Historically this subclassed :class:`AssertionError`, which made
-    replay validation silently vanish under ``python -O``; it is now a
-    plain :class:`Exception`. ``ReplayAssertionError`` remains as a
-    deprecated alias for the old name.
+    A plain :class:`Exception`, so replay validation survives
+    ``python -O``.
     """
-
-
-#: Deprecated alias for the pre-1.1 AssertionError-based class.
-ReplayAssertionError = ReplayError
 
 #: Signature of a violation collector: ``(code, message, timestep)``.
 ViolationHandler = Callable[[str, str, int], None]
@@ -151,11 +145,11 @@ def replay_schedule(
     # Each qubit's last operand timestep: a qubit is live after t iff
     # its last use is later than t.
     last_use: Dict[Qubit, int] = {}
-    for t, ts in enumerate(sched.timesteps):
-        for nodes in ts.regions:
-            for n in nodes:
-                for q in operation(n).qubits:
-                    last_use[q] = t
+    flat_nodes, ts_off = sched.flat_nodes, sched.ts_off
+    for t in range(sched.length):
+        for n in flat_nodes[ts_off[t] : ts_off[t + 1]]:
+            for q in operation(n).qubits:
+                last_use[q] = t
     location: Dict[Qubit, tuple] = {}
     # Insertion rank of each key of ``location``: QL305 violations are
     # reported in this order.
@@ -170,9 +164,9 @@ def replay_schedule(
     teleport_epochs = 0
     local_epochs = 0
 
-    for t, ts in enumerate(sched.timesteps):
+    for t, (moves, regions) in enumerate(sched.iter_timesteps()):
         # --- movement epoch preceding the timestep ----------------------
-        for move in ts.moves:
+        for move in moves:
             q = move.qubit
             where = location.get(q)
             if where is None:
@@ -185,7 +179,7 @@ def replay_schedule(
         for r, pad in pad_occupancy.items():
             if len(pad) > peak[r]:
                 peak[r] = len(pad)
-        teleports, locals_ = split_epoch(ts.moves)
+        teleports, locals_ = split_epoch(moves)
         runtime += epoch_cycles(len(teleports), len(locals_))
         if teleports:
             teleport_epochs += 1
@@ -194,9 +188,7 @@ def replay_schedule(
         # --- execute the timestep ----------------------------------------
         active: List[int] = []
         used_here: Set[Qubit] = set()
-        for r, nodes in enumerate(ts.regions):
-            if not nodes:
-                continue
+        for r, nodes in regions:
             active.append(r)
             here = ("region", r)
             for n in nodes:

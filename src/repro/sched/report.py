@@ -14,9 +14,10 @@ Rendering helpers used by the examples, the CLI, and downstream tools:
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from itertools import islice
+from typing import Any, Callable, Dict, List, Optional
 
-from ..core.operation import CallSite
+from ..core.operation import CallSite, Operation
 from ..core.qubits import Qubit
 from .comm import CommStats
 from .types import Schedule
@@ -30,8 +31,7 @@ __all__ = [
 ]
 
 
-def _op_text(sched: Schedule, node: int, show_qubits: bool) -> str:
-    op = sched.operation(node)
+def _op_text(op: Operation, show_qubits: bool) -> str:
     if not show_qubits:
         return op.gate
     qubits = ",".join(f"{q.register}{q.index}" for q in op.qubits)
@@ -43,12 +43,17 @@ def render_timeline(
     max_timesteps: Optional[int] = 40,
     show_qubits: bool = True,
     column_width: int = 24,
+    operation: Optional[Callable[[int], Operation]] = None,
 ) -> str:
     """Render a fine-grained schedule as a cycle-by-cycle table.
 
     Each row is one timestep; columns are the k SIMD regions; the final
     column summarises the movement epoch preceding the timestep.
+    ``operation`` looks a node's op up (default ``sched.operation``; a
+    columnar schedule passes its columns' ``operation``); only the
+    printed timesteps' ops are looked up.
     """
+    op_of = operation or sched.operation
     header = (
         ["cycle"]
         + [f"region {r}" for r in range(sched.k)]
@@ -57,22 +62,21 @@ def render_timeline(
     lines = ["  ".join(h.ljust(column_width if i else 5)
                        for i, h in enumerate(header))]
     lines.append("-" * len(lines[0]))
-    shown = sched.timesteps
-    truncated = 0
-    if max_timesteps is not None and len(shown) > max_timesteps:
-        truncated = len(shown) - max_timesteps
-        shown = shown[:max_timesteps]
-    for t, ts in enumerate(shown):
-        cells = [str(t + 1).ljust(5)]
-        for nodes in ts.regions:
-            text = " ".join(
-                _op_text(sched, n, show_qubits) for n in nodes
-            )
+    shown = sched.length
+    if max_timesteps is not None:
+        shown = max(0, min(shown, max_timesteps))
+    blank = "".ljust(column_width)
+    for t, (moves, regions) in enumerate(
+        islice(sched.iter_timesteps(), shown)
+    ):
+        cells = [str(t + 1).ljust(5)] + [blank] * sched.k
+        for r, nodes in regions:
+            text = " ".join(_op_text(op_of(n), show_qubits) for n in nodes)
             if len(text) > column_width:
                 text = text[: column_width - 1] + "…"
-            cells.append(text.ljust(column_width))
-        teleports = sum(1 for m in ts.moves if m.kind == "teleport")
-        locals_ = sum(1 for m in ts.moves if m.kind == "local")
+            cells[1 + r] = text.ljust(column_width)
+        teleports = sum(1 for m in moves if m.kind == "teleport")
+        locals_ = len(moves) - teleports
         move_text = []
         if teleports:
             move_text.append(f"{teleports} teleport")
@@ -80,8 +84,8 @@ def render_timeline(
             move_text.append(f"{locals_} local")
         cells.append(", ".join(move_text))
         lines.append("  ".join(cells).rstrip())
-    if truncated:
-        lines.append(f"... ({truncated} more timesteps)")
+    if sched.length > shown:
+        lines.append(f"... ({sched.length - shown} more timesteps)")
     return "\n".join(lines)
 
 
@@ -103,8 +107,37 @@ def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
     The export is self-contained: ``statements`` lists every DAG
     node's operation in node order, and each placed op carries its
     ``node`` index, so two exports compare equal exactly when their
-    operations and placements do.
+    operations and placements do. Each timestep lists all ``k``
+    regions, idle ones as empty lists.
     """
+
+    def placed(n: int) -> Dict[str, Any]:
+        op = sched.operation(n)
+        return {
+            "node": n,
+            "gate": op.gate,
+            "qubits": [_qubit_name(q) for q in op.qubits],
+        }
+
+    timesteps = []
+    for moves, regions in sched.iter_timesteps():
+        lists: List[List[Dict[str, Any]]] = [[] for _ in range(sched.k)]
+        for r, nodes in regions:
+            lists[r] = [placed(n) for n in nodes]
+        timesteps.append(
+            {
+                "regions": lists,
+                "moves": [
+                    {
+                        "qubit": _qubit_name(m.qubit),
+                        "src": list(m.src),
+                        "dst": list(m.dst),
+                        "kind": m.kind,
+                    }
+                    for m in moves
+                ],
+            }
+        )
     return {
         "algorithm": sched.algorithm,
         "k": sched.k,
@@ -124,34 +157,7 @@ def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
                 sched.operation(n) for n in range(sched.dag.n)
             )
         ],
-        "timesteps": [
-            {
-                "regions": [
-                    [
-                        {
-                            "node": n,
-                            "gate": sched.operation(n).gate,
-                            "qubits": [
-                                _qubit_name(q)
-                                for q in sched.operation(n).qubits
-                            ],
-                        }
-                        for n in nodes
-                    ]
-                    for nodes in ts.regions
-                ],
-                "moves": [
-                    {
-                        "qubit": _qubit_name(m.qubit),
-                        "src": list(m.src),
-                        "dst": list(m.dst),
-                        "kind": m.kind,
-                    }
-                    for m in ts.moves
-                ],
-            }
-            for ts in sched.timesteps
-        ],
+        "timesteps": timesteps,
     }
 
 

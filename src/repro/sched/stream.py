@@ -1,10 +1,10 @@
 """Windowed columnar scheduling for paper-scale leaf bodies.
 
 The materialized pipeline spends ~1 KiB per gate: each op is a boxed
-``Operation`` with a qubit tuple, the DAG holds per-node Python lists,
-and the schedulers copy those into per-timestep region lists. At the
-paper's 10^7-gate leaves that is tens of GiB. This module runs the
-*same algorithms* over a columnar encoding at ~50 B per gate:
+``Operation`` with a qubit tuple, and the DAG holds per-node Python
+lists. At the paper's 10^7-gate leaves that is tens of GiB. This
+module runs the *same algorithms* over a columnar encoding at ~50 B
+per gate:
 
 * gates are interned ids in an ``array('H')``;
 * operands are interned qubit ids in one flat ``array('i')`` plus an
@@ -36,47 +36,42 @@ materialized pipeline: there is one kernel per algorithm.
 :func:`repro.sched.lpfs.lpfs_timesteps` and
 :func:`repro.sched.sequential.sequential_timesteps` over the columns —
 the same kernels :func:`~repro.sched.rcp.schedule_rcp` and friends run
-over a DAG's int-coded view. Movement derivation is one kernel, two
-adapters too: :func:`derive_movement_stream` and
-:func:`iter_schedule_epochs` run
-:func:`repro.sched.comm.movement_epochs` — the kernel
-:func:`repro.sched.comm.derive_movement` also drains — over the
-operand-use stream read off the columns' operands and the schedule's
-flat arrays. ``tests/test_stream_sched.py`` and the differential
+over a DAG's int-coded view — into the same flat
+:class:`~repro.sched.types.Schedule`, whose ``dag`` is ``None`` here
+(its nodes index the columns). Movement derivation is one builder too:
+:func:`derive_movement_stream` and :func:`iter_schedule_epochs` run
+:func:`repro.sched.comm.schedule_epochs` over the columns, as
+:func:`repro.sched.comm.derive_movement` runs it over a DAG's
+int-coded view. ``tests/test_stream_sched.py`` and the differential
 battery check the equivalence end to end.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..arch.machine import MultiSIMD, check_shape
-from ..core.dag import DependenceDAG
 from ..core.operation import Operation
 from ..core.opstream import OpStream, iter_chunks
 from ..core.qubits import Qubit
 from ..instrument import spanned
 from ..passes.stream import IntCodedBody, LeafStream
-from .comm import CommStats, movement_epochs, narrowest_typecode
+from .comm import CommStats, schedule_epochs
 from .lpfs import lpfs_timesteps
 from .rcp import RCPWeights, rcp_timesteps
 from .sequential import sequential_timesteps
-from .types import Move, Schedule
+from .types import Move, Regions, Schedule
 
 __all__ = [
     "StreamColumns",
     "build_columns",
-    "StreamedSchedule",
     "schedule_columns",
     "derive_movement_stream",
     "iter_schedule_epochs",
     "engine_epochs",
-    "to_schedule",
 ]
-
-_MAX_REGIONS = 2**16
 
 
 class StreamColumns:
@@ -115,7 +110,7 @@ class StreamColumns:
         return self.gate_names[self.gate_ids[node]]
 
     def operation(self, node: int) -> Operation:
-        """Rebox one node as an :class:`Operation` (tests, inflation)."""
+        """Rebox one node as an :class:`Operation` (timelines, replay)."""
         return Operation(
             self.gate_of(node),
             tuple(
@@ -303,62 +298,6 @@ def _link_columns(cols: StreamColumns, arity: array) -> None:
     cols.indeg_base = indeg
 
 
-class StreamedSchedule:
-    """A schedule in flat arrays: ~10 B per op instead of per-timestep
-    region lists of boxed ints.
-
-    Entries are stored timestep-major, region-ascending, insertion order
-    within a region — the order ``for r, nodes in enumerate(ts.regions)``
-    iterates a materialized :class:`~repro.sched.types.Schedule`.
-    """
-
-    def __init__(self, k: int, d: Optional[int], algorithm: str):
-        if k >= _MAX_REGIONS:
-            raise OverflowError(f"k={k} exceeds region-id width")
-        self.k = k
-        self.d = d
-        self.algorithm = algorithm
-        self.ts_off = array("i", [0])
-        self.flat_regions = array("H")
-        self.flat_nodes = array("i")
-        self.max_width = 0
-        self.op_count = 0
-
-    @property
-    def length(self) -> int:
-        return len(self.ts_off) - 1
-
-    def append_timestep(self, regions: Dict[int, List[int]]) -> None:
-        """Append one timestep's ``{region: nodes}`` map, as the
-        scheduler kernels yield it (all lists non-empty)."""
-        flat_r, flat_n = self.flat_regions, self.flat_nodes
-        for r in sorted(regions):
-            nodes = regions[r]
-            for node in nodes:
-                flat_r.append(r)
-                flat_n.append(node)
-            self.op_count += len(nodes)
-        self.ts_off.append(len(flat_n))
-        if len(regions) > self.max_width:
-            self.max_width = len(regions)
-
-    def regions_at(self, t: int) -> List[Tuple[int, List[int]]]:
-        """The non-empty regions of timestep ``t`` as ``(r, nodes)``,
-        region-ascending (entries are stored grouped and sorted)."""
-        flat_r, flat_n = self.flat_regions, self.flat_nodes
-        out: List[Tuple[int, List[int]]] = []
-        j = self.ts_off[t]
-        end = self.ts_off[t + 1]
-        while j < end:
-            r = flat_r[j]
-            nodes: List[int] = []
-            while j < end and flat_r[j] == r:
-                nodes.append(flat_n[j])
-                j += 1
-            out.append((r, nodes))
-        return out
-
-
 @spanned("stream:schedule")
 def schedule_columns(
     cols: StreamColumns,
@@ -369,10 +308,11 @@ def schedule_columns(
     lpfs_simd: bool = True,
     lpfs_refill: bool = True,
     rcp_weights: Optional[RCPWeights] = None,
-) -> StreamedSchedule:
+) -> Schedule:
     """Schedule columns with the named algorithm's kernel (same option
     surface as :class:`repro.toolflow.SchedulerConfig`, including the
-    l <= k clamp)."""
+    l <= k clamp). The result is a columnar :class:`Schedule`
+    (``dag=None``): its nodes index ``cols``."""
     check_shape(k, d)
     if algorithm == "sequential":
         timesteps = sequential_timesteps(cols.n)
@@ -392,96 +332,62 @@ def schedule_columns(
         )
     else:
         raise ValueError(f"unknown scheduling algorithm: {algorithm!r}")
-    out = StreamedSchedule(k, d, algorithm)
+    out = Schedule(None, k, d, algorithm)
     for regions in timesteps:
         out.append_timestep(regions)
     return out
 
 
 # ---------------------------------------------------------------------------
-# Movement derivation (adapter over sched.comm.movement_epochs)
+# Movement derivation (over sched.comm.schedule_epochs)
 # ---------------------------------------------------------------------------
-
-
-def _epochs(
-    cols: StreamColumns,
-    ssched: StreamedSchedule,
-    machine: MultiSIMD,
-    stats: CommStats,
-) -> Iterator[List[Move]]:
-    """The movement kernel over ``ssched``'s operand-use stream, read
-    off the flat arrays in one pass: a qubit id and a region per use,
-    each in the narrowest ``array`` type (1 B while there are at most
-    256 qubits and regions), and one ``int`` per timestep."""
-    k = ssched.k
-    op_q, op_off = cols.op_q, cols.op_off
-    use_q = array(narrowest_typecode(0, len(cols.qubits) - 1))
-    use_r = array(narrowest_typecode(0, k - 1))
-    use_off = array("i", [0])
-    put_q, put_r, end_ts = use_q.append, use_r.append, use_off.append
-    entries = zip(ssched.flat_nodes, ssched.flat_regions)
-    ts_off = ssched.ts_off
-    for start, end in zip(ts_off, islice(ts_off, 1, None)):
-        for node, r in islice(entries, end - start):
-            for qid in op_q[op_off[node] : op_off[node + 1]]:
-                put_q(qid)
-                put_r(r)
-        end_ts(len(use_q))
-    return movement_epochs(
-        cols.qubits, use_q, use_r, use_off, k, machine, stats
-    )
 
 
 def iter_schedule_epochs(
     cols: StreamColumns,
-    ssched: StreamedSchedule,
+    sched: Schedule,
     machine: MultiSIMD,
     stats: CommStats,
-) -> Iterator[Tuple[int, List[Move], List[Tuple[int, List[int]]]]]:
-    """Derive movement epoch-at-a-time, yielding
-    ``(t, moves, regions)`` per timestep (``regions`` is
-    ``ssched.regions_at(t)``) and accumulating into ``stats``:
-    :func:`~repro.sched.comm.movement_epochs` — the kernel
-    :func:`~repro.sched.comm.derive_movement` also drains — run over
-    the columns' CSR operands and the schedule's flat arrays. Peak
-    memory is the kernel's operand-use stream — 3 B per operand use
-    (qubit id, region, next-use region) while qubits and regions
-    number at most 256 and 128, and 4 B per timestep — never the
-    epochs themselves.
+) -> Iterator[Tuple[int, List[Move], Regions]]:
+    """Derive movement epoch-at-a-time, yielding ``(t, moves,
+    regions)`` per timestep (as :meth:`Schedule.iter_timesteps` does)
+    and accumulating into ``stats``. Peak memory is the movement
+    kernel's operand-use stream — 3 B per operand use (qubit id,
+    region, next-use region) while qubits and regions number at most
+    256 and 128, and 4 B per timestep — never the epochs themselves.
     """
-    regions_at = ssched.regions_at
-    for t, epoch in enumerate(_epochs(cols, ssched, machine, stats)):
-        yield t, epoch, regions_at(t)
+    epochs = schedule_epochs(cols, sched, machine, stats)
+    for t, (epoch, regions) in enumerate(sched.iter_timesteps(epochs)):
+        yield t, epoch, regions
 
 
 @spanned("stream:derive_movement")
 def derive_movement_stream(
     cols: StreamColumns,
-    ssched: StreamedSchedule,
+    sched: Schedule,
     machine: MultiSIMD,
-    sink: Optional[
-        Callable[[int, List[Move], List[Tuple[int, List[int]]]], None]
-    ] = None,
+    sink: Optional[Callable[[int, List[Move], Regions], None]] = None,
 ) -> CommStats:
-    """Derive the movement of ``ssched`` and return the communication
-    profile; ``sink`` (if given) observes each epoch as it retires, as
-    ``sink(t, moves, ssched.regions_at(t))`` — the out-of-core export
-    hook. Without a sink no region list is built."""
+    """Derive the movement of columnar ``sched`` and return the
+    communication profile; ``sink`` (if given) observes each epoch as
+    it retires, as ``sink(t, moves, regions)`` — the out-of-core export
+    hook. Without a sink no region list is built and no epoch is
+    kept."""
     stats = CommStats()
-    epochs = _epochs(cols, ssched, machine, stats)
     if sink is None:
-        for _ in epochs:
+        for _ in schedule_epochs(cols, sched, machine, stats):
             pass
     else:
-        regions_at = ssched.regions_at
-        for t, epoch in enumerate(epochs):
-            sink(t, epoch, regions_at(t))
+        for t, epoch, regions in iter_schedule_epochs(
+            cols, sched, machine, stats
+        ):
+            sink(t, epoch, regions)
     return stats
 
 
 def engine_epochs(
     cols: StreamColumns,
-    ssched: StreamedSchedule,
+    sched: Schedule,
     machine: MultiSIMD,
 ) -> Iterator[Tuple[List[Move], List[Tuple[int, str, int]]]]:
     """Adapt :func:`iter_schedule_epochs` to the engine's streamed
@@ -493,27 +399,12 @@ def engine_epochs(
     gate_names = cols.gate_names
     gate_ids = cols.gate_ids
     for _, epoch, regions in iter_schedule_epochs(
-        cols, ssched, machine, stats
+        cols, sched, machine, stats
     ):
         yield epoch, [
             (r, gate_names[gate_ids[nodes[0]]], len(nodes))
             for r, nodes in regions
-            if nodes
         ]
 
 
-# ---------------------------------------------------------------------------
-# Inflation (tests / small inputs)
-# ---------------------------------------------------------------------------
 
-
-def to_schedule(cols: StreamColumns, ssched: StreamedSchedule) -> Schedule:
-    """Inflate a streamed schedule to a boxed :class:`Schedule` (small
-    inputs and the differential battery only — this rematerializes the
-    full op list)."""
-    statements = [cols.operation(i) for i in range(cols.n)]
-    dag = DependenceDAG(statements)
-    sched = Schedule(dag, k=ssched.k, d=ssched.d, algorithm=ssched.algorithm)
-    for t in range(ssched.length):
-        sched.append_timestep(dict(ssched.regions_at(t)))
-    return sched

@@ -6,16 +6,22 @@ of the qubits that will be moved and their sources and destinations ...
 The remaining SIMD regions contain an unsorted list of operations to be
 performed in that region."
 
-We follow that layout: a :class:`Timestep` holds ``k`` per-region node
-lists (nodes are indices into the scheduled DAG's statement list) plus
-the movement list for the epoch *preceding* the timestep; region 0 of
-the paper is the ``moves`` field here.
+We follow that layout in flat arrays. A :class:`Schedule` lists every
+placed op once, timestep-major and region-ascending: ``flat_nodes``
+holds the node (an index into the scheduled DAG's statement list, or
+into a columnar leaf's :class:`~repro.sched.stream.StreamColumns`),
+``flat_regions`` its region, and timestep ``t`` owns entries
+``ts_off[t]:ts_off[t + 1]``. Region 0 of the paper is ``moves``: the
+movement epoch *preceding* each timestep, one list per timestep once
+:func:`~repro.sched.comm.derive_movement` has attached them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from array import array
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.dag import DependenceDAG
 from ..core.operation import Operation
@@ -23,7 +29,6 @@ from ..core.qubits import Qubit
 
 __all__ = [
     "Move",
-    "Timestep",
     "Schedule",
     "ScheduleError",
     "ScheduleViolation",
@@ -33,15 +38,8 @@ __all__ = [
 class ScheduleError(Exception):
     """Raised when a schedule violates a Multi-SIMD execution invariant.
 
-    Historically this subclassed :class:`AssertionError`, which made the
-    checks vanish under ``python -O``; it is now a plain
-    :class:`Exception` (``ScheduleAssertionError`` remains as a
-    deprecated alias).
+    A plain :class:`Exception`, so the checks survive ``python -O``.
     """
-
-
-#: Deprecated alias for the pre-1.1 AssertionError-based name.
-ScheduleAssertionError = ScheduleError
 
 
 @dataclass(frozen=True)
@@ -84,42 +82,31 @@ class Move:
             raise ValueError(f"degenerate move of {self.qubit!r}")
 
 
-@dataclass
-class Timestep:
-    """One logical timestep: per-region op lists plus the preceding
-    movement epoch."""
-
-    regions: List[List[int]]
-    moves: List[Move] = field(default_factory=list)
-
-    def active_regions(self) -> List[int]:
-        """Region indices that execute at least one op this timestep."""
-        return [r for r, ops in enumerate(self.regions) if ops]
-
-    @property
-    def width(self) -> int:
-        """Number of simultaneously active regions."""
-        return len(self.active_regions())
-
-    def all_nodes(self) -> List[int]:
-        return [n for ops in self.regions for n in ops]
+#: One timestep's busy regions as ``(region, nodes)``, region-ascending.
+Regions = List[Tuple[int, List[int]]]
 
 
 class Schedule:
-    """A fine-grained schedule of one module's DAG on a Multi-SIMD(k,d)
+    """A fine-grained schedule of one module on a Multi-SIMD(k,d)
     machine.
 
     Attributes:
-        dag: the scheduled dependence DAG.
+        dag: the scheduled dependence DAG, or ``None`` for a columnar
+            leaf (its ops live in the leaf's
+            :class:`~repro.sched.stream.StreamColumns`).
         k: region count the schedule was built for.
         d: per-region data-parallel width limit (None = unbounded).
-        timesteps: the schedule body.
         algorithm: name of the producing scheduler (for reports).
+        ts_off / flat_regions / flat_nodes: the body (module docstring).
+        max_width: most regions busy in one timestep — the blackbox
+            *width* the coarse scheduler uses (Section 4.3).
+        moves: the movement epoch preceding each timestep; empty until
+            movement is attached.
     """
 
     def __init__(
         self,
-        dag: DependenceDAG,
+        dag: Optional[DependenceDAG],
         k: int,
         d: Optional[int] = None,
         algorithm: str = "",
@@ -128,65 +115,109 @@ class Schedule:
         self.k = k
         self.d = d
         self.algorithm = algorithm
-        self.timesteps: List[Timestep] = []
+        self.ts_off = array("i", [0])
+        self.flat_regions = array("H")
+        self.flat_nodes = array("i")
+        self.max_width = 0
+        self.moves: List[List[Move]] = []
 
     # -- construction -----------------------------------------------------
 
-    def append_timestep(
-        self, regions: Optional[Dict[int, List[int]]] = None
-    ) -> Timestep:
-        """Append a timestep, empty or holding ``regions``
-        (``{region: nodes}``, as the scheduler kernels yield it)."""
-        ts = Timestep(regions=[[] for _ in range(self.k)])
-        if regions:
-            for r, nodes in regions.items():
-                ts.regions[r] = nodes
-        self.timesteps.append(ts)
-        return ts
+    def append_timestep(self, regions: Dict[int, Sequence[int]]) -> None:
+        """Append one timestep's ``{region: nodes}`` map, as the
+        scheduler kernels yield it; empty node lists are skipped."""
+        flat_r, flat_n = self.flat_regions, self.flat_nodes
+        width = 0
+        for r in sorted(regions):
+            nodes = regions[r]
+            if nodes:
+                width += 1
+                for node in nodes:
+                    flat_r.append(r)
+                    flat_n.append(node)
+        self.ts_off.append(len(flat_n))
+        if width > self.max_width:
+            self.max_width = width
 
     # -- shape -----------------------------------------------------------
 
     @property
     def length(self) -> int:
         """Schedule length in op timesteps (communication excluded)."""
-        return len(self.timesteps)
+        return len(self.ts_off) - 1
 
     @property
     def op_count(self) -> int:
-        return self.dag.n
-
-    @property
-    def max_width(self) -> int:
-        """Highest degree of region parallelism in any timestep — the
-        blackbox *width* the coarse scheduler uses (Section 4.3)."""
-        return max((ts.width for ts in self.timesteps), default=0)
+        """Ops placed (``dag.n`` for every scheduler-built schedule)."""
+        return len(self.flat_nodes)
 
     @property
     def total_moves(self) -> int:
-        return sum(len(ts.moves) for ts in self.timesteps)
+        return sum(map(len, self.moves))
 
     @property
     def teleport_moves(self) -> int:
         return sum(
-            1
-            for ts in self.timesteps
-            for m in ts.moves
-            if m.kind == "teleport"
+            1 for epoch in self.moves for m in epoch if m.kind == "teleport"
         )
 
     @property
     def local_moves(self) -> int:
         return sum(
-            1 for ts in self.timesteps for m in ts.moves if m.kind == "local"
+            1 for epoch in self.moves for m in epoch if m.kind == "local"
         )
 
+    # -- reading -----------------------------------------------------------
+
+    def iter_timesteps(
+        self, moves: Optional[Iterable[List[Move]]] = None
+    ) -> Iterator[Tuple[List[Move], Regions]]:
+        """Yield ``(moves, regions)`` per timestep in one pass over the
+        flat arrays: the movement epoch preceding the timestep, then its
+        busy regions as ``(region, nodes)``, region-ascending.
+
+        ``moves`` defaults to the attached epochs (an empty list for a
+        timestep without). A caller deriving movement on the fly passes
+        its epoch iterator instead; it is drained to the end, so a
+        generator that bills when exhausted has billed by the time this
+        iterator is.
+        """
+        if moves is None:
+            # Fresh empty lists past the attached epochs.
+            moves = chain(self.moves, iter(list, None))
+        flat_r, flat_n = self.flat_regions, self.flat_nodes
+        j = 0
+        for epoch, end in zip(moves, islice(self.ts_off, 1, None)):
+            regions: Regions = []
+            while j < end:
+                r = flat_r[j]
+                start = j
+                j += 1
+                while j < end and flat_r[j] == r:
+                    j += 1
+                regions.append((r, flat_n[start:j].tolist()))
+            yield epoch, regions
+
+    def regions_at(self, t: int) -> Regions:
+        """Timestep ``t``'s busy regions as ``(region, nodes)``."""
+        a, b = self.ts_off[t], self.ts_off[t + 1]
+        out: Regions = []
+        for r, node in zip(self.flat_regions[a:b], self.flat_nodes[a:b]):
+            if out and out[-1][0] == r:
+                out[-1][1].append(node)
+            else:
+                out.append((r, [node]))
+        return out
+
     def placement(self) -> Dict[int, Tuple[int, int]]:
-        """Map of DAG node -> (timestep, region)."""
+        """Map of node -> (timestep, region)."""
         out: Dict[int, Tuple[int, int]] = {}
-        for t, ts in enumerate(self.timesteps):
-            for r, nodes in enumerate(ts.regions):
-                for n in nodes:
-                    out[n] = (t, r)
+        ts_off = self.ts_off
+        t = 0
+        for j, (r, n) in enumerate(zip(self.flat_regions, self.flat_nodes)):
+            while ts_off[t + 1] <= j:
+                t += 1
+            out[n] = (t, r)
         return out
 
     def operation(self, node: int) -> Operation:
@@ -204,7 +235,7 @@ class Schedule:
 
         * every DAG node scheduled exactly once;
         * dependencies strictly ordered across timesteps;
-        * at most ``k`` regions used, each with at most ``d`` ops;
+        * only regions ``0..k-1`` used, each with at most ``d`` ops;
         * one gate *type* per region per timestep (SIMD semantics);
         * no qubit touched twice within a timestep.
 
@@ -212,29 +243,30 @@ class Schedule:
         auditor (:func:`repro.analysis.audit_schedule`) drains the
         full stream into diagnostics.
         """
+        n = self.dag.n
         placed = self.placement()
         occurrences: Dict[int, int] = {}
-        for ts in self.timesteps:
-            for n in ts.all_nodes():
-                occurrences[n] = occurrences.get(n, 0) + 1
-        if len(placed) != self.dag.n:
-            missing = set(range(self.dag.n)) - set(placed)
+        for node in self.flat_nodes:
+            occurrences[node] = occurrences.get(node, 0) + 1
+        if len(placed) != n:
+            missing = set(range(n)) - set(placed)
             yield ScheduleViolation(
                 "QL201",
                 f"{len(missing)} ops unscheduled "
                 f"(e.g. {sorted(missing)[:5]})",
             )
-        for n, count in sorted(occurrences.items()):
+        for node, count in sorted(occurrences.items()):
             if count > 1:
                 yield ScheduleViolation(
                     "QL201",
-                    f"node {n} scheduled {count} times",
+                    f"node {node} scheduled {count} times",
                 )
-        for node in range(self.dag.n):
+        preds = self.dag.preds
+        for node in range(n):
             if node not in placed:
                 continue
             t, _ = placed[node]
-            for p in self.dag.preds[node]:
+            for p in preds[node]:
                 if p not in placed:
                     continue
                 tp, _ = placed[p]
@@ -245,16 +277,15 @@ class Schedule:
                         f"precede node {node} (ts {t})",
                         timestep=t,
                     )
-        for t, ts in enumerate(self.timesteps):
-            if len(ts.regions) > self.k:
-                yield ScheduleViolation(
-                    "QL203",
-                    f"timestep {t} uses {len(ts.regions)} regions "
-                    f"(k={self.k})",
-                    timestep=t,
-                )
+        for t, (_, regions) in enumerate(self.iter_timesteps()):
             seen_qubits: Dict[Qubit, int] = {}
-            for r, nodes in enumerate(ts.regions):
+            for r, nodes in regions:
+                if r >= self.k:
+                    yield ScheduleViolation(
+                        "QL203",
+                        f"timestep {t} uses region {r} (k={self.k})",
+                        timestep=t,
+                    )
                 if self.d is not None and len(nodes) > self.d:
                     yield ScheduleViolation(
                         "QL203",

@@ -20,8 +20,9 @@ execution engine, so neither side ever holds more than one epoch:
   a truncation check.
 
 Files ending in ``.gz`` are transparently gzip-compressed (the CI
-artifact form). Small files can be inflated back to a boxed
-:class:`~repro.sched.types.Schedule` for the differential battery.
+artifact form). Small files can be inflated back to a
+:class:`~repro.sched.types.Schedule` with its DAG and moves for the
+differential battery.
 
 The reader trusts nothing: every id, region and location is checked
 against the header, and any malformed line raises
@@ -45,12 +46,8 @@ from ..sched.report import (
     _parse_qubit,
     _qubit_name,
 )
-from ..sched.stream import (
-    StreamColumns,
-    StreamedSchedule,
-    derive_movement_stream,
-)
-from ..sched.types import Move, Schedule
+from ..sched.stream import StreamColumns, derive_movement_stream
+from ..sched.types import Move, Regions, Schedule
 
 __all__ = [
     "STREAM_SCHEMA",
@@ -108,11 +105,12 @@ def _loc_to_json(loc: tuple) -> List[Any]:
 def write_schedule_stream(
     path: str,
     cols: StreamColumns,
-    ssched: StreamedSchedule,
+    sched: Schedule,
     machine: MultiSIMD,
     module: str = "",
 ) -> CommStats:
-    """Derive movement for ``ssched`` and export it epoch-at-a-time.
+    """Derive movement for columnar ``sched`` and export it
+    epoch-at-a-time.
 
     Returns the communication profile (also written to the footer).
     Memory is bounded by one epoch plus the derivation state — the file
@@ -127,23 +125,19 @@ def write_schedule_stream(
         header = {
             "schema": STREAM_SCHEMA,
             "module": module,
-            "algorithm": ssched.algorithm,
-            "k": ssched.k,
-            "d": ssched.d,
-            "op_count": ssched.op_count,
-            "length": ssched.length,
-            "max_width": ssched.max_width,
+            "algorithm": sched.algorithm,
+            "k": sched.k,
+            "d": sched.d,
+            "op_count": sched.op_count,
+            "length": sched.length,
+            "max_width": sched.max_width,
             "qubits": [_qubit_name(q) for q in cols.qubits],
             "gates": list(cols.gate_names),
         }
         fh.write(json.dumps(header, separators=(",", ":")))
         fh.write("\n")
 
-        def sink(
-            t: int,
-            epoch: List[Move],
-            regions: List[Tuple[int, List[int]]],
-        ) -> None:
+        def sink(t: int, epoch: List[Move], regions: Regions) -> None:
             moves = [
                 [
                     qubit_ids[id(m.qubit)],
@@ -175,10 +169,10 @@ def write_schedule_stream(
             )
             fh.write("\n")
 
-        stats = derive_movement_stream(cols, ssched, machine, sink=sink)
+        stats = derive_movement_stream(cols, sched, machine, sink=sink)
         footer = {
             "comm": _comm_to_dict(stats),
-            "timesteps": ssched.length,
+            "timesteps": sched.length,
         }
         fh.write(json.dumps(footer, separators=(",", ":")))
         fh.write("\n")
@@ -439,33 +433,27 @@ def execute_schedule_stream(
 
 
 def inflate_schedule_stream(path: str) -> Tuple[Schedule, CommStats]:
-    """Rebuild a boxed :class:`Schedule` (with moves) from a stream
+    """Rebuild a :class:`Schedule` with its DAG and moves from a stream
     export — small files only; this rematerializes everything."""
     header, epochs, footer_box = read_schedule_stream(path)
     n = header["op_count"]
     statements: List[Optional[Operation]] = [None] * n
-    placements: List[Tuple[List[Move], List[Tuple[int, List[int]]]]] = []
+    sched = Schedule(
+        None, k=header["k"], d=header["d"], algorithm=header["algorithm"]
+    )
     for epoch in epochs:
-        regions: List[Tuple[int, List[int]]] = []
+        regions: Dict[int, List[int]] = {}
         for r, ops in epoch.regions:
-            nodes = []
+            nodes = regions.setdefault(r, [])
             for node, op in ops:
                 statements[node] = op
                 nodes.append(node)
-            regions.append((r, nodes))
-        placements.append((epoch.moves, regions))
+        sched.append_timestep(regions)
+        sched.moves.append(epoch.moves)
     missing = sum(1 for s in statements if s is None)
     if missing:
         raise ValueError(f"stream schedules only {n - missing}/{n} ops")
-    dag = DependenceDAG(statements)
-    sched = Schedule(
-        dag, k=header["k"], d=header["d"], algorithm=header["algorithm"]
-    )
-    for moves, regions in placements:
-        ts = sched.append_timestep()
-        ts.moves = moves
-        for r, nodes in regions:
-            ts.regions[r].extend(nodes)
+    sched.dag = DependenceDAG(statements)
     stats = footer_box[0]
     assert stats is not None
     return sched, stats

@@ -82,7 +82,6 @@ __all__ = [
     "check_permutation_reversible",
     "verify_equivalent",
     "verify_reference",
-    "schedule_ops",
     "streamed_schedule_ops",
 ]
 
@@ -814,51 +813,29 @@ def check_permutation_reversible(
     return report.ok
 
 
-def schedule_ops(sched: "ScheduleLike") -> Iterator[Operation]:
-    """Linearize a materialized schedule into replay order: timestep-
-    major, region index ascending, insertion order within a region —
-    the order every consumer of :class:`~repro.sched.types.Schedule`
-    walks it in."""
-    for ts in sched.timesteps:
-        for nodes in ts.regions:
-            for node in nodes:
-                yield sched.operation(node)
-
-
 def streamed_schedule_ops(
-    cols: "ColumnsLike", ssched: "StreamedScheduleLike"
+    cols: "ColumnsLike", sched: "ScheduleLike"
 ) -> Iterator[Operation]:
-    """Linearize a streamed schedule the same way (regions_at already
-    yields regions in ascending order)."""
-    for t in range(ssched.length):
-        for _r, nodes in ssched.regions_at(t):
-            for node in nodes:
-                yield cols.operation(node)
-
-
-class ScheduleLike:
-    """Structural protocol for :func:`schedule_ops` (duck-typed to keep
-    this module import-light)."""
-
-    timesteps: Sequence["TimestepLike"]
-
-    def operation(self, node: int) -> Operation:  # pragma: no cover
-        raise NotImplementedError
-
-
-class TimestepLike:
-    regions: Sequence[Sequence[int]]
+    """Linearize a schedule into replay order: timestep-major, region
+    index ascending, insertion order within a region — the order of
+    its ``flat_nodes``. ``cols`` looks each node's op up: a columnar
+    leaf's :class:`~repro.sched.stream.StreamColumns`, or a
+    materialized :class:`~repro.sched.types.Schedule` itself."""
+    operation = cols.operation
+    for node in sched.flat_nodes:
+        yield operation(node)
 
 
 class ColumnsLike:
+    """Structural protocol for :func:`streamed_schedule_ops`' op
+    source (duck-typed to keep this module import-light)."""
+
     def operation(self, node: int) -> Operation:  # pragma: no cover
         raise NotImplementedError
 
 
-class StreamedScheduleLike:
-    length: int
+class ScheduleLike:
+    """Structural protocol for :func:`streamed_schedule_ops`' schedule
+    (:class:`~repro.sched.types.Schedule`)."""
 
-    def regions_at(
-        self, t: int
-    ) -> Sequence[Tuple[int, Sequence[int]]]:  # pragma: no cover
-        raise NotImplementedError
+    flat_nodes: Sequence[int]

@@ -58,7 +58,6 @@ from .sched.rcp import schedule_rcp
 from .sched.sequential import schedule_sequential
 from .sched.stream import (
     StreamColumns,
-    StreamedSchedule,
     build_columns,
     derive_movement_stream,
     schedule_columns,
@@ -417,13 +416,13 @@ def compile_and_schedule(
             if keep_schedules and w == k:
                 schedules[name] = sched
             if verify and w == k:
-                from .sim.reversible import schedule_ops
+                from .sim.reversible import streamed_schedule_ops
 
                 with span("toolflow:verify"):
                     _verify_leaf(
                         name,
                         mod.operations(),
-                        schedule_ops(sched),
+                        streamed_schedule_ops(sched, sched),
                         mod.qubits(),
                     )
                 verified_names.append(name)
@@ -493,18 +492,19 @@ class StreamedCompileResult(CompileResult):
     ``program`` is the *input* (hierarchical, unexpanded) program —
     the streamed pipeline never rewrites it — and ``schedules`` is
     empty; retained leaf schedules live in ``stream_schedules`` /
-    ``columns`` in their compact columnar form (inflate via
-    :func:`repro.sched.stream.to_schedule`, export via
-    :func:`repro.service.stream_io.write_schedule_stream`). All metric
+    ``columns`` in their compact columnar form: each is a
+    :class:`~repro.sched.types.Schedule` with ``dag=None`` whose nodes
+    index its leaf's :class:`~repro.sched.stream.StreamColumns`
+    (export via :func:`repro.service.stream_io.write_schedule_stream`,
+    render via :func:`repro.sched.report.render_timeline` with the
+    columns' ``operation``). All metric
     fields and properties carry the same values the materialized
     pipeline computes — ``tests/test_stream_sched.py`` asserts profile,
     gate-count and critical-path equality per module.
     """
 
     window: Optional[int] = DEFAULT_WINDOW
-    stream_schedules: Dict[str, StreamedSchedule] = field(
-        default_factory=dict
-    )
+    stream_schedules: Dict[str, Schedule] = field(default_factory=dict)
     columns: Dict[str, StreamColumns] = field(default_factory=dict)
     leaf_comm: Dict[str, CommStats] = field(default_factory=dict)
 
@@ -577,7 +577,7 @@ def compile_and_schedule_streamed(
         else None
     )
     profiles: Dict[str, ModuleProfile] = {}
-    stream_schedules: Dict[str, StreamedSchedule] = {}
+    stream_schedules: Dict[str, Schedule] = {}
     columns: Dict[str, StreamColumns] = {}
     leaf_comm: Dict[str, CommStats] = {}
     cp: Dict[str, int] = {}

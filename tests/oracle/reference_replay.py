@@ -66,14 +66,14 @@ def replay_schedule_reference(
     local_epochs = 0
     suffix: Optional[List[Set[Qubit]]] = None
 
-    for t, ts in enumerate(sched.timesteps):
+    for t, (moves, regions) in enumerate(sched.iter_timesteps()):
         # --- movement epoch preceding the timestep ----------------------
-        for move in ts.moves:
+        for move in moves:
             _apply_move(move, t, location, pad_occupancy, machine, emit)
         for r, pad in pad_occupancy.items():
             if len(pad) > peak[r]:
                 peak[r] = len(pad)
-        teleports, locals_ = split_epoch(ts.moves)
+        teleports, locals_ = split_epoch(moves)
         runtime += epoch_cycles(len(teleports), len(locals_))
         if teleports:
             teleport_epochs += 1
@@ -82,9 +82,7 @@ def replay_schedule_reference(
         # --- execute the timestep ----------------------------------------
         active: Set[int] = set()
         used_here: Dict[Qubit, int] = {}
-        for r, nodes in enumerate(ts.regions):
-            if not nodes:
-                continue
+        for r, nodes in regions:
             active.add(r)
             for n in nodes:
                 op = sched.operation(n)
@@ -197,10 +195,11 @@ def _apply_move(
 def _future_uses(sched: Schedule) -> List[Set[Qubit]]:
     """``suffix[t]``: the qubits used at any timestep >= t, for
     ``t`` in ``0..length`` (``suffix[length]`` is empty)."""
+    steps = [regions for _, regions in sched.iter_timesteps()]
     suffix: List[Set[Qubit]] = [set() for _ in range(sched.length + 1)]
     for i in range(sched.length - 1, -1, -1):
         bucket = set(suffix[i + 1])
-        for nodes in sched.timesteps[i].regions:
+        for _, nodes in steps[i]:
             for n in nodes:
                 bucket.update(sched.operation(n).qubits)
         suffix[i] = bucket

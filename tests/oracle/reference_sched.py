@@ -8,8 +8,8 @@ They are kept verbatim as the executable specification the kernels in
 ``repro.core.dag`` and ``repro.sched`` are verified against: the
 differential battery (``tests/test_differential.py``) swaps them in
 with :func:`tests.oracle.reference_swapped` and asserts byte-identical
-``Schedule.to_dict()`` output on hundreds of generated programs and on
-every registry program.
+:func:`~repro.sched.report.schedule_to_dict` exports on hundreds of
+generated programs and on every registry program.
 
 The one deliberate semantic change shared by both implementations is
 RCP's deterministic tie-break: ``getMaxWeightSimdOpType`` historically
@@ -101,7 +101,7 @@ def schedule_rcp_reference(dag, k, d=None, weights=None):
     scheduled = 0
 
     while scheduled < dag.n:
-        ts = sched.append_timestep()
+        regions: List[List[int]] = [[] for _ in range(k)]
         available = list(range(k))
         placed_this_ts: List[int] = []
         while available and ready:
@@ -109,12 +109,13 @@ def schedule_rcp_reference(dag, k, d=None, weights=None):
                 dag, ready, available, location, slack, w
             )
             batch = _extract_optype(dag, ready, in_ready, gate, d)
-            ts.regions[region].extend(batch)
+            regions[region].extend(batch)
             placed_this_ts.extend(batch)
             for node in batch:
                 for q in dag.statements[node].qubits:
                     location[q] = region
             available.remove(region)
+        sched.append_timestep(dict(enumerate(regions)))
         for node in placed_this_ts:
             for child in dag.succs[node]:
                 indeg[child] -= 1
@@ -209,7 +210,7 @@ def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
 
     scheduled = 0
     while scheduled < dag.n:
-        ts = sched.append_timestep()
+        regions: List[List[int]] = [[] for _ in range(k)]
         placed: List[int] = []
         for i in range(l):
             if refill and not paths[i]:
@@ -221,7 +222,7 @@ def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
                 head = path.popleft()
                 in_ready.discard(head)
                 on_path.discard(head)
-                ts.regions[i].append(head)
+                regions[i].append(head)
                 placed.append(head)
                 if simd:
                     gate = dag.statements[head].gate
@@ -229,7 +230,7 @@ def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
                     batch = _extract_free(
                         dag, ready, in_ready, on_path, gate, cap
                     )
-                    ts.regions[i].extend(batch)
+                    regions[i].extend(batch)
                     placed.extend(batch)
             elif simd:
                 gate = _most_common_free_gate(dag, ready, in_ready, on_path)
@@ -237,14 +238,14 @@ def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
                     batch = _extract_free(
                         dag, ready, in_ready, on_path, gate, d
                     )
-                    ts.regions[i].extend(batch)
+                    regions[i].extend(batch)
                     placed.extend(batch)
         for i in range(l, k):
             gate = _oldest_free_gate(dag, ready, in_ready, on_path)
             if gate is None:
                 break
             batch = _extract_free(dag, ready, in_ready, on_path, gate, d)
-            ts.regions[i].extend(batch)
+            regions[i].extend(batch)
             placed.extend(batch)
         if not placed:
             node = None
@@ -260,8 +261,9 @@ def schedule_lpfs_reference(dag, k, d=None, l=1, simd=True, refill=True):
             for i in range(l):
                 if paths[i] and paths[i][0] == node:
                     paths[i].popleft()
-            ts.regions[0].append(node)
+            regions[0].append(node)
             placed.append(node)
+        sched.append_timestep(dict(enumerate(regions)))
         done.update(placed)
         for node in placed:
             for child in dag.succs[node]:
@@ -367,12 +369,18 @@ def _loc_label(loc: tuple) -> str:
 def derive_movement_reference(sched, machine: MultiSIMD):
     """Pre-optimization movement derivation: the eviction pass scans
     the whole memory map every timestep."""
-    for ts in sched.timesteps:
-        ts.moves = []
+    # Each timestep as k region lists, idle regions empty.
+    timesteps: List[List[List[int]]] = []
+    for _, busy in sched.iter_timesteps():
+        regions: List[List[int]] = [[] for _ in range(sched.k)]
+        for r, nodes in busy:
+            regions[r] = nodes
+        timesteps.append(regions)
+    moves: List[List[Move]] = []
 
     uses: Dict[Qubit, List[Tuple[int, int]]] = {}
-    for t, ts in enumerate(sched.timesteps):
-        for r, nodes in enumerate(ts.regions):
+    for t, regions in enumerate(timesteps):
+        for r, nodes in enumerate(regions):
             for n in nodes:
                 for q in sched.dag.statements[n].qubits:
                     uses.setdefault(q, []).append((t, r))
@@ -389,10 +397,10 @@ def derive_movement_reference(sched, machine: MultiSIMD):
     )
     pending_evictions: List[Move] = []
 
-    for t, ts in enumerate(sched.timesteps):
+    for t, regions in enumerate(timesteps):
         epoch: List[Move] = list(pending_evictions)
         pending_evictions = []
-        for r, nodes in enumerate(ts.regions):
+        for r, nodes in enumerate(regions):
             target = ("region", r)
             for n in nodes:
                 for q in sched.dag.statements[n].qubits:
@@ -412,15 +420,15 @@ def derive_movement_reference(sched, machine: MultiSIMD):
                     while i < len(uses[q]) and uses[q][i][0] <= t:
                         i += 1
                     next_use_idx[q] = i
-        ts.moves = epoch
+        moves.append(epoch)
         _bill_epoch(epoch, stats)
-        if t + 1 < len(sched.timesteps):
-            next_ts = sched.timesteps[t + 1]
+        if t + 1 < len(timesteps):
+            next_regions = timesteps[t + 1]
             active_next = {
-                r for r, nodes in enumerate(next_ts.regions) if nodes
+                r for r, nodes in enumerate(next_regions) if nodes
             }
             used_next: Dict[Qubit, int] = {}
-            for r, nodes in enumerate(next_ts.regions):
+            for r, nodes in enumerate(next_regions):
                 for n in nodes:
                     for q in sched.dag.statements[n].qubits:
                         used_next[q] = r
@@ -448,6 +456,7 @@ def derive_movement_reference(sched, machine: MultiSIMD):
                     kind = "teleport"
                 pending_evictions.append(Move(q, loc, dest, kind))
                 mm.move(q, dest)
+    sched.moves = moves
     return stats
 
 

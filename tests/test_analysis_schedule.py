@@ -10,16 +10,8 @@ from repro.core.operation import Operation
 from repro.core.qubits import Qubit
 from repro.sched.comm import derive_movement
 from repro.sched.lpfs import schedule_lpfs
-from repro.sched.replay import (
-    ReplayAssertionError,
-    ReplayError,
-    replay_schedule,
-)
-from repro.sched.types import (
-    Schedule,
-    ScheduleAssertionError,
-    ScheduleError,
-)
+from repro.sched.replay import ReplayError, replay_schedule
+from repro.sched.types import Schedule, ScheduleError
 
 A, B, C = Qubit("q", 0), Qubit("q", 1), Qubit("q", 2)
 
@@ -45,10 +37,6 @@ class TestErrorClasses:
         assert issubclass(ReplayError, Exception)
         assert not issubclass(ReplayError, AssertionError)
 
-    def test_deprecated_aliases(self):
-        assert ScheduleAssertionError is ScheduleError
-        assert ReplayAssertionError is ReplayError
-
 
 class TestIterViolations:
     def test_good_schedule_has_none(self):
@@ -60,9 +48,7 @@ class TestIterViolations:
         # Node 0 unscheduled; node 2 placed before its dependence
         # (node 1); nodes 1 and 2 share qubit B in one timestep.
         sched = _empty_schedule()
-        ts = sched.append_timestep()
-        ts.regions[0].append(2)
-        ts.regions[1].append(1)
+        sched.append_timestep({0: [2], 1: [1]})
         violations = list(sched.iter_violations())
         codes = [v.code for v in violations]
         assert "QL201" in codes  # node 0 never scheduled
@@ -72,23 +58,17 @@ class TestIterViolations:
 
     def test_duplicate_node_detected(self):
         sched = _empty_schedule()
-        t0 = sched.append_timestep()
-        t0.regions[0].append(0)
-        t1 = sched.append_timestep()
-        t1.regions[0].append(0)  # again
-        t2 = sched.append_timestep()
-        t2.regions[0].append(1)
-        t3 = sched.append_timestep()
-        t3.regions[0].append(2)
+        sched.append_timestep({0: [0]})
+        sched.append_timestep({0: [0]})  # again
+        sched.append_timestep({0: [1]})
+        sched.append_timestep({0: [2]})
         codes = [v.code for v in sched.iter_violations()]
         assert "QL201" in codes
 
     def test_simd_gate_mix_detected(self):
         sched = _empty_schedule()
-        t0 = sched.append_timestep()
-        t0.regions[0].append(0)
-        t1 = sched.append_timestep()
-        t1.regions[0].extend([1, 2])  # CNOT and H in one region
+        sched.append_timestep({0: [0]})
+        sched.append_timestep({0: [1, 2]})  # CNOT and H in one region
         codes = [v.code for v in sched.iter_violations()]
         assert "QL204" in codes
 
@@ -101,9 +81,7 @@ class TestIterViolations:
 class TestAuditSchedule:
     def test_collects_all_as_error_diagnostics(self):
         sched = _empty_schedule()
-        ts = sched.append_timestep()
-        ts.regions[0].append(2)
-        ts.regions[1].append(1)
+        sched.append_timestep({0: [2], 1: [1]})
         diags = audit_schedule(sched, module="broken")
         assert diags.has_errors
         assert len(diags) >= 3
@@ -125,8 +103,7 @@ class TestAuditReplay:
         machine = MultiSIMD(k=2, local_memory=None)
         sched = schedule_lpfs(_dag(), k=2)
         derive_movement(sched, machine)
-        for ts in sched.timesteps:
-            ts.moves.clear()
+        sched.moves = []
         diags = audit_replay(sched, machine, module="stripped")
         assert diags.has_errors
         assert diags.codes() == {"QL301"}
@@ -146,8 +123,7 @@ class TestAuditReplay:
         machine = MultiSIMD(k=2, local_memory=None)
         sched = schedule_lpfs(_dag(), k=2)
         derive_movement(sched, machine)
-        for ts in sched.timesteps:
-            ts.moves.clear()
+        sched.moves = []
         collected = []
         report = replay_schedule(
             sched, machine,

@@ -69,6 +69,38 @@ class TestCompile:
         assert "blackbox dimensions" in out
         assert "cycle" in out
 
+    @pytest.mark.parametrize("key", ["BF", "GSE"])
+    def test_streamed_timeline_matches_materialized(self, key, capsys):
+        """Both pipelines print the same timeline cells. The streamed
+        pipeline derives movement epoch-at-a-time without attaching
+        it, so its moves column stays blank."""
+        argv = ["compile", key, "-k", "2", "--timeline", "20"]
+        assert main(argv) == 0
+        materialized = _timeline(capsys.readouterr().out)
+        assert main(argv + ["--stream"]) == 0
+        streamed = _timeline(capsys.readouterr().out)
+        moves_at = streamed[0].index("moves")
+        assert len(streamed) == len(materialized) == 23
+        assert streamed[:2] == materialized[:2]
+        for mat_row, row in zip(materialized[2:], streamed[2:]):
+            assert row == mat_row[:moves_at].rstrip()
+
+    @pytest.mark.parametrize("key", ["BF", "GSE"])
+    def test_streamed_timeline_builds_no_dag(
+        self, key, monkeypatch, capsys
+    ):
+        """The streamed timeline reads the leaf's columns and boxes
+        only the ops it prints."""
+        from repro.core.dag import DependenceDAG
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the streamed timeline built a DAG")
+
+        monkeypatch.setattr(DependenceDAG, "__init__", refuse)
+        argv = ["compile", key, "-k", "2", "--stream", "--timeline", "20"]
+        assert main(argv) == 0
+        assert len(_timeline(capsys.readouterr().out)) == 23
+
     def test_qasm_file_roundtrip(self, tmp_path, capsys):
         # emit a benchmark, then compile the emitted file.
         target = tmp_path / "prog.qasm"
@@ -77,6 +109,14 @@ class TestCompile:
         assert main(["compile", str(target), "-k", "2", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["entry"] == "main"
+
+
+def _timeline(out: str) -> list:
+    """The timeline table of a ``compile --timeline`` run: the header,
+    the rule and one row per timestep, then the truncation line."""
+    lines = out.split("\n")
+    start = next(i for i, line in enumerate(lines) if line.startswith("cycle"))
+    return [line for line in lines[start:] if line]
 
 
 class TestEmit:
@@ -311,6 +351,14 @@ class TestBadMachineArgs:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert f"{flag[1]} must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("verb", VERBS, ids=" ".join)
+    def test_too_many_regions_exits_two(self, verb, capsys):
+        # Region ids are 16-bit in a flat schedule.
+        assert main(verb + ["-k", "65536"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: k must be < 65536, got 65536\n"
 
     def test_verify_negative_window_exits_two(self, capsys):
         argv = ["verify", "scale:adder:2000", "--spec", "adder"]

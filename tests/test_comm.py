@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -34,9 +35,7 @@ Q = [Qubit("q", i) for i in range(8)]
 def manual_schedule(dag, placements, k=2):
     sched = Schedule(dag, k=k)
     for regions in placements:
-        ts = sched.append_timestep()
-        for r, nodes in enumerate(regions):
-            ts.regions[r].extend(nodes)
+        sched.append_timestep(dict(enumerate(regions)))
     return sched
 
 
@@ -180,7 +179,8 @@ class TestEpochBilling:
         dag = DependenceDAG([Operation("H", (Q[0],))])
         sched = manual_schedule(dag, [[[0], []]])
         derive_movement(sched, MultiSIMD(k=2))
-        assert len(sched.timesteps[0].moves) == 1
+        assert len(sched.moves) == sched.length == 1
+        assert len(sched.moves[0]) == 1
 
     def test_epr_accounting_populated(self):
         dag = DependenceDAG(
@@ -190,6 +190,27 @@ class TestEpochBilling:
         stats = derive_movement(sched, MultiSIMD(k=2))
         assert stats.epr.total_pairs == 2
         assert stats.epr.pair_counts[("global", "region0")] == 2
+
+    def test_channel_table_grows_with_channels_in_use(self):
+        """A wide machine pays for the channels an epoch uses, not for
+        a (2k+1)^2 table of every location pair."""
+        dag = DependenceDAG(
+            [Operation("H", (Q[0],)), Operation("H", (Q[1],))]
+        )
+        sched = manual_schedule(dag, [[[0], [1]]], k=1024)
+        machine = MultiSIMD(k=1024)
+        dag.columns()
+        tracemalloc.start()
+        try:
+            stats = derive_movement(sched, machine)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.epr.pair_counts == {
+            ("global", "region0"): 1,
+            ("global", "region1"): 1,
+        }
+        assert peak < 2 * 1024 * 1024
 
 
 class TestNaiveModel:
@@ -259,9 +280,9 @@ class TestUseStreamWidths:
                 cols, ssched, machine, streamed
             )
         ]
-        assert epochs == [ts.moves for ts in sched.timesteps]
+        assert epochs == sched.moves
         assert _comm_to_dict(streamed) == _comm_to_dict(stats)
         assert stats.teleports > 0 and stats.local_moves > 0
         ref = reference_sched.derive_movement_reference(sched, machine)
-        assert epochs == [ts.moves for ts in sched.timesteps]
+        assert epochs == sched.moves
         assert _comm_to_dict(ref) == _comm_to_dict(stats)

@@ -63,7 +63,6 @@ from repro.sched.comm import CommStats
 from repro.sched.rcp import RCPWeights
 from repro.sched.report import _comm_to_dict
 from repro.sched.stream import (
-    StreamedSchedule,
     build_columns,
     derive_movement_stream,
     iter_schedule_epochs,
@@ -214,9 +213,9 @@ def check_invariants(
     principles (independently of ``Schedule.validate``)."""
     sched.validate()
     ts_of = {}
-    for t, ts in enumerate(sched.timesteps):
-        assert len(ts.regions) <= k, "more SIMD regions than k"
-        for region in ts.regions:
+    for t, (_, regions) in enumerate(sched.iter_timesteps()):
+        for r, region in regions:
+            assert r < k, "region id beyond k"
             if d is not None:
                 assert len(region) <= d, "SIMD group wider than d"
             gates = {dag.statements[n].gate for n in region}
@@ -343,7 +342,7 @@ def test_eight_gate_types_fill_eight_regions(algorithm):
     sched = schedule(dag)
     check_invariants(sched, dag, 8, 4)
     assert sched.length == 1
-    regions = sched.timesteps[0].regions
+    regions = [nodes for _, nodes in sched.regions_at(0)]
     assert [len(region) for region in regions] == [2] * 8
     assert sorted(dag.statements[region[0]].gate for region in regions) == (
         sorted(ONE_QUBIT_TYPES)
@@ -456,13 +455,13 @@ def test_movement_of_hand_built_schedules(case, local):
         for regions in timesteps:
             sched.append_timestep(regions)
         stats = derive(sched, machine)
-        return [ts.moves for ts in sched.timesteps], comm_fields(stats)
+        return sched.moves, comm_fields(stats)
 
     ref = materialized(reference_sched.derive_movement_reference)
     assert materialized(derive_movement) == ref
 
     cols = build_columns(ListStream(ops))
-    ssched = StreamedSchedule(k, None, "hand")
+    ssched = Schedule(None, k, None, "hand")
     for regions in timesteps:
         ssched.append_timestep(regions)
     stats = CommStats()

@@ -83,8 +83,8 @@ class TestExecutePreflight:
         def sabotage(*args, **kwargs):
             result = real(*args, **kwargs)
             sched = next(iter(result.schedules.values()))
-            target = next(ts for ts in sched.timesteps if ts.moves)
-            target.moves.append(
+            target = next(moves for moves in sched.moves if moves)
+            target.append(
                 Move(
                     Qubit("ghost", 0),
                     ("region", 1),

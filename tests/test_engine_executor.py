@@ -205,11 +205,9 @@ class TestPreflight:
         sched, _ = annotated(machine)
         # Corrupt the movement plan: claim a qubit teleports from a
         # region it is not in.
-        target = next(
-            ts for ts in sched.timesteps if ts.moves
-        )
+        target = next(moves for moves in sched.moves if moves)
         bogus = Move(Q[9], ("region", 1), ("region", 0), "teleport")
-        target.moves.append(bogus)
+        target.append(bogus)
         with pytest.raises(PreflightError) as err:
             run_schedule(sched, machine)
         assert err.value.violations
@@ -219,8 +217,8 @@ class TestPreflight:
     def test_no_preflight_executes_broken_plan(self):
         machine = MultiSIMD(k=2)
         sched, _ = annotated(machine)
-        target = next(ts for ts in sched.timesteps if ts.moves)
-        target.moves.append(
+        target = next(moves for moves in sched.moves if moves)
+        target.append(
             Move(Q[9], ("region", 1), ("region", 0), "teleport")
         )
         run = run_schedule(sched, machine, preflight=False)

@@ -186,9 +186,11 @@ class TestMakespan:
         )
         single = msched.core_schedules[0]
         assert [
-            [list(r) for r in ts.regions] for ts in single.timesteps
+            list(a) for a in (single.ts_off, single.flat_regions,
+                              single.flat_nodes)
         ] == [
-            [list(r) for r in ts.regions] for ts in direct.timesteps
+            list(a) for a in (direct.ts_off, direct.flat_regions,
+                              direct.flat_nodes)
         ]
         assert msched.intercore_cycles == 0
         assert (

@@ -59,13 +59,12 @@ HOIST_POINTS = [
 
 def _schedule_fingerprint(sched):
     """Exact content of a schedule: placements and movement plan."""
-    return [
-        (
-            [list(r) for r in ts.regions],
-            [repr(m) for m in ts.moves],
-        )
-        for ts in sched.timesteps
-    ]
+    return (
+        list(sched.ts_off),
+        list(sched.flat_regions),
+        list(sched.flat_nodes),
+        [[repr(m) for m in moves] for moves in sched.moves],
+    )
 
 
 @pytest.fixture(scope="module")
@@ -114,7 +113,7 @@ class TestOneCoreBitIdentity:
         # Per-leaf schedules, timestep for timestep, move for move.
         assert set(multi.leaf_schedules) == set(single.schedules)
         for name, msched in multi.leaf_schedules.items():
-            if not single.schedules[name].timesteps:
+            if not single.schedules[name].length:
                 # Empty leaf: nothing to place on any core.
                 assert list(msched.core_schedules) == []
             else:

@@ -73,9 +73,8 @@ class TestReplayCatchesViolations:
     def manual(self, dag, placements, k=2):
         sched = Schedule(dag, k=k)
         for regions in placements:
-            ts = sched.append_timestep()
-            for r, nodes in enumerate(regions):
-                ts.regions[r].extend(nodes)
+            sched.append_timestep(dict(enumerate(regions)))
+        sched.moves = [[] for _ in placements]
         return sched
 
     def test_missing_fetch_detected(self):
@@ -88,7 +87,7 @@ class TestReplayCatchesViolations:
     def test_wrong_source_detected(self):
         dag = DependenceDAG([Operation("H", (Q[0],))])
         sched = self.manual(dag, [[[0], []]])
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("region", 1), ("region", 0), "teleport")
         ]
         with pytest.raises(ReplayError, match="claims src"):
@@ -97,7 +96,7 @@ class TestReplayCatchesViolations:
     def test_bad_ballistic_endpoints_detected(self):
         dag = DependenceDAG([Operation("H", (Q[0],))])
         sched = self.manual(dag, [[[0], []]])
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("global",), ("region", 0), "local")
         ]
         with pytest.raises(ReplayError, match="ballistic"):
@@ -112,11 +111,11 @@ class TestReplayCatchesViolations:
             ]
         )
         sched = self.manual(dag, [[[0], []], [[1], []], [[2], []]])
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("global",), ("region", 0), "teleport"),
             Move(Q[1], ("global",), ("region", 0), "teleport"),
         ]
-        sched.timesteps[1].moves = [
+        sched.moves[1] = [
             Move(Q[0], ("region", 0), ("local", 0), "local"),
             Move(Q[1], ("region", 0), ("local", 0), "local"),
             Move(Q[2], ("global",), ("region", 0), "teleport"),
@@ -129,10 +128,10 @@ class TestReplayCatchesViolations:
             [Operation("H", (Q[0],)), Operation("H", (Q[1],))]
         )
         sched = self.manual(dag, [[[0], []], [[1], []]])
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("global",), ("region", 0), "teleport"),
         ]
-        sched.timesteps[1].moves = [
+        sched.moves[1] = [
             Move(Q[0], ("region", 0), ("local", 0), "local"),
             Move(Q[1], ("global",), ("region", 0), "teleport"),
         ]
@@ -149,10 +148,10 @@ class TestReplayCatchesViolations:
         )
         sched = self.manual(dag, [[[0], []], [[1], []], [[2], []]])
         # q0 fetched, then left in region 0 while region 0 runs q1.
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("global",), ("region", 0), "teleport")
         ]
-        sched.timesteps[1].moves = [
+        sched.moves[1] = [
             Move(Q[1], ("global",), ("region", 0), "teleport")
         ]
         with pytest.raises(ReplayError, match="idles in active"):
@@ -167,10 +166,10 @@ class TestReplayCatchesViolations:
             ]
         )
         sched = self.manual(dag, [[[0], []], [[1], []]])
-        sched.timesteps[0].moves = [
+        sched.moves[0] = [
             Move(Q[0], ("global",), ("region", 0), "teleport")
         ]
-        sched.timesteps[1].moves = [
+        sched.moves[1] = [
             Move(Q[1], ("global",), ("region", 0), "teleport")
         ]
         machine = MultiSIMD(k=2)
@@ -257,33 +256,31 @@ CORRUPTIONS = ("none", "drop", "retarget", "swap", "clear", "short")
 def corrupt(sched, machine, how, data):
     """Apply corruption ``how`` to ``sched`` in place; return the
     machine to replay on."""
-    epochs = [t for t, ts in enumerate(sched.timesteps) if ts.moves]
+    epochs = [t for t, moves in enumerate(sched.moves) if moves]
     if how == "drop" and epochs:
-        ts = sched.timesteps[data.draw(st.sampled_from(epochs))]
-        del ts.moves[data.draw(st.integers(0, len(ts.moves) - 1))]
+        moves = sched.moves[data.draw(st.sampled_from(epochs))]
+        del moves[data.draw(st.integers(0, len(moves) - 1))]
     elif how == "retarget" and epochs:
-        ts = sched.timesteps[data.draw(st.sampled_from(epochs))]
-        i = data.draw(st.integers(0, len(ts.moves) - 1))
-        move = ts.moves[i]
+        moves = sched.moves[data.draw(st.sampled_from(epochs))]
+        i = data.draw(st.integers(0, len(moves) - 1))
+        move = moves[i]
         places = [("global",)] + [
             (kind, r) for kind in ("region", "local") for r in range(sched.k)
         ]
         dst = data.draw(
             st.sampled_from([p for p in places if p != move.src])
         )
-        ts.moves[i] = Move(move.qubit, move.src, dst, move.kind)
-    elif how == "swap" and len(sched.timesteps) > 1:
+        moves[i] = Move(move.qubit, move.src, dst, move.kind)
+    elif how == "swap" and sched.length > 1:
         a, b = data.draw(
             st.lists(
-                st.integers(0, len(sched.timesteps) - 1),
+                st.integers(0, sched.length - 1),
                 min_size=2, max_size=2, unique=True,
             )
         )
-        ta, tb = sched.timesteps[a], sched.timesteps[b]
-        ta.moves, tb.moves = tb.moves, ta.moves
+        sched.moves[a], sched.moves[b] = sched.moves[b], sched.moves[a]
     elif how == "clear":
-        for ts in sched.timesteps:
-            ts.moves = []
+        sched.moves = []
     elif how == "short" and machine.k > 1:
         return MultiSIMD(k=machine.k - 1, local_memory=machine.local_memory)
     return machine

@@ -17,6 +17,7 @@ from repro.sched.report import (
     render_timeline,
     schedule_to_dict,
 )
+from repro.sched.types import Schedule
 from repro.toolflow import compile_and_schedule
 
 Q = [Qubit("q", i) for i in range(4)]
@@ -33,6 +34,23 @@ def small_schedule():
     )
     sched = schedule_rcp(dag, k=2)
     derive_movement(sched, MultiSIMD(k=2))
+    return sched
+
+
+def hand_built_schedule():
+    """Region 1 idle at t=0, an empty timestep at t=1, and moves."""
+    dag = DependenceDAG(
+        [
+            Operation("H", (Q[0],)),
+            Operation("CNOT", (Q[0], Q[1])),
+            Operation("Rz", (Q[2],), 0.25),
+        ]
+    )
+    sched = Schedule(dag, k=3, d=2, algorithm="hand")
+    sched.append_timestep({2: [2], 0: [0], 1: []})
+    sched.append_timestep({})
+    sched.append_timestep({1: [1]})
+    derive_movement(sched, MultiSIMD(k=3, local_memory=1))
     return sched
 
 
@@ -53,6 +71,30 @@ def small_result():
 
 
 class TestTimeline:
+    def test_exact_text(self):
+        assert render_timeline(small_schedule()).split("\n") == [
+            "cycle  region 0                  region 1       "
+            "           moves                   ",
+            "-" * 83,
+            "1      H(q0) H(q1)                              "
+            "           2 teleport",
+            "2      CNOT(q0,q1)",
+            "3      T(q0)",
+        ]
+
+    def test_exact_text_idle_region_and_empty_timestep(self):
+        assert render_timeline(hand_built_schedule()).split("\n") == [
+            "cycle  region 0                  region 1       "
+            "           region 2                  moves      "
+            "             ",
+            "-" * 109,
+            "1      H(q0)                                    "
+            "           Rz(q2)                    2 teleport",
+            "2",
+            "3                                CNOT(q0,q1)    "
+            "                                     2 teleport",
+        ]
+
     def test_contains_all_timesteps(self):
         sched = small_schedule()
         text = render_timeline(sched)
@@ -73,6 +115,50 @@ class TestTimeline:
 
 
 class TestScheduleDict:
+    def test_exact_export_keeps_idle_regions(self):
+        """Every timestep lists all k regions, idle ones and empty
+        timesteps included."""
+        h = {"node": 0, "gate": "H", "qubits": ["q[0]"]}
+        cnot = {"node": 1, "gate": "CNOT", "qubits": ["q[0]", "q[1]"]}
+        rz = {"node": 2, "gate": "Rz", "qubits": ["q[2]"]}
+
+        def teleport(qubit, src, dst):
+            return {"qubit": qubit, "src": src, "dst": dst,
+                    "kind": "teleport"}
+
+        assert schedule_to_dict(hand_built_schedule()) == {
+            "algorithm": "hand",
+            "k": 3,
+            "d": 2,
+            "length": 3,
+            "op_count": 3,
+            "max_width": 2,
+            "teleport_moves": 4,
+            "local_moves": 0,
+            "statements": [
+                {"gate": "H", "qubits": ["q[0]"]},
+                {"gate": "CNOT", "qubits": ["q[0]", "q[1]"]},
+                {"gate": "Rz", "qubits": ["q[2]"], "angle": 0.25},
+            ],
+            "timesteps": [
+                {
+                    "regions": [[h], [], [rz]],
+                    "moves": [
+                        teleport("q[0]", ["global"], ["region", 0]),
+                        teleport("q[2]", ["global"], ["region", 2]),
+                    ],
+                },
+                {"regions": [[], [], []], "moves": []},
+                {
+                    "regions": [[], [cnot], []],
+                    "moves": [
+                        teleport("q[0]", ["region", 0], ["region", 1]),
+                        teleport("q[1]", ["global"], ["region", 1]),
+                    ],
+                },
+            ],
+        }
+
     def test_json_serialisable(self):
         d = schedule_to_dict(small_schedule())
         text = json.dumps(d)

@@ -145,9 +145,7 @@ class TestScheduleBounds:
             [Operation("H", (Q[0],)), Operation("X", (Q[0],))]
         )
         sched = Schedule(dag, k=2, d=2)
-        ts = sched.append_timestep()
-        ts.regions[0].append(0)
-        ts.regions[1].append(1)
+        sched.append_timestep({0: [0], 1: [1]})
         codes = [d.code for d in audit_schedule_bounds(sched)]
         assert "QL502" in codes
 
@@ -158,8 +156,7 @@ class TestScheduleBounds:
             [Operation("H", (Q[0],)), Operation("X", (Q[0],))]
         )
         sched = Schedule(dag, k=2, d=2)
-        ts = sched.append_timestep()
-        ts.regions[0].extend([0, 1])
+        sched.append_timestep({0: [0, 1]})
         codes = [d.code for d in audit_schedule_bounds(sched)]
         assert codes == ["QL504"]
 
@@ -171,8 +168,7 @@ class TestScheduleBounds:
             [Operation("H", (Q[i],)) for i in range(4)]
         )
         sched = Schedule(dag, k=1, d=2)
-        ts = sched.append_timestep()
-        ts.regions[0].extend([0, 1, 2, 3])
+        sched.append_timestep({0: [0, 1, 2, 3]})
         codes = [d.code for d in audit_schedule_bounds(sched)]
         assert codes == ["QL504"]
 

@@ -24,8 +24,8 @@ from repro.sim.reversible import (
     exhaustive_patterns,
     run_reversible,
     sample_inputs,
-    schedule_ops,
     sliced_patterns,
+    streamed_schedule_ops,
     truth_table_reversible,
     verify_equivalent,
     verify_reference,
@@ -380,7 +380,14 @@ class TestScheduleLinearization:
         ops = cuccaro_add(reg("a", 3), reg("b", 3), Qubit("c", 0))
         dag = DependenceDAG(list(ops))
         sched = schedule_lpfs(dag, 4, None)
-        replay = list(schedule_ops(sched))
+        # A materialized schedule is its own op source.
+        replay = list(streamed_schedule_ops(sched, sched))
+        assert replay == [
+            sched.operation(n)
+            for _, regions in sched.iter_timesteps()
+            for _, nodes in regions
+            for n in nodes
+        ]
         assert sorted(map(repr, replay)) == sorted(map(repr, ops))
         qubits = reg("a", 3) + reg("b", 3) + [Qubit("c", 0)]
         assert verify_equivalent(iter(ops), iter(replay), qubits).ok

@@ -5,7 +5,7 @@ import pytest
 from repro.core.dag import DependenceDAG
 from repro.core.operation import Operation
 from repro.core.qubits import Qubit
-from repro.sched.types import Move, Schedule, ScheduleError, Timestep
+from repro.sched.types import Move, Schedule, ScheduleError
 
 Q = [Qubit("q", i) for i in range(6)]
 
@@ -25,9 +25,7 @@ def build_schedule(dag, placements, k=2):
     lists."""
     sched = Schedule(dag, k=k)
     for regions in placements:
-        ts = sched.append_timestep()
-        for r, nodes in enumerate(regions):
-            ts.regions[r].extend(nodes)
+        sched.append_timestep(dict(enumerate(regions)))
     return sched
 
 
@@ -43,15 +41,44 @@ class TestMove:
             Move(Q[0], ("global",), ("global",), "teleport")
 
 
-class TestTimestep:
-    def test_active_regions_and_width(self):
-        ts = Timestep(regions=[[0], [], [1, 2]])
-        assert ts.active_regions() == [0, 2]
-        assert ts.width == 2
-        assert ts.all_nodes() == [0, 1, 2]
-
-
 class TestScheduleShape:
+    def test_flat_arrays(self):
+        # Idle regions are skipped; entries are region-ascending within
+        # a timestep whatever order the map lists them in.
+        sched = Schedule(simple_dag(), k=3)
+        sched.append_timestep({2: [1], 0: [0], 1: []})
+        sched.append_timestep({})
+        sched.append_timestep({1: [2]})
+        assert list(sched.ts_off) == [0, 2, 2, 3]
+        assert list(sched.flat_regions) == [0, 2, 1]
+        assert list(sched.flat_nodes) == [0, 1, 2]
+        assert sched.length == 3
+        assert sched.max_width == 2
+        assert sched.regions_at(0) == [(0, [0]), (2, [1])]
+        assert sched.regions_at(1) == []
+
+    def test_iter_timesteps(self):
+        sched = build_schedule(simple_dag(), [[[0], [1]], [[2], []]])
+        assert list(sched.iter_timesteps()) == [
+            ([], [(0, [0]), (1, [1])]),
+            ([], [(0, [2])]),
+        ]
+        move = Move(Q[0], ("global",), ("region", 0), "teleport")
+        sched.moves = [[move]]  # a timestep past the list has none
+        assert [m for m, _ in sched.iter_timesteps()] == [[move], []]
+        # An explicit epoch iterator is drained to its end.
+        drained = []
+
+        def epochs():
+            yield ["a"]
+            yield ["b"]
+            drained.append(True)
+
+        assert [m for m, _ in sched.iter_timesteps(epochs())] == [
+            ["a"], ["b"],
+        ]
+        assert drained == [True]
+
     def test_lengths_and_counts(self):
         dag = simple_dag()
         sched = build_schedule(dag, [[[0], [1]], [[2], []]])
@@ -68,9 +95,12 @@ class TestScheduleShape:
     def test_move_counters(self):
         dag = simple_dag()
         sched = build_schedule(dag, [[[0], [1]], [[2], []]])
-        sched.timesteps[0].moves = [
-            Move(Q[0], ("global",), ("region", 0), "teleport"),
-            Move(Q[1], ("region", 1), ("local", 1), "local"),
+        sched.moves = [
+            [
+                Move(Q[0], ("global",), ("region", 0), "teleport"),
+                Move(Q[1], ("region", 1), ("local", 1), "local"),
+            ],
+            [],
         ]
         assert sched.total_moves == 2
         assert sched.teleport_moves == 1
@@ -110,9 +140,15 @@ class TestValidation:
             [Operation("H", (Q[i],)) for i in range(3)]
         )
         sched = Schedule(dag, k=1, d=2)
-        ts = sched.append_timestep()
-        ts.regions[0].extend([0, 1, 2])
+        sched.append_timestep({0: [0, 1, 2]})
         with pytest.raises(ScheduleError, match="d=2"):
+            sched.validate()
+
+    def test_region_beyond_k_detected(self):
+        sched = Schedule(simple_dag(), k=2)
+        sched.append_timestep({0: [0], 2: [1]})
+        sched.append_timestep({0: [2]})
+        with pytest.raises(ScheduleError, match=r"uses region 2 \(k=2\)"):
             sched.validate()
 
     def test_qubit_conflict_across_regions_detected(self):

@@ -60,9 +60,7 @@ class TestRCP:
         sched.validate()
         # All 8 H ops are independent and same-type: one timestep.
         assert sched.length == 1
-        assert len(sched.timesteps[0].regions[0]) + len(
-            sched.timesteps[0].regions[1]
-        ) == 8
+        assert sum(len(nodes) for _, nodes in sched.regions_at(0)) == 8
 
     def test_d_cap_respected(self):
         sched = schedule_rcp(parallel_dag(8), k=1, d=3)
@@ -174,7 +172,9 @@ class TestLPFS:
         sched = schedule_lpfs(parallel_dag(9), k=1, d=4)
         sched.validate()
         assert all(
-            len(ts.regions[0]) <= 4 for ts in sched.timesteps
+            len(nodes) <= 4
+            for _, regions in sched.iter_timesteps()
+            for _, nodes in regions
         )
 
     def test_two_paths(self):
@@ -213,8 +213,9 @@ ENTRY_POINTS = {
     [
         (0, None, "k must be >= 1, got 0"),
         (2, 0, "d must be >= 1 or None, got 0"),
+        (65536, None, "k must be < 65536, got 65536"),
     ],
-    ids=["k0", "d0"],
+    ids=["k0", "d0", "k65536"],
 )
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 def test_degenerate_shape_rejected(entry, k, d, message, monkeypatch):
@@ -311,7 +312,7 @@ class TestRCPTieBreak:
         dag = self._two_chain_dag()
         sched = schedule_rcp(dag, k=1)
         sched.validate()
-        first = sched.timesteps[0].regions[0]
+        first = dict(sched.regions_at(0)).get(0)
         assert first, "first region empty"
         assert dag.statements[first[0]].gate == "H"
 
@@ -332,9 +333,10 @@ class TestRCPTieBreak:
             dag = DependenceDAG(ops)
             sched = schedule_rcp(dag, k=1)
             return [
-                dag.statements[ts.regions[0][0]].gate
-                for ts in sched.timesteps
-                if ts.regions[0]
+                dag.statements[nodes[0]].gate
+                for _, regions in sched.iter_timesteps()
+                for r, nodes in regions
+                if r == 0
             ]
 
         a = []
