@@ -69,7 +69,6 @@ from .core import (
 )
 from .passes import (
     DecomposeConfig,
-    PassManager,
     RotationSynthesizer,
     decompose_program,
     estimate_resources,
@@ -126,7 +125,6 @@ __all__ = [
     "NUMAConfig",
     "NUMAStats",
     "Operation",
-    "PassManager",
     "Program",
     "ProgramBuilder",
     "ProgramValidationError",

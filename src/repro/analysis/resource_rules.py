@@ -252,9 +252,7 @@ def audit_schedule_bounds(
     if hop_floor < 1:
         raise ValueError(f"hop_floor must be >= 1, got {hop_floor}")
     diags = DiagnosticSet()
-    dag = sched.dag
-    if dag is None:
-        raise TypeError("the bounds audit needs a schedule's DAG")
+    dag = sched.require_dag()
     ops = dag.n
     if ops == 0:
         return diags

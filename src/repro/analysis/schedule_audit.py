@@ -56,6 +56,9 @@ def audit_schedule(
         a :class:`DiagnosticSet`; empty iff the schedule passes every
         structural (and, with ``machine``, physical; and, with
         ``deep``, bounds) invariant.
+
+    Raises:
+        TypeError: ``sched`` is columnar (``dag`` is ``None``).
     """
     diags = DiagnosticSet()
     for v in sched.iter_violations():

@@ -248,6 +248,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     machine = _machine(args)
+    if args.timeline is not None and args.timeline < 0:
+        raise CLIError(f"--timeline must be >= 0, got {args.timeline}")
     prog = _load_program(args.source)
     fth = args.fth
     if fth is None:
@@ -473,13 +475,12 @@ def _deep_lint_one(
         audit_schedule,
         solve_bottom_up,
     )
-    from .passes.flatten import DEFAULT_FTH
 
     out = DiagnosticSet()
     deep = analyze_deep(program, machine=machine)
     out.extend(deep.diagnostics)
 
-    fth = BENCHMARKS[source].fth if source in BENCHMARKS else DEFAULT_FTH
+    fth = _default_fth(source)
     result = compile_and_schedule(program, machine, fth=fth)
     for name, sched in result.schedules.items():
         profile = result.profiles.get(name)
@@ -1406,11 +1407,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     prog = _load_program(args.source)
     fth = args.fth
     if fth is None:
-        fth = (
-            BENCHMARKS[args.source].fth
-            if args.source in BENCHMARKS
-            else 4096
-        )
+        fth = _default_fth(args.source)
     graph = _multicore_graph(args)
     config = MulticoreConfig(
         graph, seed=args.seed, refine=not args.no_refine

@@ -233,7 +233,10 @@ def run_schedule(
     Raises:
         PreflightError: preflight found QL3xx violations.
         EngineError: the machine is too small for the schedule.
+        TypeError: ``sched`` is columnar (``dag`` is ``None``); run it
+            with :func:`run_schedule_stream`.
     """
+    statements = sched.require_dag().statements
     config = config or EngineConfig()
     scope = scope or (sched.algorithm or "schedule")
     if machine.k < sched.k:
@@ -248,7 +251,6 @@ def run_schedule(
         if config.numa is not None
         else None
     )
-    statements = sched.dag.statements
     epochs = (
         (
             moves,

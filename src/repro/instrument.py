@@ -21,9 +21,10 @@ Design constraints:
   in the package (schedulers, passes, the comm refiner) without import
   cycles.
 
-Span name prefixes in use: ``pass:*`` (decompose/flatten/optimize),
-``schedule:*`` (per-algorithm fine scheduling), ``comm:*`` (movement
-derivation), ``toolflow:*`` (whole-stage wrappers), and
+Span name prefixes in use: ``schedule:*`` (per-algorithm fine
+scheduling), ``comm:*`` (movement derivation), ``toolflow:*``
+(whole-stage wrappers, the front end's ``toolflow:plan`` and
+``toolflow:flatten`` among them), and
 ``analysis:*`` (the deep static battery —
 ``analysis:lifetime`` and ``analysis:resource`` fixpoint solves plus
 ``analysis:deep-rules`` emission).
@@ -32,7 +33,7 @@ Usage::
 
     with record_spans() as rec:
         compile_and_schedule(program, machine)
-    print(rec.to_dict())   # {"pass:decompose": {"calls": 1, ...}, ...}
+    print(rec.to_dict())   # {"toolflow:plan": {"calls": 1, ...}, ...}
 """
 
 from __future__ import annotations

@@ -29,8 +29,8 @@ from ..arch.machine import MultiSIMD
 from ..core.module import Module, Program
 from ..passes.decompose import DecomposeConfig
 from ..passes.flatten import DEFAULT_FTH
-# These stay bound here as bench/trace.py hook targets (the calls
-# themselves go through repro.toolflow).
+# These stay bound here as bench/trace.py hook targets (the front end
+# is repro.toolflow's, which plans once and inlines through leaf_stream).
 from ..passes.decompose import decompose_program  # noqa: F401
 from ..passes.flatten import flatten_program  # noqa: F401
 from ..passes.resource import estimate_resources  # noqa: F401
@@ -213,7 +213,7 @@ def compile_and_schedule_multicore(
     """
     scheduler = scheduler or SchedulerConfig()
     graph = config.graph
-    program, flat = _front_end(
+    program, plan, total_gates = _front_end(
         program, fth, decompose, decompose_config, optimize
     )
 
@@ -247,7 +247,6 @@ def compile_and_schedule_multicore(
         leaf.release_columns()
 
     profiles = _profile_modules(program, widths, leaf_step, "multicore")
-    total_gates, critical_path = _estimate(program, "multicore")
     return MulticoreCompileResult(
         program=program,
         machine=core_machine,
@@ -255,8 +254,8 @@ def compile_and_schedule_multicore(
         profiles=profiles,
         schedules={},
         total_gates=total_gates,
-        critical_path=critical_path,
-        flattened_percent=flat.percent_flattened,
+        critical_path=_estimate(program, "multicore"),
+        flattened_percent=plan.percent_flattened,
         config=config,
         leaf_schedules=leaf_schedules,
         partitions=partitions,

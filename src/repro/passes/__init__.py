@@ -15,9 +15,7 @@ from .flatten import (
     FlattenResult,
     flatten_program,
     fully_flatten,
-    inline_call,
 )
-from .manager import PassManager
 from .optimize import OptimizeStats, optimize_module, optimize_program
 from .qubit_count import local_footprints, minimum_qubits
 from .stream import (
@@ -43,7 +41,6 @@ __all__ = [
     "FlattenPlan",
     "FlattenResult",
     "GATE_COUNT_BINS",
-    "PassManager",
     "ResourceEstimate",
     "RotationSynthesizer",
     "ctqg",
@@ -54,7 +51,6 @@ __all__ = [
     "flatten_program",
     "fully_flatten",
     "gate_count_histogram",
-    "inline_call",
     "local_footprints",
     "minimum_qubits",
     "module_invocation_counts",

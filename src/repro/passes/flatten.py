@@ -7,18 +7,19 @@ whose expanded gate count falls below a Flattening Threshold (FTh): all
 their calls are inlined, producing larger leaf modules for fine-grained
 scheduling. The paper uses FTh = 2M ops (3M for SHA-1), flattening >= 80%
 of modules in every benchmark.
+
+The threshold decision is :func:`~repro.passes.stream.plan_flatten`'s,
+and each flattened body is :func:`~repro.passes.stream.stream_flatten`'s
+expansion, the inliner every toolflow uses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
-
 from ..core.module import Module, Program
-from ..core.operation import CallSite, Operation, Statement
-from ..core.qubits import Qubit
 from .resource import total_gate_counts
+from .stream import FlattenPlan, plan_flatten, stream_flatten
 
-__all__ = ["FlattenResult", "flatten_program", "inline_call", "fully_flatten"]
+__all__ = ["FlattenResult", "flatten_program", "fully_flatten"]
 
 #: The paper's default flattening threshold (2 million operations).
 DEFAULT_FTH = 2_000_000
@@ -34,14 +35,10 @@ class FlattenResult:
             already leaves (the quantity Figure 5's caption reports).
     """
 
-    def __init__(self, program: Program, flattened: List[str]):
+    def __init__(self, program: Program, plan: FlattenPlan):
         self.program = program
-        self.flattened = flattened
-        reachable = program.reachable()
-        leaves = sum(
-            1 for name in reachable if program.module(name).is_leaf
-        )
-        self.percent_flattened = 100.0 * leaves / len(reachable)
+        self.flattened = plan.flattened
+        self.percent_flattened = plan.percent_flattened
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -50,80 +47,31 @@ class FlattenResult:
         )
 
 
-def _rename(q: Qubit, mapping: Dict[Qubit, Qubit], prefix: str) -> Qubit:
-    """Map a callee-body qubit to the caller's namespace: formals map to
-    actuals, locals get a unique per-instance register prefix."""
-    mapped = mapping.get(q)
-    if mapped is None:
-        mapped = Qubit(f"{prefix}${q.register}", q.index)
-        mapping[q] = mapped
-    return mapped
-
-
-def inline_call(
-    call: CallSite, callee: Module, instance: str
-) -> List[Statement]:
-    """Expand one call site into the callee's statements.
-
-    The callee must be a leaf. Formal parameters are substituted with the
-    actual arguments; callee locals are renamed with a unique ``instance``
-    prefix so that two inlined instances never alias. Iterated calls
-    repeat the (identically-renamed) body — locals are reused across
-    iterations, exactly as the called procedure would reuse them.
-    """
-    if not callee.is_leaf:
-        raise ValueError(
-            f"cannot inline non-leaf module {callee.name!r}"
-        )
-    if len(call.args) != len(callee.params):
-        raise ValueError(
-            f"arity mismatch inlining {callee.name!r}"
-        )
-    mapping: Dict[Qubit, Qubit] = dict(zip(callee.params, call.args))
-    body_once: List[Statement] = []
-    for op in callee.operations():
-        new_qubits = tuple(
-            _rename(q, mapping, instance) for q in op.qubits
-        )
-        body_once.append(Operation(op.gate, new_qubits, op.angle))
-    return body_once * call.iterations
-
-
-def _flatten_module(module: Module, program: Program) -> Module:
-    """Inline every call in ``module`` (callees must already be leaves)."""
-    body: List[Statement] = []
-    for idx, stmt in enumerate(module.body):
-        if isinstance(stmt, Operation):
-            body.append(stmt)
-        else:
-            callee = program.module(stmt.callee)
-            instance = f"{stmt.callee}@{idx}"
-            body.extend(inline_call(stmt, callee, instance))
-    return Module(module.name, module.params, body)
-
-
 def flatten_program(
     program: Program, fth: int = DEFAULT_FTH
 ) -> FlattenResult:
     """Flatten every module whose expanded gate count is below ``fth``.
 
-    Processes modules callees-first so that by the time a module is
-    considered, any callee under the threshold is already a leaf (a
-    callee's expanded count never exceeds its caller's, so a module under
-    the threshold only calls modules under the threshold).
+    Each flattened module's body is its whole call tree inlined: formal
+    parameters become the actual arguments, callee locals get a
+    ``"{callee}@{idx}$"`` instance prefix per call site, and an iterated
+    call repeats the identically-renamed body. Every module is kept,
+    including callees that flattening leaves unreachable.
     """
-    totals = total_gate_counts(program)
-    current = program
-    flattened: List[str] = []
-    for name in current.topological_order():
-        mod = current.module(name)
-        if mod.is_leaf or totals[name] > fth:
-            continue
-        current = current.with_modules(
-            {name: _flatten_module(mod, current)}
-        )
-        flattened.append(name)
-    return FlattenResult(current, flattened)
+    plan = plan_flatten(program, total_gate_counts(program), fth)
+    return FlattenResult(
+        program.with_modules(
+            {
+                name: Module(
+                    name,
+                    program.module(name).params,
+                    list(stream_flatten(program, name)),
+                )
+                for name in plan.flattened
+            }
+        ),
+        plan,
+    )
 
 
 def fully_flatten(program: Program) -> Module:

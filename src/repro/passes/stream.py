@@ -1,22 +1,23 @@
-"""Streaming front-end adapters: lazy flatten, decompose and CTQG bodies.
+"""The front end's flattening plan and lazy inliners.
 
-The materialized pipeline runs decompose -> flatten as whole-program
-rewrites, so a module with ``iterations``-heavy call sites explodes to
-its expanded gate count in memory before the scheduler sees a single op.
-These adapters produce the *same op sequence* lazily:
+Every toolflow makes the Flattening Threshold decision here, once:
+:func:`plan_flatten` picks the modules that become leaves from
+hierarchical gate counts (:func:`decomposed_gate_counts` when the
+pipeline decomposes), without rewriting any body. Leaf bodies are then
+produced by one of two inliners over the same renaming:
 
-* :func:`stream_flatten` walks a module's call tree depth-first,
-  composing the per-instance qubit renamings exactly as
-  :func:`repro.passes.flatten.inline_call` does (formals -> actuals,
-  locals -> ``"{callee}@{idx}$" `` instance prefixes, iterated calls
-  replaying the identically-renamed body), so the emitted ops are
-  bit-identical to flattening the module materialized;
+* :func:`stream_flatten` walks a module's call tree depth-first and
+  emits boxed ops lazily, composing the per-instance qubit renamings
+  (formals -> actuals, locals -> ``"{callee}@{idx}$"`` instance
+  prefixes, iterated calls replaying the identically-renamed body).
+  Only the call stack and one op are live at a time;
 * :func:`stream_decompose` lowers each streamed op through
   :func:`repro.passes.decompose.decompose_operation` on the fly.
   Decomposition introduces no new qubits and depends only on
-  ``(gate, angle)``, so it commutes with flatten's qubit renaming —
-  streaming flatten-then-decompose equals the materialized
-  decompose-then-flatten order (tested in ``tests/test_opstream.py``);
+  ``(gate, angle)``, so it commutes with the qubit renaming:
+  flatten-then-decompose with post-decompose instance indices equals
+  the decompose-then-flatten rewrite that ``tests/oracle`` keeps
+  (``tests/test_opstream.py``);
 * :func:`leaf_stream` composes the two, and the :class:`LeafStream` it
   returns also carries its hierarchical source, so the same leaf can
   be produced int-coded (:meth:`LeafStream.int_coded`) without boxing
@@ -24,17 +25,10 @@ These adapters produce the *same op sequence* lazily:
   inlined once into an :class:`IntCodedBody` template — gate ids,
   operand slots into its own first-use qubit table, arities, angles.
   A call site splices its callee's template through the frame's qubit
-  map (the renaming :func:`stream_flatten` composes: formals ->
-  actuals, locals -> ``"{callee}@{idx}$"`` with the same
+  map (the renaming :func:`stream_flatten` composes, with the same
   post-decompose instance indices), and an iterated call appends the
   spliced arrays ``iterations`` times. The result equals interning the
-  boxed stream op by op;
-* :func:`decomposed_gate_counts` computes the post-decompose expanded
-  totals hierarchically (the numbers the flattening-threshold decision
-  and ``total_gates`` need) without materializing anything;
-* :func:`plan_flatten` reproduces :func:`repro.passes.flatten.
-  flatten_program`'s decisions — which modules become leaves, and the
-  percent-flattened figure — from those counts alone.
+  boxed stream op by op.
 """
 
 from __future__ import annotations
@@ -81,11 +75,11 @@ def _frame_rename(
 ) -> _Rename:
     """The qubit renaming one inlined call frame applies.
 
-    Mirrors the materialized composition: ``inline_call`` first maps a
-    callee-body qubit into the *caller's* namespace (formals to the call
-    site's actual arguments, locals to a ``"{instance}$"``-prefixed
-    register), and the caller's own inlining later applies its renaming
-    on top. Composing parent-after-frame reproduces that exactly.
+    A callee-body qubit first maps into the *caller's* namespace
+    (formals to the call site's actual arguments, locals to a
+    ``"{instance}$"``-prefixed register), and the caller's own frame
+    then applies its renaming on top: parent-after-frame, which is what
+    inlining callees-first into already-flattened callers composes.
     """
     cache: Dict[Qubit, Qubit] = {}
 
@@ -103,12 +97,13 @@ def _frame_rename(
 
 
 class _Expander:
-    """Depth-first lazy inliner, bit-identical to ``inline_call``.
+    """Depth-first lazy inliner: the one boxed inliner, bit-identical
+    to the callees-first rewrite in ``tests/oracle/reference_flatten``.
 
-    When ``decompose_config`` is set, the materialized pipeline being
-    mirrored is decompose-*then*-flatten: every direct op in a caller
-    body expands before flattening, so the ``{callee}@{idx}`` instance
-    tags carry *post-decompose* statement indices. The expander
+    When ``decompose_config`` is set, the rewrite being reproduced is
+    decompose-*then*-flatten: every direct op in a caller body expands
+    before flattening, so the ``{callee}@{idx}`` instance tags carry
+    *post-decompose* statement indices. The expander
     precomputes that index table per module (prefix sums of decomposed
     op lengths, one shared per-``(gate, angle)`` length cache) without
     materializing any decomposed body. The same lengths mark the modules
@@ -204,14 +199,14 @@ def stream_flatten(
 ) -> OpStream:
     """Fully inline one module's call tree as a lazy op stream.
 
-    Emits the exact op sequence ``flatten_program`` would place in the
-    module's body if the module (and therefore, by the threshold
-    monotonicity argument, all its transitive callees) were flattened.
-    Pass ``decompose_config`` when mirroring a pipeline that decomposes
-    before flattening — instance tags then use post-decompose statement
-    indices (see :class:`_Expander`). The call graph is acyclic, so
-    full inlining always terminates; only the call stack (call-graph
-    depth) and one op are live at a time.
+    Emits the body :func:`~repro.passes.flatten.flatten_program` gives
+    the module when it flattens it (and therefore, by the threshold
+    monotonicity argument, all its transitive callees). Pass
+    ``decompose_config`` when the ops are decomposed afterwards
+    (:func:`leaf_stream`) — instance tags then use post-decompose
+    statement indices (see :class:`_Expander`). The call graph is
+    acyclic, so full inlining always terminates; only the call stack
+    (call-graph depth) and one op are live at a time.
     """
     name = module or program.entry
     mod = program.module(name)
@@ -303,13 +298,15 @@ def call_multiplicity(program: Program, target: str) -> int:
 
 
 class FlattenPlan:
-    """The flattening decisions, computed without rewriting any body.
+    """The flattening decisions, computed without rewriting any body:
+    the one place the Flattening Threshold is applied.
 
     Attributes:
-        flattened: names flattened into leaves, in topological order.
+        flattened: names flattened into leaves, in topological order
+            (callees a flattened caller orphans included).
         leaves: every module that is a leaf *after* flattening and still
             reachable from the entry (flattening a module orphans its
-            callees, exactly as the materialized rewrite does).
+            callees).
         reachable: modules reachable after flattening.
         order: post-flatten topological order (callees first) over
             ``reachable``.
@@ -359,10 +356,11 @@ class FlattenPlan:
 def plan_flatten(
     program: Program, totals: Dict[str, int], fth: int
 ) -> FlattenPlan:
-    """Plan which modules :func:`~repro.passes.flatten.flatten_program`
-    would turn into leaves under threshold ``fth``, given the expanded
-    ``totals`` the decision is based on (post-decompose counts when the
-    pipeline decomposes first)."""
+    """Plan which modules become leaves under threshold ``fth``, given
+    the expanded ``totals`` the decision is based on (post-decompose
+    counts when the pipeline decomposes first). Every toolflow and
+    :func:`~repro.passes.flatten.flatten_program` decide through this
+    plan."""
     return FlattenPlan(program, totals, fth)
 
 
@@ -595,10 +593,10 @@ def leaf_stream(
     """The post-pipeline body of one (possibly flattened) leaf, lazily.
 
     Composes :func:`stream_flatten` with :func:`stream_decompose` —
-    bit-identical to the materialized decompose-then-flatten body of
-    that leaf (the two orders commute; see the module docstring). The
-    returned stream can also produce the leaf int-coded
-    (:meth:`LeafStream.int_coded`).
+    bit-identical to the decompose-then-flatten body of that leaf (the
+    two orders commute; see the module docstring). Every toolflow
+    takes its leaf bodies from here; the returned stream can also
+    produce the leaf int-coded (:meth:`LeafStream.int_coded`).
     """
     cfg = (decompose_config or DecomposeConfig()) if decompose else None
     return LeafStream(program, name, cfg, length_hint=length_hint)

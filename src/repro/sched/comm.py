@@ -352,10 +352,12 @@ def derive_movement(
     Attaches them as ``sched.moves``, one list per timestep (replacing
     any attached before), and returns the communication profile.
     :func:`schedule_epochs` does the work over the DAG's int-coded
-    :meth:`~repro.core.dag.DependenceDAG.columns` view.
+    :meth:`~repro.core.dag.DependenceDAG.columns` view, so a columnar
+    schedule raises ``TypeError`` (it takes
+    :func:`~repro.sched.stream.derive_movement_stream`).
     """
     stats = CommStats()
     sched.moves = list(
-        schedule_epochs(sched.dag.columns(), sched, machine, stats)
+        schedule_epochs(sched.require_dag().columns(), sched, machine, stats)
     )
     return stats

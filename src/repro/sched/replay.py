@@ -125,7 +125,9 @@ def replay_schedule(
     Raises:
         ReplayError: on the first violation, when ``on_violation`` is
             not supplied.
+        TypeError: ``sched`` is columnar (``dag`` is ``None``).
     """
+    sched.require_dag()
     count = 0
 
     def emit(code: str, message: str, t: int = -1) -> None:

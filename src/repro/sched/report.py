@@ -108,8 +108,10 @@ def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
     node's operation in node order, and each placed op carries its
     ``node`` index, so two exports compare equal exactly when their
     operations and placements do. Each timestep lists all ``k``
-    regions, idle ones as empty lists.
+    regions, idle ones as empty lists. A columnar schedule raises
+    ``TypeError``.
     """
+    dag = sched.require_dag()
 
     def placed(n: int) -> Dict[str, Any]:
         op = sched.operation(n)
@@ -154,7 +156,7 @@ def schedule_to_dict(sched: Schedule) -> Dict[str, Any]:
                 **({"angle": op.angle} if op.angle is not None else {}),
             }
             for op in (
-                sched.operation(n) for n in range(sched.dag.n)
+                sched.operation(n) for n in range(dag.n)
             )
         ],
         "timesteps": timesteps,

@@ -220,6 +220,20 @@ class Schedule:
             out[n] = (t, r)
         return out
 
+    def require_dag(self) -> DependenceDAG:
+        """The scheduled DAG, which every materialized-only API reads.
+
+        Raises:
+            TypeError: the schedule is columnar (``dag`` is ``None``).
+        """
+        if self.dag is None:
+            raise TypeError(
+                "this schedule is columnar (dag=None): read its ops with "
+                "StreamColumns.operation, derive its movement with "
+                "derive_movement_stream and run it with run_schedule_stream"
+            )
+        return self.dag
+
     def operation(self, node: int) -> Operation:
         stmt = self.dag.statements[node]
         if not isinstance(stmt, Operation):
@@ -241,9 +255,11 @@ class Schedule:
 
         :meth:`validate` raises on the first violation; the static
         auditor (:func:`repro.analysis.audit_schedule`) drains the
-        full stream into diagnostics.
+        full stream into diagnostics. A columnar schedule raises
+        ``TypeError`` (:meth:`require_dag`).
         """
-        n = self.dag.n
+        dag = self.require_dag()
+        n = dag.n
         placed = self.placement()
         occurrences: Dict[int, int] = {}
         for node in self.flat_nodes:
@@ -261,7 +277,7 @@ class Schedule:
                     "QL201",
                     f"node {node} scheduled {count} times",
                 )
-        preds = self.dag.preds
+        preds = dag.preds
         for node in range(n):
             if node not in placed:
                 continue

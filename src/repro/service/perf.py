@@ -539,7 +539,7 @@ def run_perf(
 
     # Warm-up: one unmeasured job so first-touch costs (module imports,
     # lazily built tables) do not land inside the first measured job's
-    # spans and inflate small stages like pass:decompose.
+    # spans and inflate small stages like toolflow:plan.
     _measure_job(*job_list[0])
     runs: List[Repeat] = []
     for _ in range(repeats):

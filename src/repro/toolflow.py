@@ -1,7 +1,10 @@
-"""End-to-end toolflow: decompose -> flatten -> schedule -> account.
+"""End-to-end toolflow: plan -> flatten and decompose -> schedule -> account.
 
 This is the ScaffCC-equivalent driver (Section 3): a hierarchical
-program goes through gate decomposition and threshold flattening, leaf
+program goes through gate decomposition and threshold flattening (one
+plan step, :func:`_plan`, decides which modules become leaves, and
+each leaf body is inlined and decomposed by
+:func:`~repro.passes.stream.leaf_stream`), leaf
 modules are fine-scheduled (RCP or LPFS) at every candidate width,
 movement is derived against the machine model, and non-leaf modules are
 coarse-scheduled over flexible blackbox dimensions. The result carries
@@ -32,19 +35,22 @@ from .arch.machine import (
 from .core.dag import DependenceDAG
 from .core.module import Module, Program
 from .instrument import span
-from .passes.decompose import (
-    DecomposeConfig,
-    decompose_module,
-    decompose_program,
-)
-from .passes.flatten import DEFAULT_FTH, FlattenResult, flatten_program
-from .passes.manager import PassManager
+from .passes.decompose import DecomposeConfig, decompose_module
+from .passes.flatten import DEFAULT_FTH
 from .passes.optimize import optimize_program
 from .passes.resource import total_gate_counts
-# Stays bound here as a bench/trace.py hook target (``_estimate`` reads
-# the entry's gate total from total_gate_counts instead).
+# These stay bound here as bench/trace.py hook targets (the front end
+# plans once and inlines through leaf_stream; the entry's gate total
+# comes from the plan's counts).
+from .passes.decompose import decompose_program  # noqa: F401
+from .passes.flatten import flatten_program  # noqa: F401
 from .passes.resource import estimate_resources  # noqa: F401
-from .passes.stream import decomposed_gate_counts, leaf_stream, plan_flatten
+from .passes.stream import (
+    FlattenPlan,
+    decomposed_gate_counts,
+    leaf_stream,
+    plan_flatten,
+)
 from .sched.coarse import best_dim, coarse_length_profile
 from .sched.comm import CommStats, derive_movement, naive_runtime
 from .sched.lpfs import schedule_lpfs
@@ -266,34 +272,69 @@ def _fill_coarse_profile(
         profile.runtime[w] = max(runtimes[w], 1)
 
 
+def _plan(
+    program: Program,
+    fth: int,
+    decompose: bool,
+    decompose_config: Optional[DecomposeConfig],
+    optimize: bool,
+) -> Tuple[Program, Optional[DecomposeConfig], Dict[str, int], FlattenPlan]:
+    """The front end's one decision, shared by every toolflow.
+
+    Runs the peephole pass when ``optimize`` is set, counts each
+    module's expanded gates (after decomposition when ``decompose`` is
+    set) and plans which modules become leaves under ``fth``. Returns
+    the (optimized) program, the decompose configuration or ``None``,
+    the gate totals and the :class:`~repro.passes.stream.FlattenPlan`.
+    """
+    with span("toolflow:plan"):
+        if optimize:
+            program = optimize_program(program)[0]
+        config = (decompose_config or DecomposeConfig()) if decompose else None
+        if config is not None:
+            totals = decomposed_gate_counts(program, config)
+        else:
+            totals = total_gate_counts(program)
+        plan = plan_flatten(program, totals, fth)
+    return program, config, totals, plan
+
+
 def _front_end(
     program: Program,
     fth: int,
     decompose: bool,
     decompose_config: Optional[DecomposeConfig],
     optimize: bool,
-) -> Tuple[Program, FlattenResult]:
-    """Optimize, decompose and flatten ``program`` through the
-    PassManager, so every pass gets a ``pass:*`` instrumentation span
-    and a validation step."""
-    flat_holder: Dict[str, FlattenResult] = {}
+) -> Tuple[Program, FlattenPlan, int]:
+    """The program the materialized toolflows schedule.
 
-    def _flatten(prog: Program) -> Program:
-        result = flatten_program(prog, fth=fth)
-        flat_holder["result"] = result
-        return result.program
-
-    pipeline = PassManager()
-    if optimize:
-        pipeline.add("optimize", lambda prog: optimize_program(prog)[0])
-    if decompose:
-        pipeline.add(
-            "decompose",
-            lambda prog: decompose_program(prog, decompose_config),
-        )
-    pipeline.add("flatten", _flatten)
-    program = pipeline.run(program)
-    return program, flat_holder["result"]
+    One pass over the plan's order builds it: each leaf's body comes
+    inlined and decomposed from :func:`~repro.passes.stream.leaf_stream`,
+    each other reachable module is decomposed in place. Modules that
+    flattening leaves unreachable are dropped. Returns the program, the
+    plan and the entry's expanded gate count.
+    """
+    program, config, totals, plan = _plan(
+        program, fth, decompose, decompose_config, optimize
+    )
+    synth = config.synthesizer() if config is not None else None
+    modules: List[Module] = []
+    with span("toolflow:flatten"):
+        for name in plan.order:
+            mod = program.module(name)
+            if plan.is_leaf_after(name):
+                body = leaf_stream(
+                    program,
+                    name,
+                    decompose=config is not None,
+                    decompose_config=config,
+                )
+                mod = Module(name, mod.params, list(body))
+            elif synth is not None:
+                mod = decompose_module(mod, synth)
+            modules.append(mod)
+        flat = Program(modules, program.entry)
+    return flat, plan, totals[program.entry]
 
 
 def _profile_modules(
@@ -318,13 +359,11 @@ def _profile_modules(
     return profiles
 
 
-def _estimate(program: Program, stage: str) -> Tuple[int, int]:
-    """Total gates and the (at least 1-cycle) critical path of the
-    scheduled program."""
+def _estimate(program: Program, stage: str) -> int:
+    """The (at least 1-cycle) critical path of the scheduled program."""
     with span(f"{stage}:estimate"):
-        total_gates = total_gate_counts(program)[program.entry]
         cp = hierarchical_critical_path(program)
-    return total_gates, max(cp[program.entry], 1)
+    return max(cp[program.entry], 1)
 
 
 def compile_and_schedule(
@@ -356,8 +395,9 @@ def compile_and_schedule(
         keep_schedules: retain each leaf's full-width schedule for
             inspection (memory permitting).
         strict: run the static analyzer (:mod:`repro.analysis`)
-            between passes — on the input program and again after
-            decomposition/flattening — and audit every retained
+            between passes — on the input program and again on the
+            decomposed, flattened program the front end builds (its
+            reachable modules only) — and audit every retained
             schedule; raise :class:`~repro.analysis.AnalysisError` on
             any ERROR-severity finding. All collected diagnostics
             (warnings included) are attached to the result's
@@ -394,7 +434,7 @@ def compile_and_schedule(
     if strict:
         strict_gate(program, "input")
 
-    program, flat = _front_end(
+    program, plan, total_gates = _front_end(
         program, fth, decompose, decompose_config, optimize
     )
     if strict:
@@ -470,7 +510,6 @@ def compile_and_schedule(
         if audit.has_errors:
             raise AnalysisError(audit, stage="schedule")
 
-    total_gates, critical_path = _estimate(program, "toolflow")
     return CompileResult(
         program=program,
         machine=machine,
@@ -478,8 +517,8 @@ def compile_and_schedule(
         profiles=profiles,
         schedules=schedules,
         total_gates=total_gates,
-        critical_path=critical_path,
-        flattened_percent=flat.percent_flattened,
+        critical_path=_estimate(program, "toolflow"),
+        flattened_percent=plan.percent_flattened,
         diagnostics=tuple(collected.sorted()),
         verified=tuple(verified_names),
     )
@@ -489,8 +528,11 @@ def compile_and_schedule(
 class StreamedCompileResult(CompileResult):
     """A :class:`CompileResult` produced by the streaming pipeline.
 
-    ``program`` is the *input* (hierarchical, unexpanded) program —
-    the streamed pipeline never rewrites it — and ``schedules`` is
+    ``program`` is the input program (after the peephole pass, when
+    asked) with each coarse-scheduled non-leaf module replaced by the
+    decomposed body the coarse pass scheduled, as in the materialized
+    result; leaf modules keep their unexpanded source, since no leaf
+    body is ever materialized. ``schedules`` is
     empty; retained leaf schedules live in ``stream_schedules`` /
     ``columns`` in their compact columnar form: each is a
     :class:`~repro.sched.types.Schedule` with ``dag=None`` whose nodes
@@ -525,8 +567,8 @@ def compile_and_schedule_streamed(
     """The streaming counterpart of :func:`compile_and_schedule`.
 
     Produces metric-identical results without ever materializing a
-    leaf body: flattening *decisions* come from hierarchical gate
-    counts (:func:`~repro.passes.stream.plan_flatten`), leaf bodies are
+    leaf body: flattening *decisions* come from the same plan step as
+    the materialized toolflow (:func:`_plan`), leaf bodies are
     spliced int-coded from per-module templates
     (:meth:`~repro.passes.stream.LeafStream.int_coded`) into columns,
     and the materialized pipeline's own scheduler kernels run over the
@@ -554,14 +596,9 @@ def compile_and_schedule_streamed(
             program order, one streaming pass per side.
     """
     scheduler = scheduler or SchedulerConfig()
-    if optimize:
-        program = optimize_program(program)[0]
-    with span("toolflow:stream-plan"):
-        if decompose:
-            totals = decomposed_gate_counts(program, decompose_config)
-        else:
-            totals = total_gate_counts(program)
-        plan = plan_flatten(program, totals, fth)
+    program, config, totals, plan = _plan(
+        program, fth, decompose, decompose_config, optimize
+    )
 
     k, d = machine.k, machine.d
     if widths == "all":
@@ -571,12 +608,9 @@ def compile_and_schedule_streamed(
     else:
         raise ValueError(f"widths must be 'all' or 'entry', got {widths!r}")
 
-    synth = (
-        (decompose_config or DecomposeConfig()).synthesizer()
-        if decompose
-        else None
-    )
+    synth = config.synthesizer() if config is not None else None
     profiles: Dict[str, ModuleProfile] = {}
+    decomposed: Dict[str, Module] = {}
     stream_schedules: Dict[str, Schedule] = {}
     columns: Dict[str, StreamColumns] = {}
     leaf_comm: Dict[str, CommStats] = {}
@@ -585,14 +619,13 @@ def compile_and_schedule_streamed(
 
     with span("toolflow:stream-schedule"):
         for name in plan.order:
-            mod = program.module(name)
             if plan.is_leaf_after(name):
                 profile = ModuleProfile(name, True)
                 stream = leaf_stream(
                     program,
                     name,
-                    decompose=decompose,
-                    decompose_config=decompose_config,
+                    decompose=config is not None,
+                    decompose_config=config,
                     length_hint=totals[name],
                 )
                 cols = build_columns(stream, window=window)
@@ -632,13 +665,15 @@ def compile_and_schedule_streamed(
                     columns[name] = cols
             else:
                 profile = ModuleProfile(name, False)
-                dmod = decompose_module(mod, synth) if synth else mod
-                _fill_coarse_profile(profile, dmod, profiles, width_list)
-                cp[name] = module_critical_path(dmod.body, cp)
+                mod = program.module(name)
+                if synth is not None:
+                    mod = decomposed[name] = decompose_module(mod, synth)
+                _fill_coarse_profile(profile, mod, profiles, width_list)
+                cp[name] = module_critical_path(mod.body, cp)
             profiles[name] = profile
 
     return StreamedCompileResult(
-        program=program,
+        program=program.with_modules(decomposed),
         machine=machine,
         scheduler=scheduler,
         profiles=profiles,

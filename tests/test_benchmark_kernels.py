@@ -16,6 +16,7 @@ from repro.benchmarks.sha1 import build_sha1
 from repro.benchmarks.tfp import _edge_constant, build_tfp
 from repro.core.qubits import Qubit
 from repro.passes.flatten import flatten_program
+from repro.passes.stream import stream_flatten
 from repro.sim.statevector import Simulator, circuit_unitary
 from repro.sim.verify import truth_table
 
@@ -36,21 +37,9 @@ class TestBFNandGate:
     def test_formula_evaluation_2x2(self):
         """The 4-leaf NAND tree: result = NAND(NAND(b0,b1), NAND(b2,b3))."""
         prog = build_boolean_formula(x=2, y=2)
-        flat = flatten_program(prog, fth=2 ** 62).program
-        # Reconstruct just the evaluate_formula module flattened.
+        # Just the evaluate_formula module, its nand_gate calls inlined.
         ev = prog.module("evaluate_formula")
-        # Inline nand_gate calls manually via the flatten helper.
-        from repro.passes.flatten import inline_call
-        from repro.core.operation import CallSite
-
-        ops = []
-        for idx, stmt in enumerate(ev.body):
-            if isinstance(stmt, CallSite):
-                ops.extend(
-                    inline_call(stmt, prog.module("nand_gate"), f"i{idx}")
-                )
-            else:
-                ops.append(stmt)
+        ops = list(stream_flatten(prog, "evaluate_formula"))
         board = [q for q in ev.params if q.register == "board"]
         result = [q for q in ev.params if q.register == "result"][0]
         universe = list(dict.fromkeys(
@@ -176,19 +165,7 @@ class TestSha1Round:
         for name in ("a", "b", "c", "d", "e", "wt"):
             regs[name] = [q for q in rnd.params if q.register == name]
         # Inline the f_parity calls.
-        from repro.core.operation import CallSite
-        from repro.passes.flatten import inline_call
-
-        ops = []
-        for idx, stmt in enumerate(rnd.body):
-            if isinstance(stmt, CallSite):
-                ops.extend(
-                    inline_call(
-                        stmt, prog.module(stmt.callee), f"i{idx}"
-                    )
-                )
-            else:
-                ops.append(stmt)
+        ops = list(stream_flatten(prog, "round_q1"))
         universe = list(dict.fromkeys(
             [q for r in regs.values() for q in r]
             + [q for op in ops for q in op.qubits]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.benchmarks import benchmark_names
 from repro.cli import build_parser, main
 
 
@@ -117,6 +118,30 @@ def _timeline(out: str) -> list:
     lines = out.split("\n")
     start = next(i for i, line in enumerate(lines) if line.startswith("cycle"))
     return [line for line in lines[start:] if line]
+
+
+class TestStreamedJson:
+    """``compile --stream --json`` writes the materialized export,
+    less the streamed pipeline's own ``pipeline`` and ``window`` keys:
+    non-leaf bodies are the decomposed bodies the coarse pass
+    scheduled, in both."""
+
+    @pytest.mark.parametrize(
+        "optimize", [False, True], ids=["plain", "optimize"]
+    )
+    @pytest.mark.parametrize("key", benchmark_names())
+    def test_matches_materialized(self, key, optimize, capsys):
+        argv = ["compile", key, "-k", "4", "-d", "4", "--json"]
+        if optimize:
+            argv.append("--optimize")
+        docs = []
+        for extra in ([], ["--stream"]):
+            assert main(argv + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("pipeline", None)
+            doc.pop("window", None)
+            docs.append(doc)
+        assert docs[0] == docs[1]
 
 
 class TestEmit:
@@ -359,6 +384,16 @@ class TestBadMachineArgs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: k must be < 65536, got 65536\n"
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--stream"]], ids=["materialized", "streamed"]
+    )
+    def test_negative_timeline_exits_two(self, extra, capsys):
+        argv = ["compile", "BF", "-k", "2", "--timeline", "-3"] + extra
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --timeline must be >= 0, got -3\n"
 
     def test_verify_negative_window_exits_two(self, capsys):
         argv = ["verify", "scale:adder:2000", "--spec", "adder"]

@@ -31,6 +31,24 @@ class TestDeepExitCodes:
         assert run_lint(BUGGY, "--deep", "--fail-on", "never") == 0
 
 
+class TestDeepFth:
+    def test_file_compiles_at_the_shared_default(self, monkeypatch):
+        """``lint --deep`` on a file compiles at the FTh that
+        ``compile`` uses for it (4,096), not the paper's 2M."""
+        import repro.cli as cli
+
+        seen = []
+        real = cli.compile_and_schedule
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["fth"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compile_and_schedule", spy)
+        assert run_lint(CLEAN, "--deep") == 0
+        assert seen == [4096]
+
+
 class TestFailOnCodePrefix:
     def test_matching_prefix_fails(self):
         assert run_lint(BUGGY, "--deep", "--fail-on", "QL4") == 1

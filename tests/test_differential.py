@@ -4,7 +4,9 @@ The pipeline's kernels (:mod:`repro.core.dag`, :mod:`repro.sched.rcp`,
 :mod:`repro.sched.lpfs`, :mod:`repro.sched.comm`,
 :mod:`repro.sched.coarse`) promise **bit-identical** output to the
 pre-optimization implementations kept in
-:mod:`tests.oracle.reference_sched`. This battery generates random
+:mod:`tests.oracle.reference_sched`, and the toolflow's front end
+(``repro.toolflow._front_end``) to the whole-program rewrite kept in
+:mod:`tests.oracle.reference_flatten`. This battery generates random
 programs with hypothesis and runs every scheduler through both
 (:func:`tests.oracle.reference_swapped` swaps the oracle in behind the
 same entry points), checking
@@ -15,6 +17,9 @@ same entry points), checking
   within ``k``, SIMD group width within ``d``, one gate type per group),
 * that the analytic runtime equals the engine's realized runtime under
   the ideal configuration (no stalls possible),
+* identical flattened programs (module order, params and bodies),
+  gate totals, critical paths and percent flattened for every
+  registry program, and for three with the peephole pass on,
 * identical coarse schedules and length profiles for hierarchical
   modules, also for the engine's coarse replays of every registry
   program over stalled (realized) leaf runtimes, and
@@ -61,7 +66,11 @@ from repro.sched import (
 )
 from repro.sched.comm import CommStats
 from repro.sched.rcp import RCPWeights
-from repro.sched.report import _comm_to_dict
+from repro.sched.report import (
+    _body_stmt_to_dict,
+    _comm_to_dict,
+    _qubit_name,
+)
 from repro.sched.stream import (
     build_columns,
     derive_movement_stream,
@@ -73,7 +82,7 @@ from repro.toolflow import (
     _candidate_widths,
     compile_and_schedule,
 )
-from tests.oracle import reference_sched, reference_swapped
+from tests.oracle import SWAPS, reference_sched, reference_swapped
 
 N_QUBITS = 8
 QUBITS = [Qubit("q", i) for i in range(N_QUBITS)]
@@ -592,42 +601,79 @@ def test_coarse_differential(case):
     assert fast_prof[k] == fast_res.total_length
 
 
+def _compile_doc(
+    key: str, algorithm: str, optimize: bool = False
+) -> str:
+    """One registry compile at Multi-SIMD(4,4, local 4) as JSON: the
+    front end's reachable modules (order, params, bodies), the headline
+    totals, per-width profiles with communication stats and the
+    retained schedules."""
+    spec = BENCHMARKS[key]
+    result = compile_and_schedule(
+        spec.build(),
+        MultiSIMD(4, 4, local_memory=4),
+        SchedulerConfig(algorithm),
+        fth=spec.fth,
+        optimize=optimize,
+    )
+    program = result.program
+    return json.dumps(
+        {
+            "order": program.topological_order(),
+            "modules": {
+                name: {
+                    "params": [
+                        _qubit_name(q) for q in program.module(name).params
+                    ],
+                    "body": [
+                        _body_stmt_to_dict(stmt)
+                        for stmt in program.module(name).body
+                    ],
+                }
+                for name in program.topological_order()
+            },
+            "total_gates": result.total_gates,
+            "critical_path": result.critical_path,
+            "flattened_percent": result.flattened_percent,
+            "profiles": {
+                name: {
+                    "length": p.length,
+                    "runtime": p.runtime,
+                    "comm": {
+                        w: _comm_to_dict(c) for w, c in p.comm.items()
+                    },
+                }
+                for name, p in result.profiles.items()
+            },
+            "schedules": {
+                name: schedule_to_dict(sched)
+                for name, sched in result.schedules.items()
+            },
+        },
+        sort_keys=True,
+    )
+
+
 @pytest.mark.parametrize("key", benchmark_names())
 def test_registry_matches_reference(key):
     """Every registry program, both fine schedulers, at
-    Multi-SIMD(4,4, local 4): per-width profiles, communication stats
-    and retained schedules agree between the pipelines."""
-    spec = BENCHMARKS[key]
-    program = spec.build()
-    machine = MultiSIMD(4, 4, local_memory=4)
-
-    def run(algorithm: str) -> str:
-        result = compile_and_schedule(
-            program, machine, SchedulerConfig(algorithm), fth=spec.fth
-        )
-        return json.dumps(
-            {
-                "profiles": {
-                    name: {
-                        "length": p.length,
-                        "runtime": p.runtime,
-                        "comm": {
-                            w: _comm_to_dict(c) for w, c in p.comm.items()
-                        },
-                    }
-                    for name, p in result.profiles.items()
-                },
-                "schedules": {
-                    name: schedule_to_dict(sched)
-                    for name, sched in result.schedules.items()
-                },
-            },
-            sort_keys=True,
-        )
-
+    Multi-SIMD(4,4, local 4): the flattened program's module bodies,
+    the gate total, critical path and percent flattened, per-width
+    profiles, communication stats and retained schedules agree between
+    the pipelines."""
     for algorithm in ("rcp", "lpfs"):
-        fast, ref = both_pipelines(lambda: run(algorithm))
+        fast, ref = both_pipelines(lambda: _compile_doc(key, algorithm))
         require_equal(fast, ref, f"{key} {algorithm}", parse=json.loads)
+
+
+@pytest.mark.parametrize("key", ["BF", "Grovers", "GSE"])
+def test_registry_optimized_matches_reference(key):
+    """With the peephole pass ahead of decomposition, the front end
+    still builds the oracle's program and every figure agrees."""
+    fast, ref = both_pipelines(
+        lambda: _compile_doc(key, "lpfs", optimize=True)
+    )
+    require_equal(fast, ref, f"{key} optimized", parse=json.loads)
 
 
 @pytest.mark.parametrize("key", benchmark_names())
@@ -666,27 +712,23 @@ def test_engine_coarse_replay_matches_reference(key):
 
 def test_oracle_is_live(monkeypatch):
     """Compiling a registry program under the swap runs the oracle's
-    DAG edges, RCP, LPFS, movement and coarse profile, so a rename or
-    an import change cannot quietly turn this battery into
+    front end, DAG edges, RCP, LPFS, movement and coarse profile, so a
+    rename or an import change cannot quietly turn this battery into
     pipeline-vs-pipeline."""
-    calls = dict.fromkeys(
-        (
-            "dag_edges_reference",
-            "schedule_rcp_reference",
-            "schedule_lpfs_reference",
-            "derive_movement_reference",
-            "coarse_length_profile_reference",
-        ),
-        0,
-    )
-    for name in calls:
+    oracles = {
+        name: module
+        for _where, _pipeline, module, name in SWAPS
+        if name != "schedule_coarse_reference"  # the engine's, not compile's
+    }
+    calls = dict.fromkeys(oracles, 0)
+    for name, module in oracles.items():
 
-        def counted(*args, _fn=getattr(reference_sched, name), _name=name,
+        def counted(*args, _fn=getattr(module, name), _name=name,
                     **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(reference_sched, name, counted)
+        monkeypatch.setattr(module, name, counted)
     spec = BENCHMARKS["BF"]
     with reference_swapped():
         for algorithm in ("rcp", "lpfs"):
@@ -696,4 +738,5 @@ def test_oracle_is_live(monkeypatch):
                 SchedulerConfig(algorithm),
                 fth=spec.fth,
             )
+    assert "front_end_reference" in calls
     assert all(calls.values()), calls

@@ -78,8 +78,8 @@ class TestToolflowSpans:
         with record_spans() as rec:
             compile_and_schedule(two_toffoli_program, MultiSIMD(k=2))
         names = set(rec.to_dict())
-        assert "pass:decompose" in names
-        assert "pass:flatten" in names
+        assert "toolflow:plan" in names
+        assert "toolflow:flatten" in names
         assert "toolflow:schedule" in names
         assert "toolflow:estimate" in names
         assert "comm:derive_movement" in names

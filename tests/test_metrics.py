@@ -168,7 +168,7 @@ class TestDAGFreeCriticalPath:
     @pytest.mark.parametrize("key", benchmark_names())
     def test_registry_after_front_end(self, key, decompose):
         spec = BENCHMARKS[key]
-        program, _flat = _front_end(
+        program, _plan, _total = _front_end(
             spec.build(), spec.fth, decompose, None, False
         )
         assert hierarchical_critical_path(program) == _dag_critical_paths(

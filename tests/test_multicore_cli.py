@@ -29,6 +29,20 @@ class TestPartitionVerb:
             assert sum(report["occupancy"]) == len(report["assignment"])
         assert set(doc["leaves"]) == set(doc["partitions"])
 
+    def test_scale_source_takes_the_shared_fth_default(self, capsys):
+        # A scale source flattens everything by default, as in compile
+        # and execute: the one leaf is the entry, not the adder kernel.
+        rc = main(
+            [
+                "partition", "scale:adder:2e4",
+                "--topology", "line", "--cores", "2",
+                "-k", "4", "-d", "8", "--format", "json",
+            ]
+        )
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert sorted(doc["leaves"]) == ["main"]
+
     def test_forced_cut_reports_makespan_split(self, capsys):
         rc = main(
             [

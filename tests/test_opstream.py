@@ -3,16 +3,15 @@ pass adapters (:mod:`repro.passes.stream`).
 
 The load-bearing contract is replayability: every fresh iteration of a
 stream must yield the identical op sequence, and the composed
-``leaf_stream`` must emit exactly the ops the materialized
-decompose+flatten pipeline places in the corresponding leaf body.
+``leaf_stream`` must emit exactly the ops the decompose-then-flatten
+rewrite kept in ``tests/oracle`` places in the corresponding leaf body.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.arch.machine import MultiSIMD
-from repro.benchmarks import BENCHMARKS
+from repro.benchmarks import BENCHMARKS, benchmark_names
 from repro.core import ProgramBuilder
 from repro.core.operation import Operation
 from repro.core.opstream import (
@@ -23,12 +22,14 @@ from repro.core.opstream import (
     materialize,
 )
 from repro.core.qubits import Qubit
+from repro.passes.decompose import decompose_program
+from repro.passes.resource import total_gate_counts
 from repro.passes.stream import (
     decomposed_gate_counts,
     leaf_stream,
     plan_flatten,
 )
-from repro.toolflow import SchedulerConfig, compile_and_schedule
+from tests.oracle.reference_flatten import front_end_reference
 
 Q = [Qubit("q", i) for i in range(4)]
 OPS = [
@@ -116,22 +117,20 @@ class TestIterChunks:
             list(iter_chunks(ListStream(OPS), 0))
 
 
-@pytest.mark.parametrize("key", ["BF", "Grovers"])
+@pytest.mark.parametrize("key", benchmark_names())
 def test_leaf_stream_matches_materialized_bodies(key):
-    """``leaf_stream`` emits exactly the materialized pipeline's leaf
-    bodies, op for op."""
+    """``leaf_stream`` emits exactly the leaf bodies of the
+    decompose-then-flatten rewrite kept in ``tests/oracle``, op for
+    op."""
     spec = BENCHMARKS[key]
     prog = spec.build()
-    machine = MultiSIMD(k=4, d=None)
-    result = compile_and_schedule(
-        prog, machine, SchedulerConfig("rcp"), fth=spec.fth
-    )
+    ref, _flat, _total = front_end_reference(prog, spec.fth, True, None, False)
     leaves = [
-        name for name, p in result.profiles.items() if p.is_leaf
+        name for name in ref.topological_order() if ref.module(name).is_leaf
     ]
     assert leaves
     for name in leaves:
-        body = result.program.module(name).body
+        body = ref.module(name).body
         streamed = materialize(leaf_stream(prog, name))
         assert len(streamed) == len(body)
         assert [op_key(o) for o in streamed] == [
@@ -139,21 +138,19 @@ def test_leaf_stream_matches_materialized_bodies(key):
         ]
 
 
-@pytest.mark.parametrize("key", ["BF", "BWT", "Grovers", "Shors"])
+@pytest.mark.parametrize("key", benchmark_names())
 def test_decomposed_counts_and_plan_match_pipeline(key):
     """Flattening *decisions* from hierarchical counts match the
-    materialized pipeline's rewrite, module for module."""
+    oracle's decompose-then-flatten rewrite, module for module."""
     spec = BENCHMARKS[key]
     prog = spec.build()
     totals = decomposed_gate_counts(prog)
     plan = plan_flatten(prog, totals, spec.fth)
-    result = compile_and_schedule(
-        prog,
-        MultiSIMD(k=4, d=None),
-        SchedulerConfig("rcp"),
-        fth=spec.fth,
-    )
-    assert totals[prog.entry] == result.total_gates
-    assert plan.percent_flattened == result.flattened_percent
-    for name, profile in result.profiles.items():
-        assert plan.is_leaf_after(name) == profile.is_leaf
+    ref, flat, total = front_end_reference(prog, spec.fth, True, None, False)
+    assert totals == total_gate_counts(decompose_program(prog))
+    assert totals[prog.entry] == total
+    assert plan.flattened == flat.flattened
+    assert plan.percent_flattened == flat.percent_flattened
+    assert plan.order == ref.topological_order()
+    for name in plan.order:
+        assert plan.is_leaf_after(name) == ref.module(name).is_leaf

@@ -191,3 +191,62 @@ class TestValidation:
         sched = Schedule(dag, k=1)
         with pytest.raises(TypeError):
             sched.operation(0)
+
+
+class TestColumnarSchedule:
+    """A columnar schedule (``dag=None``) passed to a materialized-only
+    API raises one ``TypeError`` naming the columnar calls to use."""
+
+    @pytest.fixture(scope="class")
+    def columnar(self):
+        from repro.arch.machine import MultiSIMD
+        from repro.benchmarks import BENCHMARKS
+        from repro.toolflow import compile_and_schedule_streamed
+
+        spec = BENCHMARKS["BF"]
+        result = compile_and_schedule_streamed(
+            spec.build(), MultiSIMD(k=2), fth=spec.fth
+        )
+        sched = next(iter(result.stream_schedules.values()))
+        assert sched.dag is None
+        return sched, MultiSIMD(k=2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            "validate",
+            "iter_violations",
+            "schedule_to_dict",
+            "replay_schedule",
+            "derive_movement",
+            "run_schedule",
+            "audit_schedule",
+        ],
+    )
+    def test_dag_only_call_raises_type_error(self, columnar, call):
+        from repro.analysis import audit_schedule
+        from repro.engine import run_schedule
+        from repro.sched.comm import derive_movement
+        from repro.sched.replay import replay_schedule
+        from repro.sched.report import schedule_to_dict
+
+        sched, machine = columnar
+        calls = {
+            "validate": sched.validate,
+            "iter_violations": lambda: list(sched.iter_violations()),
+            "schedule_to_dict": lambda: schedule_to_dict(sched),
+            "replay_schedule": lambda: replay_schedule(sched, machine),
+            "derive_movement": lambda: derive_movement(sched, machine),
+            "run_schedule": lambda: run_schedule(sched, machine),
+            "audit_schedule": lambda: audit_schedule(sched, machine),
+        }
+        with pytest.raises(TypeError) as info:
+            calls[call]()
+        message = str(info.value)
+        assert message.startswith("this schedule is columnar")
+        for name in (
+            "StreamColumns.operation",
+            "derive_movement_stream",
+            "run_schedule_stream",
+        ):
+            assert name in message

@@ -215,7 +215,7 @@ class TestRunPerf:
         assert payload["grid"] is None
         assert payload["fast"]["failed_jobs"] == []
         assert 0 < payload["probe_s"] < 1
-        assert {"pass:decompose", "toolflow:schedule", "schedule:rcp"} <= (
+        assert {"toolflow:plan", "toolflow:schedule", "schedule:rcp"} <= (
             set(payload["fast"]["stages"])
         ), "stage spans missing"
         assert payload["fast"]["per_job"][0]["label"] == (

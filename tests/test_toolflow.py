@@ -211,3 +211,54 @@ class TestStrictMode:
             assert not audit_schedule(
                 sched, result.machine, module=name
             ).has_errors
+
+    def test_flattened_stage_sees_no_orphaned_callees(self):
+        """The front end builds its program from the reachable modules,
+        so the post-flatten analysis reports no QL005 for the callees
+        flattening orphans, and keeps the findings on inlined locals."""
+        from repro.benchmarks import BENCHMARKS
+
+        spec = BENCHMARKS["BF"]
+        result = compile_and_schedule(
+            spec.build(), MultiSIMD(k=4, d=4), fth=spec.fth, strict=True
+        )
+        program = result.program
+        assert set(program.modules) == program.reachable()
+        assert "QL005" not in {d.code for d in result.diagnostics}
+        walk_step = [
+            d
+            for d in result.diagnostics
+            if d.code == "QL003" and d.module == "walk_step"
+        ]
+        assert walk_step
+        for d in walk_step:
+            assert "formula_oracle@0$evaluate_formula@" in d.message
+
+
+class TestOptimize:
+    def test_cancellation_runs_before_decomposition(self):
+        """The peephole pass cancels a callee's H/H pair before the
+        Toffoli in the caller is decomposed (whose network keeps its
+        own H gates), and the flattened entry ends in the callee's T."""
+        from repro.core import ProgramBuilder
+        from repro.core.operation import Operation
+
+        pb = ProgramBuilder()
+        sub = pb.module("sub")
+        p = sub.param_register("p", 1)
+        sub.h(p[0]).h(p[0]).t(p[0])
+        main = pb.module("main")
+        q = main.register("q", 3)
+        main.toffoli(q[0], q[1], q[2])
+        main.call("sub", [q[0]])
+        prog = pb.build("main")
+        machine = MultiSIMD(k=2)
+        plain = compile_and_schedule(prog, machine, fth=10 ** 6)
+        result = compile_and_schedule(
+            prog, machine, fth=10 ** 6, optimize=True
+        )
+        entry = result.program.entry_module
+        assert entry.is_leaf  # fully flattened
+        assert "T" in {op.gate for op in entry.operations()}
+        assert entry.body[-1] == Operation("T", (q[0],))
+        assert result.total_gates == len(entry.body) == plain.total_gates - 2
